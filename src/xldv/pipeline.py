@@ -1,12 +1,20 @@
 """Pipeline stages and the run manifest.
 
 Every stage declares its input and output artifacts (paths under the run
-directory). A stage is skipped when the manifest records a completed run with
-the same config hash and all input/output checksums still match, so re-running
-an unchanged experiment is a no-op and deleting one stage's outputs
-regenerates only that stage (and dependents whose inputs actually changed).
+directory). A stage body reads configuration only as ``ctx.config[key]``;
+``run_stage`` hands it a view that records each key read, and the manifest
+stores that ``{key: value}`` map beside the stage's input and output
+checksums. A stage is skipped when every recorded key still has its recorded
+value and all input/output checksums still match: a verifying-traces rebuilder
+with dynamic dependencies (Mokhov, Mitchell & Peyton Jones, "Build Systems a
+la Carte", ICFP 2018). So re-running an unchanged experiment is a no-op,
+changing one config key re-runs the stages that read it plus the dependents
+whose inputs actually changed, and deleting one stage's outputs regenerates
+only that stage (and dependents whose inputs actually changed). The reason a
+stage ran is logged and kept in its record, with a per-stage run counter.
 """
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -43,41 +51,82 @@ def condition_token(condition):
 
 
 class RunManifest:
-    """Journal of completed stages with artifact checksums and timings."""
+    """Journal of completed stages: config keys read, checksums, timings."""
 
     def __init__(self, run_dir):
         self.path = os.path.join(run_dir, "manifest.json")
         self.data = {"tool_version": __version__, "stages": {}}
         if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                self.data = json.load(fh)
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+                raise DataError(f"cannot read run manifest {self.path}: {exc}") from exc
+            stages = data.get("stages") if isinstance(data, dict) else None
+            if not isinstance(stages, dict) or not all(
+                isinstance(rec, dict) for rec in stages.values()
+            ):
+                raise DataError(f"run manifest {self.path} has no valid stage table")
+            self.data = data
 
     def save(self):
-        with open(self.path, "w", encoding="utf-8") as fh:
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, self.path)
 
-    def record(self, stage, config_hash, inputs, outputs, wall_clock):
+    def record(self, stage, config_keys, inputs, outputs, wall_clock, reason):
+        previous = self.data["stages"].get(stage, {})
         self.data["tool_version"] = __version__
         self.data["stages"][stage] = {
-            "config_hash": config_hash,
+            "config_keys": config_keys,
             "inputs": inputs,
             "outputs": outputs,
+            "reason": reason,
+            "run_seq": previous.get("run_seq", 0) + 1,
             "wall_clock_s": round(wall_clock, 3),
         }
         self.save()
 
-    def stage_current(self, stage, config_hash, input_hashes, run_dir):
+    def stage_current(self, stage, config, input_hashes, run_dir):
+        """Why ``stage`` has to run, or None when its record is still current."""
         rec = self.data["stages"].get(stage)
-        if rec is None or rec["config_hash"] != config_hash:
-            return False
-        if rec["inputs"] != input_hashes:
-            return False
-        for rel, digest in rec["outputs"].items():
+        if rec is None:
+            return "no record"
+        if "config_keys" not in rec:
+            return "record has no config keys"
+        for key, value in sorted(rec["config_keys"].items()):
+            if config.values.get(key) != value:
+                return f"config key {key} changed"
+        recorded = rec["inputs"]
+        for rel in sorted(set(recorded) | set(input_hashes)):
+            if recorded.get(rel) != input_hashes.get(rel):
+                return f"input {rel} changed"
+        for rel, digest in sorted(rec["outputs"].items()):
             path = os.path.join(run_dir, rel)
-            if not os.path.exists(path) or sha256_file(path) != digest:
-                return False
-        return True
+            if not os.path.exists(path):
+                return f"output {rel} missing"
+            if sha256_file(path) != digest:
+                return f"output {rel} changed"
+        return None
+
+
+class RecordingConfig:
+    """Read-only view of a config that remembers every key read through it.
+
+    Stage bodies get this as ``ctx.config``; the keys they read, with their
+    values, are the config part of the stage's fingerprint.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self._config = config
+        self.read = {}
+
+    def __getitem__(self, key):
+        value = self._config[key]
+        self.read[key] = value
+        return value
 
 
 @dataclass
@@ -601,21 +650,23 @@ def run_stage(ctx: Context, name, force=False):
             f"stage {name} requires {missing[0]} (run earlier stages first)"
         )
     input_hashes = {rel: sha256_file(ctx.path(rel)) for rel in inputs}
-    config_hash = ctx.config.hash()
-    if not force and ctx.manifest.stage_current(name, config_hash, input_hashes,
-                                                ctx.run_dir):
+    reason = "forced" if force else ctx.manifest.stage_current(
+        name, ctx.config, input_hashes, ctx.run_dir
+    )
+    if reason is None:
         log.info("stage %s: up to date, skipping", name)
         return False
-    log.info("stage %s: running", name)
+    log.info("stage %s: running (%s)", name, reason)
+    config = RecordingConfig(ctx.config)
     t0 = time.perf_counter()
-    fn(ctx)
+    fn(dataclasses.replace(ctx, config=config))
     wall = time.perf_counter() - t0
     output_hashes = {}
     for rel in outputs:
         if not os.path.exists(ctx.path(rel)):
             raise DataError(f"stage {name} did not produce {rel}")
         output_hashes[rel] = sha256_file(ctx.path(rel))
-    ctx.manifest.record(name, config_hash, input_hashes, output_hashes, wall)
+    ctx.manifest.record(name, config.read, input_hashes, output_hashes, wall, reason)
     log.info("stage %s: done in %.1fs", name, wall)
     return True
 

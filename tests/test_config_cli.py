@@ -1,12 +1,21 @@
 """Configuration parsing/validation and the CLI pipeline on a tiny corpus."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from xldv import pipeline
 from xldv.cli import main
-from xldv.config import ExperimentConfig, load_config, parse_config_text, validate_config
+from xldv.config import (
+    SCHEMA,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+    validate_config,
+)
 from xldv.errors import ConfigError
 
 TINY_OVERRIDES = [
@@ -125,8 +134,6 @@ class TestCli:
         assert (tiny_run / "results" / "report.txt").exists()
 
     def test_second_run_is_noop(self, tiny_run, caplog):
-        import json
-
         manifest_before = (tiny_run / "manifest.json").read_text()
         code = main(["all"] + tiny_args(tiny_run))
         assert code == 0
@@ -134,18 +141,34 @@ class TestCli:
         assert json.loads(manifest_before)["stages"] == manifest_after["stages"]
 
     def test_stage_isolation_on_deleted_output(self, tiny_run):
-        import json
-
         before = json.loads((tiny_run / "manifest.json").read_text())["stages"]
         os.remove(tiny_run / "models" / "ubm.nnck")
         code = main(["all"] + tiny_args(tiny_run))
         assert code == 0
         after = json.loads((tiny_run / "manifest.json").read_text())["stages"]
         # the regenerated UBM is byte-identical, so downstream stages stay valid
-        assert after["train-ubm"] != before["train-ubm"]
+        assert after["train-ubm"]["run_seq"] == before["train-ubm"]["run_seq"] + 1
+        assert after["train-ubm"]["reason"] == "output models/ubm.nnck missing"
         assert after["train-ubm"]["outputs"] == before["train-ubm"]["outputs"]
         assert after["extract"] == before["extract"]
         assert after["report"] == before["report"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:100],
+        lambda raw: b"\xff\xfe" + raw,
+        lambda raw: b'{"stages": []}\n',
+    ], ids=["truncated", "not-utf8", "no-stage-table"])
+    def test_corrupt_manifest_exits_two(self, tiny_run, tmp_path, capsys, corrupt):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        manifest = run_dir / "manifest.json"
+        manifest.write_bytes(corrupt(manifest.read_bytes()))
+        code = main(["all"] + tiny_args(run_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("xldv: error: data:")
+        assert "manifest.json" in err
+        assert len(err.splitlines()) == 1
 
     def test_eval_without_scores_exits_two_naming_missing_file(self, tmp_path, capsys):
         code = main(["eval"] + tiny_args(tmp_path / "fresh"))
@@ -188,3 +211,63 @@ class TestDeterminism:
         assert (tiny_run / "results" / "eer.tsv").read_bytes() != (
             other / "results" / "eer.tsv"
         ).read_bytes()
+
+
+def tiny_context(run_dir, extra=()):
+    return pipeline.make_context(load_config(None, TINY_OVERRIDES + list(extra)),
+                                 str(run_dir))
+
+
+def stage_records(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["stages"]
+
+
+class TestReuse:
+    """Which stages a config change re-runs; each test works on a copy."""
+
+    @pytest.fixture
+    def run_copy(self, tiny_run, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        return run_dir
+
+    def test_immediate_rerun_runs_nothing(self, run_copy):
+        assert pipeline.run_all(tiny_context(run_copy)) == []
+
+    def test_lda_dim_change_reruns_only_backend_stages(self, run_copy):
+        results = [run_copy / "results" / name for name in ("eer.tsv", "report.txt")]
+        before = [path.read_bytes() for path in results]
+        ran = pipeline.run_all(tiny_context(run_copy, ["backend.lda_dim=4"]))
+        assert ran == ["backend-train", "score", "eval", "report"]
+        records = stage_records(run_copy)
+        assert records["backend-train"]["reason"] == "config key backend.lda_dim changed"
+        assert records["score"]["reason"].startswith("input models/backend_")
+        assert [path.read_bytes() for path in results] != before
+        ran = pipeline.run_all(tiny_context(run_copy))
+        assert ran == ["backend-train", "score", "eval", "report"]
+        assert [path.read_bytes() for path in results] == before
+
+    def test_conditions_change_reruns_only_scoring_stages(self, run_copy):
+        ran = pipeline.run_all(tiny_context(run_copy, ["eval.conditions=A-A,A/B"]))
+        assert ran == ["score", "eval", "report"]
+        assert stage_records(run_copy)["score"]["config_keys"]["eval.conditions"] == "A-A,A/B"
+
+    def test_legacy_record_is_rerun(self, run_copy):
+        manifest = run_copy / "manifest.json"
+        data = json.loads(manifest.read_text())
+        rec = data["stages"]["report"]
+        del rec["config_keys"], rec["reason"], rec["run_seq"]
+        rec["config_hash"] = "0" * 64
+        manifest.write_text(json.dumps(data))
+        assert pipeline.run_all(tiny_context(run_copy)) == ["report"]
+        rec = stage_records(run_copy)["report"]
+        assert rec["reason"] == "record has no config keys"
+        assert rec["run_seq"] == 1
+        assert "config_hash" not in rec
+
+    def test_every_key_but_master_seed_is_read(self, tiny_run):
+        read = set()
+        for rec in stage_records(tiny_run).values():
+            read |= set(rec["config_keys"])
+        # experiment.seed reaches the stages through the section seeds
+        assert read == set(SCHEMA) - {"experiment.seed"}
