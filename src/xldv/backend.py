@@ -45,9 +45,6 @@ class EmbeddingSet:
     def dim(self):
         return self.vectors.shape[1]
 
-    def by_utterance(self):
-        return dict(zip(self.utterance_ids, self.vectors))
-
     @classmethod
     def from_archive(cls, path):
         from .archive import archive_stream
@@ -303,14 +300,6 @@ def plda_score_pairs(model: PLDAModel, enroll, test) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite PLDA score")
     return scores
-
-
-def plda_score_matrix(model: PLDAModel, enroll, test) -> np.ndarray:
-    """(n_enroll, n_test) score matrix."""
-    ua = model.transform(enroll)
-    ub = model.transform(test)
-    k0, q, p = _llr_terms(model)
-    return k0 + ((ua**2) @ q)[:, None] + ((ub**2) @ q)[None, :] + (ua * p) @ ub.T
 
 
 class CosineScorer:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
 METRICS = ("cosine", "lda", "plda")
 
 
@@ -135,7 +136,11 @@ class ScoreSet:
 
 
 def score_trials(scorer, embeddings_by_utt, trial_list: TrialList) -> ScoreSet:
-    """One finite score per trial, order-preserving with the list."""
+    """One finite score per trial, order-preserving with the list.
+
+    ``scorer`` is any object with ``score_pairs(enroll, test)`` over
+    row-aligned embedding matrices.
+    """
     for t in trial_list.trials:
         for utt in (t.enroll, t.test):
             if utt not in embeddings_by_utt:
@@ -144,12 +149,7 @@ def score_trials(scorer, embeddings_by_utt, trial_list: TrialList) -> ScoreSet:
         return ScoreSet(trial_list, np.zeros(0))
     enroll = np.stack([embeddings_by_utt[t.enroll] for t in trial_list.trials])
     test = np.stack([embeddings_by_utt[t.test] for t in trial_list.trials])
-    if hasattr(scorer, "score_pairs"):
-        scores = np.asarray(scorer.score_pairs(enroll, test), dtype=np.float64)
-    else:
-        scores = np.array(
-            [scorer(e, t) for e, t in zip(enroll, test)], dtype=np.float64
-        )
+    scores = np.asarray(scorer.score_pairs(enroll, test), dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         bad = trial_list.trials[int(np.argmax(~np.isfinite(scores)))]
         raise InvalidArgumentError(
@@ -202,9 +202,6 @@ def compute_eer(target_scores, nontarget_scores=None) -> EERResult:
                      n_target=int(tar.size), n_nontarget=int(non.size))
 
 
-SYSTEM_ORDER = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
-
-
 def results_table(results, conditions, systems=None, metrics=METRICS):
     """Render the (system, metric, condition) -> EERResult grid.
 
@@ -212,7 +209,7 @@ def results_table(results, conditions, systems=None, metrics=METRICS):
     fixed order; missing cells render as "-".
     """
     if systems is None:
-        known = [s for s in SYSTEM_ORDER if any(k[0] == s for k in results)]
+        known = [s for s in SYSTEMS if any(k[0] == s for k in results)]
         extra = sorted({k[0] for k in results} - set(known))
         systems = known + extra
     header = ["System", "Metric"] + [f"{c} EER%" for c in conditions]

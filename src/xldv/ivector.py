@@ -4,7 +4,8 @@ UBM training is plain EM with a k-means-style start from random frames and a
 variance floor at 1e-4 of the global variance. The total-variability model
 M = m + T w (w ~ N(0, I)) is trained by EM over per-utterance sufficient
 statistics; both EM loops record their objective per iteration so callers can
-assert monotonicity.
+assert monotonicity. ``TMatrix`` caches its whitened form and per-component
+Gram, which training and extraction share.
 """
 
 import logging
@@ -146,17 +147,37 @@ class TMatrix:
     n_components: int
     dim: int
     objective: list = field(default_factory=list)
+    # (t, UBM variances, _whitened_gram result) of the last build
+    _gram_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self):
         return self.t.shape[1]
 
+    def whitened_gram(self, ubm: UBM):
+        """``_whitened_gram(ubm, self.t)``, built once per (T, UBM variances).
 
-def _whitened_views(ubm: UBM, tmat: np.ndarray):
+        The cache is keyed on the ``t`` array object, so replace ``t`` rather
+        than editing it in place.
+        """
+        cache = self._gram_cache
+        if (
+            cache is None
+            or cache[0] is not self.t
+            or not np.array_equal(cache[1], ubm.variances)
+        ):
+            cache = (self.t, ubm.variances.copy(), _whitened_gram(ubm, self.t))
+            self._gram_cache = cache
+        return cache[2]
+
+
+def _whitened_gram(ubm: UBM, tmat: np.ndarray):
+    """(t3, inv_std, gram): T_c scaled by Sigma_c^-1/2 and gram_c = t3_c' t3_c."""
     c, d = ubm.n_components, ubm.dim
     inv_std = 1.0 / np.sqrt(ubm.variances)  # (C, D)
     t3 = tmat.reshape(c, d, -1) * inv_std[:, :, None]
-    return t3, inv_std
+    gram = np.einsum("cdr,cds->crs", t3, t3)
+    return t3, inv_std, gram
 
 
 def _posterior(t3, gram, inv_std, stats: SuffStats):
@@ -196,8 +217,7 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
     tmat = rng.normal(0.0, 1.0, (c * d, rank)) * np.sqrt(ubm.variances.reshape(-1, 1))
     result = TMatrix(t=tmat, n_components=c, dim=d)
     for _ in range(n_iters + 1):
-        t3, inv_std = _whitened_views(ubm, result.t)
-        gram = np.einsum("cdr,cds->crs", t3, t3)
+        t3, inv_std, gram = result.whitened_gram(ubm)
         obj = 0.0
         acc_a = np.zeros((c, rank, rank))
         acc_k = np.zeros((rank, c * d))
@@ -232,11 +252,16 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
 
 
 def extract_ivector(ubm: UBM, tmatrix: TMatrix, stats: SuffStats) -> np.ndarray:
-    """Posterior mean w = (I + T' S^-1 N T)^-1 T' S^-1 F."""
+    """Posterior mean w = (I + T' S^-1 N T)^-1 T' S^-1 F.
+
+    The whitened T and the per-component Gram come from the T-matrix's cache,
+    so they are built once per (T, UBM) rather than once per utterance
+    (Glembek et al., "Simplification and optimization of i-vector
+    extraction", ICASSP 2011).
+    """
     if tmatrix.n_components != ubm.n_components or tmatrix.dim != ubm.dim:
         raise InvalidArgumentError("T-matrix shape does not match the UBM")
-    t3, inv_std = _whitened_views(ubm, tmatrix.t)
-    gram = np.einsum("cdr,cds->crs", t3, t3)
+    t3, inv_std, gram = tmatrix.whitened_gram(ubm)
     precision, b = _posterior(t3, gram, inv_std, stats)
     if not np.allclose(precision, precision.T, atol=1e-8):
         raise NumericError("posterior precision is not symmetric")

@@ -12,6 +12,8 @@ changing one config key re-runs the stages that read it plus the dependents
 whose inputs actually changed, and deleting one stage's outputs regenerates
 only that stage (and dependents whose inputs actually changed). The reason a
 stage ran is logged and kept in its record, with a per-stage run counter.
+One ``run_all`` hashes each file at most once: stages share a digest memo,
+and a stage that runs replaces its outputs' entries.
 """
 
 import dataclasses
@@ -27,12 +29,10 @@ import numpy as np
 from . import __version__, archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet
 from .config import ExperimentConfig
 from .errors import DataError
+from .evalkit import METRICS, SYSTEMS
 from .nn import NetworkGraph, TrainState
 
 log = logging.getLogger(__name__)
-
-SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
-METRICS = ("cosine", "lda", "plda")
 
 
 def sha256_file(path, chunk=1 << 20):
@@ -44,6 +44,13 @@ def sha256_file(path, chunk=1 << 20):
                 break
             digest.update(block)
     return digest.hexdigest()
+
+
+def _digest(run_dir, rel, digests):
+    """sha256 of ``run_dir/rel``, memoized in ``digests`` (rel -> digest)."""
+    if rel not in digests:
+        digests[rel] = sha256_file(os.path.join(run_dir, rel))
+    return digests[rel]
 
 
 def condition_token(condition):
@@ -89,8 +96,11 @@ class RunManifest:
         }
         self.save()
 
-    def stage_current(self, stage, config, input_hashes, run_dir):
-        """Why ``stage`` has to run, or None when its record is still current."""
+    def stage_current(self, stage, config, input_hashes, run_dir, digests):
+        """Why ``stage`` has to run, or None when its record is still current.
+
+        Output files are hashed through ``digests``, a rel -> sha256 memo.
+        """
         rec = self.data["stages"].get(stage)
         if rec is None:
             return "no record"
@@ -107,7 +117,7 @@ class RunManifest:
             path = os.path.join(run_dir, rel)
             if not os.path.exists(path):
                 return f"output {rel} missing"
-            if sha256_file(path) != digest:
+            if _digest(run_dir, rel, digests) != digest:
                 return f"output {rel} changed"
         return None
 
@@ -444,11 +454,7 @@ def stage_extract(ctx: Context):
         )
 
 
-EMBEDDING_TAGS = {
-    "ivector": "ivec",
-    "dvector-phone-blind": "dvec_blind",
-    "dvector-phone-aware": "dvec_aware",
-}
+EMBEDDING_TAGS = dict(zip(SYSTEMS, ("ivec", "dvec_blind", "dvec_aware")))
 
 
 def stage_backend_train(ctx: Context):
@@ -637,8 +643,15 @@ def _ensure_dirs(run_dir):
         os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
 
 
-def run_stage(ctx: Context, name, force=False):
-    """Run one stage (skipping if current); returns True if work was done."""
+def run_stage(ctx: Context, name, force=False, digests=None):
+    """Run one stage (skipping if current); returns True if work was done.
+
+    ``digests`` is a rel -> sha256 memo that ``run_all`` shares across its
+    stages, so each file is hashed once per invocation; a stage that runs
+    replaces its outputs' entries. Without it every file is hashed afresh.
+    """
+    if digests is None:
+        digests = {}
     defs = {d[0]: d for d in stage_definitions(ctx.config)}
     if name not in defs:
         raise DataError(f"unknown stage {name!r}")
@@ -649,9 +662,9 @@ def run_stage(ctx: Context, name, force=False):
         raise DataError(
             f"stage {name} requires {missing[0]} (run earlier stages first)"
         )
-    input_hashes = {rel: sha256_file(ctx.path(rel)) for rel in inputs}
+    input_hashes = {rel: _digest(ctx.run_dir, rel, digests) for rel in inputs}
     reason = "forced" if force else ctx.manifest.stage_current(
-        name, ctx.config, input_hashes, ctx.run_dir
+        name, ctx.config, input_hashes, ctx.run_dir, digests
     )
     if reason is None:
         log.info("stage %s: up to date, skipping", name)
@@ -666,6 +679,7 @@ def run_stage(ctx: Context, name, force=False):
         if not os.path.exists(ctx.path(rel)):
             raise DataError(f"stage {name} did not produce {rel}")
         output_hashes[rel] = sha256_file(ctx.path(rel))
+    digests.update(output_hashes)
     ctx.manifest.record(name, config.read, input_hashes, output_hashes, wall, reason)
     log.info("stage %s: done in %.1fs", name, wall)
     return True
@@ -673,8 +687,9 @@ def run_stage(ctx: Context, name, force=False):
 
 def run_all(ctx: Context, force=False):
     ran = []
+    digests = {}
     for name in STAGE_NAMES:
-        if run_stage(ctx, name, force=force):
+        if run_stage(ctx, name, force=force, digests=digests):
             ran.append(name)
     return ran
 

@@ -265,6 +265,22 @@ class TestReuse:
         assert rec["run_seq"] == 1
         assert "config_hash" not in rec
 
+    @pytest.mark.parametrize("extra", [[], ["backend.lda_dim=4"]],
+                             ids=["no-op", "lda-dim-change"])
+    def test_run_all_hashes_each_file_at_most_once(self, run_copy, monkeypatch, extra):
+        hashed = []
+        real = pipeline.sha256_file
+
+        def counting(path, *args, **kwargs):
+            hashed.append(os.path.relpath(path, run_copy))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        pipeline.run_all(tiny_context(run_copy, extra))
+        assert "feats/mfcc.farc" in hashed
+        repeated = sorted({rel for rel in hashed if hashed.count(rel) > 1})
+        assert repeated == []
+
     def test_every_key_but_master_seed_is_read(self, tiny_run):
         read = set()
         for rec in stage_records(tiny_run).values():

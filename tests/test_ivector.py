@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xldv import ivector
 from xldv.errors import InvalidArgumentError
 from xldv.ivector import (
     SuffStats,
@@ -204,3 +205,73 @@ class TestExtractIvector:
         w1 = extract_ivector(ubm, tmat, SuffStats(n=n, f=f, n_frames=8))
         w2 = extract_ivector(ubm, tmat, SuffStats(n=n, f=2.5 * f, n_frames=8))
         np.testing.assert_allclose(w2, 2.5 * w1, atol=1e-10)
+
+
+class TestWhitenedGramCache:
+    """The T-matrix builds its whitened form and Gram once per (T, UBM)."""
+
+    def _model(self, seed=16, c=4, d=3, r=2):
+        rng = np.random.default_rng(seed)
+        ubm = UBM(
+            weights=np.full(c, 1.0 / c),
+            means=rng.normal(size=(c, d)),
+            variances=rng.uniform(0.5, 2.0, (c, d)),
+        )
+        tmat = TMatrix(t=rng.normal(size=(c * d, r)), n_components=c, dim=d)
+        stats = [
+            SuffStats(n=rng.uniform(1.0, 20.0, c), f=rng.normal(size=(c, d)),
+                      n_frames=20)
+            for _ in range(5)
+        ]
+        return ubm, tmat, stats
+
+    @staticmethod
+    def _reference(ubm, tmat, stats):
+        inv_std = 1.0 / np.sqrt(ubm.variances)
+        t3 = tmat.t.reshape(ubm.n_components, ubm.dim, -1) * inv_std[:, :, None]
+        gram = np.einsum("cdr,cds->crs", t3, t3)
+        precision, b = ivector._posterior(t3, gram, inv_std, stats)
+        return ivector._solve_spd(precision, b, "oracle")
+
+    def test_cached_extraction_bitwise_equals_uncached_reference(self):
+        ubm, tmat, stats = self._model()
+        for s in stats:
+            got = extract_ivector(ubm, tmat, s)
+            assert got.tobytes() == self._reference(ubm, tmat, s).tobytes()
+
+    def test_gram_built_once_for_many_extractions(self, monkeypatch):
+        ubm, tmat, stats = self._model()
+        calls = []
+        real = ivector._whitened_gram
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ivector, "_whitened_gram", counting)
+        for s in stats * 3:
+            extract_ivector(ubm, tmat, s)
+        assert len(calls) == 1
+
+    def test_reassigned_t_rebuilds_cache(self):
+        ubm, tmat, stats = self._model()
+        extract_ivector(ubm, tmat, stats[0])
+        tmat.t = 2.0 * tmat.t
+        got = extract_ivector(ubm, tmat, stats[0])
+        assert got.tobytes() == self._reference(ubm, tmat, stats[0]).tobytes()
+
+    def test_other_ubm_variances_rebuild_cache(self):
+        ubm, tmat, stats = self._model()
+        extract_ivector(ubm, tmat, stats[0])
+        other = UBM(weights=ubm.weights, means=ubm.means,
+                    variances=ubm.variances * 3.0)
+        got = extract_ivector(other, tmat, stats[0])
+        assert got.tobytes() == self._reference(other, tmat, stats[0]).tobytes()
+        assert got.tobytes() != extract_ivector(ubm, tmat, stats[0]).tobytes()
+
+    def test_cache_is_not_part_of_equality_or_repr(self):
+        ubm, tmat, stats = self._model()
+        fresh = TMatrix(t=tmat.t, n_components=tmat.n_components, dim=tmat.dim)
+        extract_ivector(ubm, tmat, stats[0])
+        assert tmat == fresh
+        assert repr(tmat) == repr(fresh)
