@@ -94,16 +94,29 @@ class Utterance:
         return len(self.samples) / self.sample_rate
 
 
+def _centred_log_gain(envelope: np.ndarray) -> np.ndarray:
+    log_gain = np.log(np.maximum(envelope, 1e-12))
+    return log_gain - log_gain.mean()
+
+
 def envelope_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Scale-invariant distance between two band-gain envelopes.
 
     RMS difference of mean-removed log gains, so a global gain factor or a
     language-wide emphasis common to both templates does not count.
     """
-    la = np.log(np.maximum(a, 1e-12))
-    lb = np.log(np.maximum(b, 1e-12))
-    diff = (la - la.mean()) - (lb - lb.mean())
+    diff = _centred_log_gain(a) - _centred_log_gain(b)
     return float(np.sqrt(np.mean(diff**2)))
+
+
+def _envelope_distances(centred: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``envelope_distance`` from one template to each of ``others``, bit for bit.
+
+    Both sides are given as ``_centred_log_gain`` rows, computed once per
+    template; ``others`` is (n, N_BANDS).
+    """
+    diff = centred - others
+    return np.sqrt(np.mean(diff**2, axis=1))
 
 
 def _smooth_curve(rng, scale, n=N_BANDS, window=5):
@@ -128,7 +141,9 @@ def make_inventory(seed, language_id, n_phones, emphasis_db=6.0,
     rng = derive_rng(seed, "inventory", language_id, n_phones)
     emphasis = _smooth_curve(rng, 1.0)
     emphasis = emphasis / max(np.abs(emphasis).max(), 1e-9) * emphasis_db
-    taken = [p.envelope for inv in avoid_inventories for p in inv.phones]
+    taken = np.array(
+        [_centred_log_gain(p.envelope) for inv in avoid_inventories for p in inv.phones]
+    ).reshape(-1, N_BANDS)
     phones = []
     attempts = 0
     while len(phones) < n_phones:
@@ -140,8 +155,8 @@ def make_inventory(seed, language_id, n_phones, emphasis_db=6.0,
         log_gain = _smooth_curve(rng, 2.5)
         log_gain -= log_gain.mean()
         envelope = np.exp(log_gain) * 10.0 ** (emphasis / 20.0)
-        if all(envelope_distance(envelope, other) >= distance_floor
-               for other in taken):
+        centred = _centred_log_gain(envelope)
+        if np.all(_envelope_distances(centred, taken) >= distance_floor):
             phones.append(
                 PhonePrototype(
                     envelope=envelope,
@@ -149,7 +164,7 @@ def make_inventory(seed, language_id, n_phones, emphasis_db=6.0,
                     voiced=bool(rng.random() < VOICED_PROB),
                 )
             )
-            taken.append(envelope)
+            taken = np.vstack([taken, centred])
     return PhoneInventory(language_id=language_id, phones=phones)
 
 
@@ -383,14 +398,15 @@ def check_inventory_separation(inventories, floor):
     """Verify the pairwise envelope-distance floor across language inventories."""
     for i, inv_a in enumerate(inventories):
         for inv_b in inventories[i + 1 :]:
+            centred_b = np.array([_centred_log_gain(p.envelope) for p in inv_b.phones])
             for pa in inv_a.phones:
-                for pb in inv_b.phones:
-                    d = envelope_distance(pa.envelope, pb.envelope)
-                    if d < floor:
-                        raise InvalidArgumentError(
-                            f"inventories {inv_a.language_id}/{inv_b.language_id} share "
-                            f"templates closer than the floor ({d:.3f} < {floor})"
-                        )
+                d = _envelope_distances(_centred_log_gain(pa.envelope), centred_b)
+                close = d[d < floor]
+                if close.size:
+                    raise InvalidArgumentError(
+                        f"inventories {inv_a.language_id}/{inv_b.language_id} share "
+                        f"templates closer than the floor ({close[0]:.3f} < {floor})"
+                    )
 
 
 def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:

@@ -41,25 +41,11 @@ def _margins_ok(graph, x, aux, epsilon):
     h = np.asarray(x, dtype=graph.dtype)
     for i, layer in enumerate(graph.layers):
         h = graph._inject_aux(h, aux, i)
-        cache = {}
-        out = layer.forward(h, cache)
-        if layer.kind == "maxpool":
+        out = layer.forward(h, {})
+        if layer.kind == "maxpool" and layer.wf > 1:
             # compare the max against the runner-up in every window
-            second = None
-            best = None
-            t_out = cache["t_out"]
-            for wi in range(layer.wt):
-                for wj in range(layer.wf):
-                    cand = h[:, wi : wi + layer.st * t_out : layer.st,
-                             wj : wj + layer.sf * layer.f_out : layer.sf]
-                    if best is None:
-                        best = cand.copy()
-                        second = np.full_like(best, -np.inf)
-                    else:
-                        new_best = np.maximum(best, cand)
-                        second = np.where(cand > best, best, np.maximum(second, cand))
-                        best = new_best
-            if np.any(best - second < 10 * epsilon):
+            ranked = np.sort(layer.windows(h), axis=3)
+            if np.any(ranked[:, :, :, -1] - ranked[:, :, :, -2] < 10 * epsilon):
                 return False
         if layer.kind == "pnorm" and np.any(np.abs(out) < 10 * epsilon):
             return False

@@ -188,82 +188,75 @@ class Conv2D(Layer):
         return _fold_time_padding(dxp, *self.pad), grads
 
 
+def _bits(a):
+    """View a float array as signed integers of the same width."""
+    return a.view(np.dtype(f"i{a.itemsize}"))
+
+
+def _lanes(mask, bits):
+    """All-ones integer lanes where ``mask`` holds, zero lanes elsewhere."""
+    return mask * bits.dtype.type(-1)
+
+
 class MaxPool(Layer):
-    """Max pooling over (time, freq) windows; trailing remainder is dropped."""
+    """Max pooling over non-overlapping frequency windows; T is kept.
+
+    The trailing frequency remainder is dropped (it gets zero gradient). The
+    first maximum of a window wins, as with ``argmax``, and a NaN anywhere in
+    a window reaches the output. Selection and gradient routing copy bit
+    patterns through integer masks, so both are exact (signed zeros
+    included) without a per-element branch.
+    """
 
     kind = "maxpool"
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "map":
             raise self._bad("maxpool needs a (freq, chan) map input")
-        self.wt = self.hyper.get("window_t", 1)
         self.wf = self.hyper.get("window_f", 2)
-        self.st = self.hyper.get("stride_t", self.wt)
-        self.sf = self.hyper.get("stride_f", self.wf)
-        if min(self.wt, self.wf, self.st, self.sf) < 1:
-            raise self._bad("window and stride must be >= 1")
+        if not 1 <= self.wf <= 127:  # slot indices are int8
+            raise self._bad("window must be between 1 and 127")
+        if (self.hyper.get("window_t", 1), self.hyper.get("stride_t", 1)) != (1, 1):
+            raise self._bad("pooling over time is not supported")
+        if self.hyper.get("stride_f", self.wf) != self.wf:
+            raise self._bad("frequency stride must equal the window")
         f_in = in_shape[1]
         if self.wf > f_in:
             raise self._bad(f"freq window {self.wf} exceeds input freq {f_in}")
-        self.f_out = (f_in - self.wf) // self.sf + 1
-        self.f_in, self.c = f_in, in_shape[2]
-        return ("map", self.f_out, self.c)
+        self.f_out = f_in // self.wf
+        return ("map", self.f_out, in_shape[2])
 
-    def time_span(self):
-        return (0, self.wt - 1)
-
-    def _freq_only(self):
-        return self.wt == 1 and self.st == 1 and self.wf == self.sf
+    def windows(self, x):
+        """(B, T, f_out, wf, C) view of the pooled part of a (B, T, F, C) map."""
+        b, t, _, c = x.shape
+        return x[:, :, : self.f_out * self.wf].reshape(b, t, self.f_out, self.wf, c)
 
     def forward(self, x, cache):
-        b, t = x.shape[:2]
-        t_out = (t - self.wt) // self.st + 1
-        if t_out < 1:
-            raise self._bad(f"input has {t} frames, window needs {self.wt}")
-        cache["in_shape"] = x.shape
-        cache["t_out"] = t_out
-        if self._freq_only():
-            # fast path: non-overlapping frequency windows via reshape
-            xr = x[:, :, : self.f_out * self.wf].reshape(
-                b, t, self.f_out, self.wf, x.shape[3]
-            )
-            arg = xr.argmax(axis=3)
-            cache["arg"] = arg
-            return np.take_along_axis(xr, arg[:, :, :, None], axis=3)[:, :, :, 0]
-        best = None
-        arg = None
-        for i in range(self.wt):
-            for j in range(self.wf):
-                cand = x[:, i : i + self.st * t_out : self.st,
-                         j : j + self.sf * self.f_out : self.sf]
-                code = i * self.wf + j
-                if best is None:
-                    best = cand.copy()
-                    arg = np.zeros(best.shape, dtype=np.int8)
-                else:
-                    mask = cand > best
-                    best = np.where(mask, cand, best)
-                    arg = np.where(mask, np.int8(code), arg)
+        xw = self.windows(x)
+        y = np.ascontiguousarray(xw[:, :, :, 0])
+        arg = np.zeros(y.shape, dtype=np.int8)
+        for j in range(1, self.wf):
+            cand = np.ascontiguousarray(xw[:, :, :, j])
+            # strict '>' for numbers; a NaN candidate is taken, a NaN best kept
+            take = ~(cand <= y)
+            take &= y == y
+            yb = _bits(y)
+            sel = np.bitwise_xor(yb, _bits(cand))
+            sel &= _lanes(take, sel)
+            sel ^= yb
+            y = sel.view(y.dtype)
+            np.maximum(arg, take * np.int8(j), out=arg)  # arg < j, so: arg = j where taken
         cache["arg"] = arg
-        return best
+        cache["in_shape"] = x.shape
+        return y
 
     def backward(self, dy, cache):
-        arg, in_shape, t_out = cache["arg"], cache["in_shape"], cache["t_out"]
-        dx = np.zeros(in_shape, dtype=dy.dtype)
-        if self._freq_only():
-            b, t = in_shape[:2]
-            dxr = np.zeros((b, t, self.f_out, self.wf, in_shape[3]), dtype=dy.dtype)
-            np.put_along_axis(dxr, arg[:, :, :, None], dy[:, :, :, None], axis=3)
-            dx[:, :, : self.f_out * self.wf] = dxr.reshape(
-                b, t, self.f_out * self.wf, in_shape[3]
-            )
-            return dx, {}
-        for i in range(self.wt):
-            for j in range(self.wf):
-                mask = arg == (i * self.wf + j)
-                target = dx[:, i : i + self.st * t_out : self.st,
-                            j : j + self.sf * self.f_out : self.sf]
-                target += np.where(mask, dy, 0.0)
+        arg = cache["arg"]
+        dx = np.zeros(cache["in_shape"], dtype=dy.dtype)
+        dxw = _bits(self.windows(dx))
+        dyb = _bits(dy)
+        for j in range(self.wf):
+            np.bitwise_and(dyb, _lanes(arg == j, dyb), out=dxw[:, :, :, j])
         return dx, {}
 
 
@@ -320,7 +313,13 @@ class TimeDelay(Layer):
 
 
 class PNorm(Layer):
-    """y_j = (sum over group |x_i|^p)^(1/p); dim must divide by the group size."""
+    """y_j = sqrt(sum of x_i^2 over group j); dim must divide by the group size.
+
+    The squares are summed left to right over the group's slot views. For
+    groups smaller than 8 this gives the same bits as numpy's
+    ``(xg * xg).sum(axis=-1)``; from 8 on, numpy's pairwise summation adds
+    in another order and so rounds differently.
+    """
 
     kind = "pnorm"
 
@@ -328,9 +327,8 @@ class PNorm(Layer):
         if in_shape[0] != "vec":
             raise self._bad("pnorm needs a vector input")
         self.group = self.hyper.get("group", 2)
-        self.p = float(self.hyper.get("p", 2.0))
-        if self.p < 1:
-            raise self._bad("p must be >= 1")
+        if float(self.hyper.get("p", 2.0)) != 2.0:
+            raise self._bad("only p = 2 is supported")
         d_in = in_shape[1]
         if d_in % self.group != 0:
             raise self._bad(f"input dim {d_in} not divisible by group size {self.group}")
@@ -342,10 +340,10 @@ class PNorm(Layer):
         if x.shape[-1] != self.d_in:
             raise self._bad(f"expected input dim {self.d_in}, got {x.shape[-1]}")
         xg = x.reshape(*x.shape[:-1], self.d_out, self.group)
-        if self.p == 2.0:
-            y = np.sqrt((xg * xg).sum(axis=-1))
-        else:
-            y = (np.abs(xg) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        y = xg[..., 0] * xg[..., 0]
+        for k in range(1, self.group):
+            y += xg[..., k] * xg[..., k]
+        np.sqrt(y, out=y)
         cache["xg"] = xg
         cache["y"] = y
         return y
@@ -353,12 +351,7 @@ class PNorm(Layer):
     def backward(self, dy, cache):
         xg, y = cache["xg"], cache["y"]
         safe = np.where(y > 0, y, 1.0)
-        if self.p == 2.0:
-            dxg = (dy / safe)[..., None] * xg
-        else:
-            dxg = (dy / safe ** (self.p - 1.0))[..., None] * (
-                np.sign(xg) * np.abs(xg) ** (self.p - 1.0)
-            )
+        dxg = (dy / safe)[..., None] * xg
         dxg = np.where(y[..., None] > 0, dxg, 0.0)
         return dxg.reshape(*dy.shape[:-1], self.d_in), {}
 

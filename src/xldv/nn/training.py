@@ -33,16 +33,19 @@ class TrainState:
 
 
 def sgd_step(graph, grads, velocity, lr, momentum):
-    """v <- momentum*v - lr*g; theta <- theta + v, in place on the graph."""
+    """v <- momentum*v - lr*g; theta <- theta + v, in place on v and theta.
+
+    The in-place updates round exactly as the expressions above do, and each
+    parameter stays the same array object.
+    """
     for i, layer in enumerate(graph.layers):
         for name, param in layer.params.items():
-            g = grads[i][name]
             v = velocity[i].get(name)
             if v is None:
-                v = np.zeros_like(param)
-            v = momentum * v - lr * g.astype(param.dtype)
-            velocity[i][name] = v
-            layer.params[name] = param + v
+                v = velocity[i][name] = np.zeros_like(param)
+            v *= momentum
+            v -= lr * grads[i][name].astype(param.dtype, copy=False)
+            param += v
 
 
 def _evaluate(graph, batches):

@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from xldv import corpus
 from xldv.corpus import (
     CorpusConfig,
     CorpusManifest,
     build_corpus,
+    check_inventory_separation,
     envelope_distance,
     expand_labels,
     frame_labels,
@@ -62,6 +64,38 @@ class TestInventory:
     def test_zero_phones_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_inventory(7, "A", 0)
+
+    def test_vectorized_distances_equal_scalar_function(self):
+        a = make_inventory(7, "A", 12)
+        b = make_inventory(7, "B", 12, avoid_inventories=[a])
+        envelopes = [p.envelope for inv in (a, b) for p in inv.phones]
+        centred = np.array([corpus._centred_log_gain(e) for e in envelopes])
+        for i, e in enumerate(envelopes):
+            row = corpus._envelope_distances(centred[i], centred)
+            assert row.tolist() == [envelope_distance(e, other) for other in envelopes]
+
+    def test_inventories_equal_with_pairwise_scalar_distances(self, monkeypatch):
+        def build():
+            a = make_inventory(5, "A", 10)
+            return [a, make_inventory(5, "B", 10, avoid_inventories=[a])]
+
+        fast = build()
+
+        def one_pair_at_a_time(centred, others):
+            return np.array([np.sqrt(np.mean((centred - o) ** 2)) for o in others])
+
+        monkeypatch.setattr(corpus, "_envelope_distances", one_pair_at_a_time)
+        slow = build()
+        for inv_f, inv_s in zip(fast, slow):
+            for pf, ps in zip(inv_f.phones, inv_s.phones, strict=True):
+                assert pf.envelope.tobytes() == ps.envelope.tobytes()
+                assert (pf.mean_duration_ms, pf.voiced) == (ps.mean_duration_ms, ps.voiced)
+
+    def test_separation_check_names_the_closest_pair(self):
+        a = make_inventory(7, "A", 4)
+        check_inventory_separation([a, make_inventory(7, "B", 4, avoid_inventories=[a])], 0.5)
+        with pytest.raises(InvalidArgumentError, match=r"A/A .*\(0\.000 < 0\.5\)"):
+            check_inventory_separation([a, a], 0.5)
 
 
 class TestSpeakerSampling:

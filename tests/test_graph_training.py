@@ -103,6 +103,26 @@ class TestSgdStep:
         # v1 = -0.1; v2 = 0.9*v1 - 0.1 = -0.19; theta = v1+v2 = -0.29
         np.testing.assert_allclose(g.layers[0].params["W"], -0.29 * np.ones((1, 2)))
 
+    def test_bitwise_equal_to_out_of_place_formula(self):
+        rng = np.random.default_rng(0)
+        g = NetworkGraph([LayerSpec("affine", dim=5)], ("vec", 7))
+        params = g.layers[0].params
+        objects = {name: arr for name, arr in params.items()}
+        ref_params = {name: arr.copy() for name, arr in params.items()}
+        ref_velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
+        velocity = [dict()]
+        for lr, momentum in [(0.1, 0.9), (0.05, 0.9), (0.3, 0.0), (0.025, 0.5)]:
+            grads = [{name: rng.normal(size=arr.shape).astype(np.float32)
+                      for name, arr in params.items()}]
+            sgd_step(g, grads, velocity, lr, momentum)
+            for name in ref_params:
+                ref_velocity[name] = momentum * ref_velocity[name] - lr * grads[0][name]
+                ref_params[name] = ref_params[name] + ref_velocity[name]
+                assert params[name] is objects[name]
+                assert params[name].dtype == np.float32
+                assert params[name].tobytes() == ref_params[name].tobytes()
+                assert velocity[0][name].tobytes() == ref_velocity[name].tobytes()
+
 
 class _ToyData:
     """Linearly separable 2-class problem on 2-d inputs."""

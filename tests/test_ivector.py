@@ -146,6 +146,24 @@ class TestTrainTmatrix:
         assert len(tmat.objective) == 11
         assert monotone(tmat.objective)
 
+    def test_last_objective_recomputed_from_final_t(self):
+        # the objective recorded after the last M-step must be the marginal
+        # log-likelihood under the final T, not under an earlier (cached) one
+        ubm = self._ubm()
+        rng = np.random.default_rng(15)
+        t_true = rng.normal(size=(4, 2))
+        stats = synthetic_stats_from_model(ubm, t_true, 60, 40, seed=16)
+        tmat = train_tmatrix(ubm, stats, rank=2, n_iters=2, seed=17)
+        assert len(tmat.objective) == 3
+        assert tmat.objective[1] > tmat.objective[0]
+        t3, inv_std, gram = ivector._whitened_gram(ubm, tmat.t)
+        expected = 0.0
+        for s in stats:
+            precision, b = ivector._posterior(t3, gram, inv_std, s)
+            expected += -0.5 * np.linalg.slogdet(precision)[1]
+            expected += 0.5 * float(b @ np.linalg.solve(precision, b))
+        np.testing.assert_allclose(tmat.objective[-1], expected, rtol=1e-12)
+
     def test_zero_first_order_stats_keep_prior_mean(self):
         ubm = self._ubm()
         stats = [

@@ -101,14 +101,31 @@ class TestConv2D:
         np.testing.assert_allclose(dx, fd_input_grad(g, x, dout), atol=1e-7)
 
 
+def ref_maxpool(x, wf):
+    """Max-pool by argmax + take_along_axis; returns (y, argmax index)."""
+    b, t, f, c = x.shape
+    f_out = f // wf
+    xr = x[:, :, : f_out * wf].reshape(b, t, f_out, wf, c)
+    arg = xr.argmax(axis=3)
+    return np.take_along_axis(xr, arg[:, :, :, None], axis=3)[:, :, :, 0], arg
+
+
+def ref_maxpool_backward(dy, arg, in_shape, wf):
+    """Route dy to the argmax slot with put_along_axis."""
+    b, t, f, c = in_shape
+    f_out = f // wf
+    dxr = np.zeros((b, t, f_out, wf, c), dtype=dy.dtype)
+    np.put_along_axis(dxr, arg[:, :, :, None], dy[:, :, :, None], axis=3)
+    dx = np.zeros(in_shape, dtype=dy.dtype)
+    dx[:, :, : f_out * wf] = dxr.reshape(b, t, f_out * wf, c)
+    return dx
+
+
 class TestMaxPool:
-    def test_two_by_two(self):
-        g = build(
-            [LayerSpec("maxpool", window_t=2, window_f=2, stride_t=2, stride_f=2)],
-            ("map", 2, 1),
-        )
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
-        np.testing.assert_array_equal(g.forward(x).ravel(), [4.0])
+    def test_frequency_pairs(self):
+        g = build([LayerSpec("maxpool", window_f=2)], ("map", 4, 1))
+        x = np.array([[1.0, 2.0, 4.0, 3.0], [-1.0, -2.0, 0.0, 0.0]]).reshape(1, 2, 4, 1)
+        np.testing.assert_array_equal(g.forward(x).ravel(), [2.0, 4.0, -1.0, 0.0])
 
     def test_freq_only_pooling_keeps_time(self):
         g = build([LayerSpec("maxpool", window_f=2)], ("map", 6, 3))
@@ -123,6 +140,41 @@ class TestMaxPool:
         g.forward(x, want_cache=True)
         _, dx = g.backward(dout)
         np.testing.assert_allclose(dx, fd_input_grad(g, x, dout), atol=1e-7)
+
+    @pytest.mark.parametrize("wf, f_in", [(2, 6), (2, 7), (3, 7)])
+    def test_bitwise_equal_to_argmax_reference(self, wf, f_in):
+        # integer values (and both zeros) make ties the common case
+        rng = np.random.default_rng(wf * 10 + f_in)
+        values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], dtype=np.float32)
+        x = rng.choice(values, size=(3, 5, f_in, 4))
+        layer = build([LayerSpec("maxpool", window_f=wf)], ("map", f_in, 4)).layers[0]
+        cache = {}
+        y = layer.forward(x, cache)
+        y_ref, arg_ref = ref_maxpool(x, wf)
+        assert y.dtype == np.float32
+        assert y.tobytes() == y_ref.tobytes()
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        dx, _ = layer.backward(dy, cache)
+        assert dx.tobytes() == ref_maxpool_backward(dy, arg_ref, x.shape, wf).tobytes()
+        if f_in % wf:
+            assert not np.any(dx[:, :, f_in - f_in % wf :])
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_nan_in_either_slot_reaches_output(self, slot):
+        g = NetworkGraph([LayerSpec("maxpool", window_f=2)], ("map", 4, 1))
+        x = np.array([[1.0, 2.0, 4.0, 3.0]], dtype=np.float32).reshape(1, 1, 4, 1)
+        x[0, 0, slot, 0] = np.nan
+        y = g.forward(x).ravel()
+        assert np.isnan(y[0])
+        assert y[1] == 4.0
+
+    @pytest.mark.parametrize("hyper", [
+        dict(window_t=2, window_f=2), dict(window_f=2, stride_t=2),
+        dict(window_f=2, stride_f=1),
+    ])
+    def test_removed_settings_rejected(self, hyper):
+        with pytest.raises(InvalidArgumentError, match="maxpool"):
+            build([LayerSpec("maxpool", **hyper)], ("map", 4, 1))
 
 
 class TestTimeDelay:
@@ -194,6 +246,22 @@ class TestPNorm:
     def test_indivisible_dim_rejected(self):
         with pytest.raises(InvalidArgumentError):
             build([LayerSpec("pnorm", group=4)], ("vec", 6))
+
+    def test_p_other_than_two_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="p = 2"):
+            build([LayerSpec("pnorm", group=2, p=3.0)], ("vec", 6))
+
+    @pytest.mark.parametrize("group", [2, 3, 4])
+    def test_bitwise_equal_to_sum_reference(self, group):
+        rng = np.random.default_rng(group)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(4, 6, 5 * group))
+        x = (rng.normal(size=scale.shape) * scale).astype(np.float32)
+        layer = build([LayerSpec("pnorm", group=group)], ("vec", 5 * group)).layers[0]
+        xg = x.reshape(4, 6, 5, group)
+        y_ref = np.sqrt((xg * xg).sum(axis=-1))
+        y = layer.forward(x, {})
+        assert y.dtype == np.float32
+        assert y.tobytes() == y_ref.tobytes()
 
 
 class TestLengthNorm:
