@@ -43,7 +43,6 @@ SCHEMA = {
     "ctdnn.td_hidden": Field(int, 256, "time-delay affine width (pre-pnorm)"),
     "ctdnn.pnorm_group": Field(int, 2, "pnorm group size"),
     "ctdnn.feature_dim": Field(int, 400, "speaker feature width"),
-    "ctdnn.factor_injection": Field(str, "bottleneck", "bottleneck | input"),
     "ctdnn.epochs": Field(int, 5, "training epochs"),
     "ctdnn.batches_per_epoch": Field(int, 900, "minibatches per epoch"),
     "ctdnn.chunk_frames": Field(int, 24, "frames per training chunk"),

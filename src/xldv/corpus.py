@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InvalidArgumentError
-from .frontend import FRAME_LENGTH, FRAME_SHIFT, n_frames_for_samples
+from .frontend import FRAME_LENGTH, FRAME_SHIFT, SAMPLE_RATE, n_frames_for_samples
 
-SAMPLE_RATE = 8000
 N_BANDS = 24
 BAND_LOW_HZ = 100.0
 BAND_HIGH_HZ = 3700.0

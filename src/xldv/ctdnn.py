@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import derive_rng
 from .errors import DegenerateInputError, InvalidArgumentError
-from .frontend import FeatureMatrix
+from .frontend import FeatureMatrix, edge_index
 from .nn import LayerSpec, NetworkGraph, TrainState, train
 
 log = logging.getLogger(__name__)
@@ -50,7 +50,6 @@ class CTDNNConfig:
     pnorm_group: int = 2
     feature_dim: int = 400
     factor_dim: int = 40  # phone-aware only
-    factor_injection: str = "bottleneck"  # or "input"
 
     @property
     def splice_width(self):
@@ -63,8 +62,6 @@ class CTDNNConfig:
             raise InvalidArgumentError("feature and bottleneck dims must be >= 1")
         if self.td_hidden % self.pnorm_group:
             raise InvalidArgumentError("td_hidden must divide by the pnorm group size")
-        if self.factor_injection not in ("bottleneck", "input"):
-            raise InvalidArgumentError("factor_injection must be 'bottleneck' or 'input'")
 
 
 def _specs(config: CTDNNConfig):
@@ -96,8 +93,7 @@ def feature_layer_index(graph):
     return len(graph.layers) - FEATURE_LAYER_OFFSET
 
 
-def build_phone_blind(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkGraph:
-    """The baseline structure; input is spliced Fbank as a (n_mels, splice) map."""
+def _build(config: CTDNNConfig, seed, dtype, aux=None) -> NetworkGraph:
     config.validate()
     return NetworkGraph(
         _specs(config),
@@ -105,7 +101,13 @@ def build_phone_blind(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkG
         seed=seed,
         dtype=dtype,
         input_context=(-config.splice_left, config.splice_right),
+        aux=aux,
     )
+
+
+def build_phone_blind(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkGraph:
+    """The baseline structure; input is spliced Fbank as a (n_mels, splice) map."""
+    return _build(config, seed, dtype)
 
 
 def build_phone_aware(config: CTDNNConfig, linguistic_dim=None, seed=0,
@@ -113,35 +115,12 @@ def build_phone_aware(config: CTDNNConfig, linguistic_dim=None, seed=0,
     """Phone-blind structure plus a per-frame linguistic-factor input.
 
     The factor is concatenated to the bottleneck output just before the first
-    time-delay layer (``factor_injection="bottleneck"``), or to the raw input
-    map's frame vector when configured as ``"input"`` (kept as an alternative
-    wiring; the bottleneck junction is the default).
+    time-delay layer.
     """
-    config.validate()
     dim = config.factor_dim if linguistic_dim is None else linguistic_dim
     if dim < 1:
         raise InvalidArgumentError("linguistic factor dim must be >= 1")
-    if config.factor_injection == "bottleneck":
-        aux = {"layer": 5, "dim": dim}  # first timedelay
-        return NetworkGraph(
-            _specs(config),
-            ("map", config.n_mels, config.splice_width),
-            seed=seed,
-            dtype=dtype,
-            input_context=(-config.splice_left, config.splice_right),
-            aux=aux,
-        )
-    # input-level alternative: factor columns appended to the flattened frame,
-    # so the graph starts from a vector input and skips the conv component.
-    specs = _specs(config)[4:]
-    return NetworkGraph(
-        specs,
-        ("vec", config.n_mels * config.splice_width),
-        seed=seed,
-        dtype=dtype,
-        input_context=(-config.splice_left, config.splice_right),
-        aux={"layer": 0, "dim": dim},
-    )
+    return _build(config, seed, dtype, aux={"layer": 5, "dim": dim})  # first timedelay
 
 
 def receptive_field(graph: NetworkGraph) -> int:
@@ -150,25 +129,19 @@ def receptive_field(graph: NetworkGraph) -> int:
     return hi - lo + 1
 
 
+def _splice_maps(frames, rows, config: CTDNNConfig) -> np.ndarray:
+    """(len(rows), n_mels, splice) maps centred on ``rows`` of (T, n_mels) frames."""
+    offsets = range(-config.splice_left, config.splice_right + 1)
+    return frames[edge_index(frames.shape[0], rows, offsets)].transpose(0, 2, 1)
+
+
 def to_input_tensor(feat: FeatureMatrix, config: CTDNNConfig) -> np.ndarray:
-    """(T, n_mels) or pre-spliced (T, n_mels*width) features -> (1,T,F,C) tensor."""
-    data = feat.data
-    width = config.splice_width
-    if feat.dim == config.n_mels:
-        t_idx = np.arange(feat.n_frames)
-        cols = [
-            data[np.clip(t_idx + o, 0, feat.n_frames - 1)]
-            for o in range(-config.splice_left, config.splice_right + 1)
-        ]
-        stacked = np.stack(cols, axis=2)  # (T, n_mels, width)
-    elif feat.dim == config.n_mels * width:
-        stacked = data.reshape(feat.n_frames, width, config.n_mels).transpose(0, 2, 1)
-    else:
+    """(T, n_mels) features -> (1, T, n_mels, splice) tensor."""
+    if feat.dim != config.n_mels:
         raise InvalidArgumentError(
-            f"feature dim {feat.dim} matches neither {config.n_mels} nor "
-            f"{config.n_mels * width}"
+            f"feature dim {feat.dim} does not match n_mels {config.n_mels}"
         )
-    return stacked[None, :, :, :]
+    return _splice_maps(feat.data, np.arange(feat.n_frames), config)[None]
 
 
 def extract_frame_features(graph: NetworkGraph, feat: FeatureMatrix,
@@ -208,8 +181,8 @@ class ChunkDataset:
     deterministically; training batches sample (utterance, offset) pairs from
     the trainer RNG, so the trajectory depends only on seeds.
 
-    ``_make_chunk`` defines how a frame window becomes a network input;
-    subclasses specialize it (splicing, per-frame labels).
+    Subclasses define ``_make_chunk(item, start)``, which turns the frame
+    window ``_window(item, start)`` into (input, aux or None, labels).
     """
 
     def __init__(self, items, chunk_frames=24, batch_chunks=8, val_fraction=0.05,
@@ -228,16 +201,7 @@ class ChunkDataset:
         self.val_batches = self._cut_val()
 
     def _window(self, item, start):
-        frames = item[0]
-        return np.clip(np.arange(start, start + self.chunk_frames), 0,
-                       frames.shape[0] - 1)
-
-    def _make_chunk(self, item, start):
-        frames, aux, label = item
-        idx = self._window(item, start)
-        x = frames[idx]
-        a = aux[idx] if aux is not None else None
-        return x, a, np.full(self.chunk_frames, label, dtype=np.int64)
+        return edge_index(item[0].shape[0], start, np.arange(self.chunk_frames))
 
     def _stack(self, chunks):
         xs = np.stack([c[0] for c in chunks])
@@ -272,21 +236,19 @@ class ChunkDataset:
 class SpeakerChunkDataset(ChunkDataset):
     """Chunks of spliced (n_mels, splice) maps labeled by speaker.
 
-    Frames are stored compactly as (T, n_mels); the splice map is gathered
-    per chunk with full-utterance edge semantics.
+    Frames are stored compactly as (T, n_mels); each chunk's maps are the
+    rows ``_window(item, start)`` of ``to_input_tensor`` on the whole
+    utterance.
     """
 
     def __init__(self, items, config: CTDNNConfig, **kw):
         self.config = config
-        self.offsets = range(-config.splice_left, config.splice_right + 1)
         super().__init__(items, **kw)
 
     def _make_chunk(self, item, start):
         frames, aux, label = item
         idx = self._window(item, start)
-        t_max = frames.shape[0] - 1
-        x = np.stack([frames[np.clip(idx + o, 0, t_max)] for o in self.offsets],
-                     axis=2)
+        x = _splice_maps(frames, idx, self.config)
         a = aux[idx] if aux is not None else None
         return x, a, np.full(self.chunk_frames, label, dtype=np.int64)
 

@@ -1,8 +1,9 @@
-"""Acoustic front-end: log mel filterbanks, MFCCs, deltas, splicing, CMVN.
+"""Acoustic front-end: log mel filterbanks, MFCCs, deltas, CMVN.
 
 All operations are pure per-utterance functions returning new FeatureMatrix
-objects. Framing is 25 ms windows every 10 ms with a Hamming window; edge
-handling (splice, deltas) is frame replication throughout.
+objects. Framing is 25 ms windows every 10 ms with a Hamming window. Temporal
+context is edge-replicated throughout: ``edge_index`` is the one gather rule
+for deltas here and for splicing, chunking and network time context elsewhere.
 """
 
 from dataclasses import dataclass, field, replace
@@ -157,6 +158,15 @@ def mfcc(utterance):
     )
 
 
+def edge_index(n_frames, idx, offsets):
+    """Frame indices ``idx + offset`` clamped to 0..n_frames-1 (edge replication).
+
+    The result has the shape of ``idx`` followed by that of ``offsets``; either
+    may be a scalar. Indexing a (T, ...) array with it copies frames exactly.
+    """
+    return np.clip(np.add.outer(idx, offsets), 0, n_frames - 1)
+
+
 DELTA_WINDOW = 2
 
 
@@ -166,9 +176,8 @@ def _delta(data, window=DELTA_WINDOW):
     denom = 2.0 * sum(n * n for n in range(1, window + 1))
     out = np.zeros_like(data)
     for n in range(1, window + 1):
-        fwd = data[np.minimum(t_idx + n, data.shape[0] - 1)]
-        bwd = data[np.maximum(t_idx - n, 0)]
-        out += n * (fwd - bwd)
+        fwd, bwd = edge_index(data.shape[0], t_idx, (n, -n)).T
+        out += n * (data[fwd] - data[bwd])
     return out / denom
 
 
@@ -181,18 +190,6 @@ def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
     d1 = _delta(feat.data)
     d2 = _delta(d1)
     return replace(feat, data=np.hstack([feat.data, d1, d2]))
-
-
-def splice(feat: FeatureMatrix, left=4, right=4) -> FeatureMatrix:
-    """Concatenate frames t-left..t+right (edge-replicated): D -> (left+right+1)*D."""
-    if left < 0 or right < 0:
-        raise InvalidArgumentError("splice context must be non-negative")
-    t_idx = np.arange(feat.n_frames)
-    cols = [
-        feat.data[np.clip(t_idx + o, 0, feat.n_frames - 1)]
-        for o in range(-left, right + 1)
-    ]
-    return replace(feat, data=np.hstack(cols))
 
 
 def cmvn(feat: FeatureMatrix) -> FeatureMatrix:
@@ -209,8 +206,3 @@ def cmvn(feat: FeatureMatrix) -> FeatureMatrix:
     scale = np.where(var > CMVN_VAR_FLOOR, 1.0 / np.sqrt(np.maximum(var, CMVN_VAR_FLOOR)), 1.0)
     return replace(feat, data=centered * scale)
 
-
-def splice_center(feat: FeatureMatrix, left=4, right=4) -> np.ndarray:
-    """Recover the center column block of a spliced matrix (inverse check helper)."""
-    d = feat.dim // (left + right + 1)
-    return feat.data[:, left * d : (left + 1) * d]

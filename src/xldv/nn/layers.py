@@ -11,6 +11,7 @@ checks hold to float precision.
 import numpy as np
 
 from ..errors import DegenerateInputError, InvalidArgumentError
+from ..frontend import edge_index
 
 LENGTHNORM_EPS = 1e-12
 
@@ -18,16 +19,6 @@ LENGTHNORM_EPS = 1e-12
 def _glorot(rng, fan_in, fan_out, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
-
-
-def _pad_time_replicate(x, left, right):
-    parts = []
-    if left:
-        parts.append(np.repeat(x[:, :1], left, axis=1))
-    parts.append(x)
-    if right:
-        parts.append(np.repeat(x[:, -1:], right, axis=1))
-    return np.concatenate(parts, axis=1) if len(parts) > 1 else x
 
 
 def _fold_time_padding(dxp, left, right):
@@ -165,10 +156,11 @@ class Conv2D(Layer):
     def forward(self, x, cache):
         if x.ndim != 4 or x.shape[2] != self.f_in or x.shape[3] != self.c_in:
             raise self._bad(f"expected (B,T,{self.f_in},{self.c_in}), got {x.shape}")
-        xp = np.ascontiguousarray(_pad_time_replicate(x, *self.pad))
-        patches = self._patches(xp, x.shape[1])
+        t = x.shape[1]
+        xp = x.take(edge_index(t, self.t_lo, np.arange(t + self.kt - 1)), axis=1)
+        patches = self._patches(xp, t)
         cache["patches"] = patches
-        cache["t"] = x.shape[1]
+        cache["t"] = t
         return patches @ self.params["W"] + self.params["b"]
 
     def backward(self, dy, cache):
@@ -290,9 +282,8 @@ class TimeDelay(Layer):
         if x.shape[-1] != self.d_in:
             raise self._bad(f"expected input dim {self.d_in}, got {x.shape[-1]}")
         t = x.shape[1]
-        idx = np.arange(t)
-        gathered = np.concatenate(
-            [x[:, np.clip(idx + o, 0, t - 1)] for o in self.offsets], axis=2
+        gathered = x.take(edge_index(t, np.arange(t), self.offsets), axis=1).reshape(
+            x.shape[0], t, self.d_cat
         )
         cache["g"] = gathered
         cache["t"] = t

@@ -180,7 +180,6 @@ def _ctdnn_config(cfg: ExperimentConfig) -> ctdnn.CTDNNConfig:
         pnorm_group=cfg["ctdnn.pnorm_group"],
         feature_dim=cfg["ctdnn.feature_dim"],
         factor_dim=cfg["asr.svd_rank"],
-        factor_injection=cfg["ctdnn.factor_injection"],
     )
 
 
@@ -297,6 +296,14 @@ def stage_train_asr(ctx: Context):
     archive.archive_write(factor_records(), ctx.path("feats/factors.farc"))
 
 
+# phone-aware flag -> (variant name, checkpoint name under models/)
+CTDNN_VARIANTS = {
+    False: ("phone-blind", "ctdnn_blind"),
+    True: ("phone-aware", "ctdnn_aware"),
+}
+CTDNN_MODELS = tuple(f"models/{name}.nnck" for _, name in CTDNN_VARIANTS.values())
+
+
 def _train_one_ctdnn(ctx: Context, aware: bool):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
@@ -305,7 +312,7 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
     net_config = _ctdnn_config(cfg)
     labels = ctdnn.contiguous_labels(manifest.train_speakers)
     factors_by_utt = None
-    variant = "phone-aware" if aware else "phone-blind"
+    variant, name = CTDNN_VARIANTS[aware]
     seed = corpus.derive_rng(cfg["ctdnn.seed"], variant).integers(0, 2**31 - 1)
     if aware:
         factors = archive.archive_read_dict(ctx.path("feats/factors.farc"))
@@ -326,7 +333,6 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
     )
     result = ctdnn.train_ctdnn(graph, data, state)
     log.info("%s feature net: val frame accuracy %.3f", variant, result.val_accuracy)
-    name = "ctdnn_aware" if aware else "ctdnn_blind"
     graph.save(
         ctx.path(f"models/{name}.nnck"),
         extra_header={
@@ -411,7 +417,7 @@ def stage_train_tv(ctx: Context):
 
 
 def _extract_dvectors(ctx: Context, records, aware: bool, feats, factors):
-    name = "ctdnn_aware" if aware else "ctdnn_blind"
+    _, name = CTDNN_VARIANTS[aware]
     graph, _ = NetworkGraph.from_checkpoint(ctx.path(f"models/{name}.nnck"))
     net_config = _ctdnn_config(ctx.config)
     ids, spks, langs, rows = [], [], [], []
@@ -533,15 +539,17 @@ def stage_score(ctx: Context):
 
 
 def stage_eval(ctx: Context):
-    cfg = ctx.config
+    trial_lists = {
+        cond: evalkit.TrialList.load(
+            ctx.path(f"trials/{condition_token(cond)}.tsv"), cond
+        )
+        for cond in conditions(ctx.config)
+    }
     lines = []
     for system in SYSTEMS:
         for metric in METRICS:
-            for cond in conditions(cfg):
+            for cond, trials in trial_lists.items():
                 token = condition_token(cond)
-                trials = evalkit.TrialList.load(
-                    ctx.path(f"trials/{token}.tsv"), cond
-                )
                 scores = evalkit.ScoreSet.load(
                     ctx.path(f"scores/{system}_{metric}_{token}.tsv"), trials
                 )
@@ -591,7 +599,7 @@ def stage_definitions(cfg):
     )
     model_outputs = {
         "train-asr": ("models/asr.nnck", "models/svdf.nnck", "feats/factors.farc"),
-        "train-ctdnn": ("models/ctdnn_blind.nnck", "models/ctdnn_aware.nnck"),
+        "train-ctdnn": CTDNN_MODELS,
         "train-ubm": ("models/ubm.nnck",),
         "train-tv": ("models/tmatrix.nnck",),
     }
@@ -616,10 +624,8 @@ def stage_definitions(cfg):
         ("train-tv", corpus_outputs + ("feats/mfcc.farc", "models/ubm.nnck"),
          model_outputs["train-tv"], stage_train_tv),
         ("extract",
-         corpus_outputs + ("feats/fbank.farc", "feats/mfcc.farc",
-                           "feats/factors.farc", "models/ctdnn_blind.nnck",
-                           "models/ctdnn_aware.nnck", "models/ubm.nnck",
-                           "models/tmatrix.nnck"),
+         corpus_outputs + ("feats/fbank.farc", "feats/mfcc.farc", "feats/factors.farc")
+         + CTDNN_MODELS + ("models/ubm.nnck", "models/tmatrix.nnck"),
          embedding_outputs, stage_extract),
         ("backend-train", embedding_outputs, backend_outputs, stage_backend_train),
         ("score",

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from xldv import pipeline
+from xldv import evalkit, pipeline
 from xldv.cli import main
 from xldv.config import (
     SCHEMA,
@@ -182,6 +182,16 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("xldv: error: config:")
 
+    def test_removed_factor_injection_key_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "old.ini"
+        path.write_text("corpus.n_train_utts = 9\nctdnn.factor_injection = bottleneck\n")
+        code = main(["validate-config", "--config", str(path), "--quiet"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("xldv: error: config:")
+        assert "ctdnn.factor_injection" in lines[0]
+
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -280,6 +290,21 @@ class TestReuse:
         assert "feats/mfcc.farc" in hashed
         repeated = sorted({rel for rel in hashed if hashed.count(rel) > 1})
         assert repeated == []
+
+    def test_eval_loads_each_trial_list_once(self, run_copy, monkeypatch):
+        eer = run_copy / "results" / "eer.tsv"
+        before = eer.read_bytes()
+        loaded = []
+        real = evalkit.TrialList.load
+
+        def counting(path, condition):
+            loaded.append(condition)
+            return real(path, condition)
+
+        monkeypatch.setattr(evalkit.TrialList, "load", counting)
+        pipeline.run_stage(tiny_context(run_copy), "eval", force=True)
+        assert loaded == ["A-A", "B-B", "A/B"]
+        assert eer.read_bytes() == before
 
     def test_every_key_but_master_seed_is_read(self, tiny_run):
         read = set()

@@ -18,7 +18,7 @@ from xldv.ctdnn import (
     train_ctdnn,
 )
 from xldv.errors import DegenerateInputError, InvalidArgumentError
-from xldv.frontend import FeatureMatrix, cmvn, fbank, splice
+from xldv.frontend import FeatureMatrix, cmvn, fbank
 from xldv.nn import TrainState
 
 SMALL = CTDNNConfig(
@@ -169,20 +169,30 @@ class TestExtraction:
         # and t+9 <= 27, i.e. t = 18
         np.testing.assert_allclose(fa[18], fb[18], atol=1e-12)
 
-    def test_prespliced_input_matches_unspliced(self):
-        g = build_phone_blind(SMALL, seed=7)
-        rng = derive_rng(4, "splice-eq")
-        feat = FeatureMatrix("u", "s", "L", rng.normal(size=(25, 40)))
-        pre = splice(feat)
-        np.testing.assert_array_equal(
-            to_input_tensor(feat, SMALL), to_input_tensor(pre, SMALL)
-        )
-
     def test_wrong_dim_rejected(self):
         g = build_phone_blind(SMALL, seed=7)
         feat = FeatureMatrix("u", "s", "L", np.ones((10, 41)))
         with pytest.raises(InvalidArgumentError):
             extract_frame_features(g, feat, SMALL)
+
+
+class TestSpeakerChunks:
+    @pytest.mark.parametrize("n_frames", [5, 17, 30])
+    def test_chunk_is_rows_of_whole_utterance_tensor(self, n_frames):
+        # chunks near or past the end replicate edges like to_input_tensor
+        rng = derive_rng(8, "chunks", n_frames)
+        frames = rng.normal(size=(n_frames, 40)).astype(np.float32)
+        feats = [FeatureMatrix("u0", "s0", "L", frames),
+                 FeatureMatrix("u1", "s1", "L", np.ones((3, 40)))]
+        data = make_speaker_dataset(feats, {"s0": 0, "s1": 1}, SMALL, chunk_frames=24)
+        item = next(it for it in data.train_items + data.val_items if it[2] == 0)
+        whole = to_input_tensor(feats[0], SMALL)[0].astype(np.float32)
+        for start in (0, n_frames - 24, n_frames - 3, n_frames - 1, n_frames + 4):
+            x, aux, labels = data._make_chunk(item, start)
+            rows = [min(max(start + k, 0), n_frames - 1) for k in range(24)]
+            assert x.dtype == np.float32 and aux is None
+            assert x.tobytes() == whole[rows].tobytes()
+            np.testing.assert_array_equal(labels, np.zeros(24))
 
 
 class TestDVector:

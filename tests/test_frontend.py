@@ -1,4 +1,4 @@
-"""Front-end feature extraction: framing, filterbanks, deltas, splice, CMVN."""
+"""Front-end feature extraction: framing, filterbanks, deltas, edge context, CMVN."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from xldv.frontend import (
     FeatureMatrix,
     add_deltas,
     cmvn,
+    edge_index,
     fbank,
     filter_band_edges,
     mel_filterbank,
     mfcc,
-    splice,
-    splice_center,
 )
 
 
@@ -129,31 +128,49 @@ class TestDeltas:
             add_deltas(FeatureMatrix("u", "s", "L", np.ones((5, 40))))
 
 
+def clamp_oracle(n_frames, t, o):
+    return min(max(t + o, 0), n_frames - 1)
+
+
+class TestEdgeIndex:
+    @pytest.mark.parametrize("n_frames", [1, 2, 5, 12])
+    def test_matches_scalar_oracle(self, n_frames):
+        idx = np.arange(-3, n_frames + 3)
+        offsets = np.arange(-n_frames - 4, n_frames + 5)  # wider than T
+        out = edge_index(n_frames, idx, offsets)
+        assert out.shape == (len(idx), len(offsets))
+        for i, t in enumerate(idx):
+            for j, o in enumerate(offsets):
+                assert out[i, j] == clamp_oracle(n_frames, t, o)
+
+    @pytest.mark.parametrize("start", [-2, 0, 3, 9])
+    def test_scalar_start(self, start):
+        out = edge_index(7, start, np.arange(6))
+        assert out.shape == (6,)
+        assert out.tolist() == [clamp_oracle(7, start, k) for k in range(6)]
+
+
 class TestSplice:
-    def test_output_dim(self):
-        feat = FeatureMatrix("u", "s", "L", np.random.default_rng(0).normal(size=(30, 40)))
-        assert splice(feat).dim == 360
+    """A +-4 splice is one ``edge_index`` gather over every frame."""
+
+    @staticmethod
+    def splice(data):
+        n = data.shape[0]
+        return data[edge_index(n, np.arange(n), range(-4, 5))].reshape(n, -1)
 
     def test_single_frame_replicates(self):
         row = np.arange(8.0)[None, :]
-        out = splice(FeatureMatrix("u", "s", "L", row))
-        np.testing.assert_array_equal(out.data, np.tile(row, (1, 9)))
+        np.testing.assert_array_equal(self.splice(row), np.tile(row, (1, 9)))
 
     def test_rows_match_index_oracle(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(12, 5))
-        out = splice(FeatureMatrix("u", "s", "L", data))
+        out = self.splice(data)
         for t in range(12):
             expected = np.concatenate(
                 [data[min(max(t + o, 0), 11)] for o in range(-4, 5)]
             )
-            np.testing.assert_array_equal(out.data[t], expected)
-
-    def test_center_extraction_recovers_input(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=(25, 13))
-        feat = FeatureMatrix("u", "s", "L", data)
-        np.testing.assert_array_equal(splice_center(splice(feat)), data)
+            np.testing.assert_array_equal(out[t], expected)
 
 
 class TestCmvn:

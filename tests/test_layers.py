@@ -205,6 +205,19 @@ class TestTimeDelay:
             gathered = np.concatenate([x[0, max(t - 1, 0)], x[0, min(t + 2, 5)]])
             np.testing.assert_allclose(y[0, t], gathered @ w + b, atol=1e-12)
 
+    @pytest.mark.parametrize("offsets", [[-1, 2], [-2, 1], [0], [-9, 0, 8]])
+    def test_bitwise_equal_to_concatenate_reference(self, offsets):
+        rng = np.random.default_rng(9)
+        layer = NetworkGraph([LayerSpec("timedelay", offsets=offsets, dim=5)],
+                             ("vec", 6)).layers[0]
+        x = rng.normal(size=(3, 7, 6)).astype(np.float32)
+        t = np.arange(7)
+        ref = np.concatenate([x[:, np.clip(t + o, 0, 6)] for o in offsets], axis=2)
+        cache = {}
+        y = layer.forward(x, cache)
+        assert cache["g"].tobytes() == ref.tobytes()
+        assert y.tobytes() == (ref @ layer.params["W"] + layer.params["b"]).tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         g = build([LayerSpec("timedelay", offsets=[-2, 1], dim=2)], ("vec", 2))
