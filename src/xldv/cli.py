@@ -34,8 +34,6 @@ def build_parser():
                        help="run directory (default: $XLDV_RUN_DIR or runs/<hash>)")
         p.add_argument("--seed", type=int, default=None,
                        help="override experiment.seed")
-        p.add_argument("--deterministic", action="store_true",
-                       help="float64 training mode")
         p.add_argument("--force", action="store_true",
                        help="re-run stages even when up to date")
         p.add_argument("-q", "--quiet", action="store_true")
@@ -46,8 +44,6 @@ def _load(args) -> config_mod.ExperimentConfig:
     cfg = config_mod.load_config(args.config, args.overrides)
     if args.seed is not None:
         cfg.set("experiment.seed", args.seed)
-    if args.deterministic:
-        cfg.set("experiment.deterministic", "true")
     return cfg.validate()
 
 

@@ -22,7 +22,6 @@ class Field:
 
 SCHEMA = {
     "experiment.seed": Field(int, 12345, "master seed; derived section seeds follow it"),
-    "experiment.deterministic": Field(bool, False, "train in float64 (slower, test mode)"),
     "corpus.seed": Field(int, -1, "corpus seed (-1: derive from experiment.seed)"),
     "corpus.n_train_speakers": Field(int, 200, "training-language speakers"),
     "corpus.n_train_utts": Field(int, 20, "utterances per training speaker"),
@@ -83,12 +82,6 @@ def _parse_value(key, raw, line=None):
     field = SCHEMA[key]
     raw = raw.strip()
     try:
-        if field.type is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         return field.type(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}", line=line) from exc

@@ -1,10 +1,11 @@
 """Pipeline stages and the run manifest.
 
-Every stage declares its input and output artifacts (paths under the run
-directory). A stage body reads configuration only as ``ctx.config[key]``;
-``run_stage`` hands it a view that records each key read, and the manifest
-stores that ``{key: value}`` map beside the stage's input and output
-checksums. A stage is skipped when every recorded key still has its recorded
+``STAGES`` is the one table of stages: each stage's name, its input and
+output artifacts (paths under the run directory, named once in the layout
+section below) and its body, in run order. A stage body reads configuration
+only as ``ctx.config[key]``; ``run_stage`` hands it a view that records each
+key read, and the manifest stores that ``{key: value}`` map beside the
+stage's input and output checksums. A stage is skipped when every recorded key still has its recorded
 value and all input/output checksums still match: a verifying-traces rebuilder
 with dynamic dependencies (Mokhov, Mitchell & Peyton Jones, "Build Systems a
 la Carte", ICFP 2018). So re-running an unchanged experiment is a no-op,
@@ -22,6 +23,7 @@ import json
 import logging
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +53,6 @@ def _digest(run_dir, rel, digests):
     if rel not in digests:
         digests[rel] = sha256_file(os.path.join(run_dir, rel))
     return digests[rel]
-
-
-def condition_token(condition):
-    return condition.replace("/", "x")
 
 
 class RunManifest:
@@ -148,10 +146,6 @@ class Context:
     def path(self, rel):
         return os.path.join(self.run_dir, rel)
 
-    @property
-    def train_dtype(self):
-        return np.float64 if self.config["experiment.deterministic"] else np.float32
-
 
 def _corpus_config(cfg: ExperimentConfig) -> corpus.CorpusConfig:
     return corpus.CorpusConfig(
@@ -183,8 +177,68 @@ def _ctdnn_config(cfg: ExperimentConfig) -> ctdnn.CTDNNConfig:
     )
 
 
+# --- run-directory layout --------------------------------------------------
+# Every artifact path relative to the run directory. The stage bodies and the
+# stage table name files only through these.
+
+CORPUS_DIR = "corpus"
+WAV_DIGEST = "corpus/wav.sha256"
+CORPUS_FILES = ("corpus/manifest.tsv", "corpus/labels.tsv", "corpus/speakers.tsv",
+                WAV_DIGEST)
+FBANK = "feats/fbank.farc"
+MFCC = "feats/mfcc.farc"
+FACTORS = "feats/factors.farc"
+ASR_MODEL = "models/asr.nnck"
+SVDF_MODEL = "models/svdf.nnck"
+UBM_MODEL = "models/ubm.nnck"
+TMATRIX_MODEL = "models/tmatrix.nnck"
+EER_TABLE = "results/eer.tsv"
+REPORT_TSV = "results/report.tsv"
+REPORT_TXT = "results/report.txt"
+SPLITS = ("train", "eval")
+
+# phone-aware flag -> CT-DNN variant; its d-vector system is "dvector-<variant>"
+CTDNN_VARIANTS = {False: "phone-blind", True: "phone-aware"}
+
+
+def ctdnn_model(aware):
+    return f"models/ctdnn_{'aware' if aware else 'blind'}.nnck"
+
+
+def embedding_file(system, split):
+    tag = ("ivec", "dvec_blind", "dvec_aware")[SYSTEMS.index(system)]
+    return f"embeddings/{tag}_{split}.farc"
+
+
+def backend_model(system):
+    return f"models/backend_{system}.nnck"
+
+
+def conditions(cfg) -> list:
+    return [c.strip() for c in cfg["eval.conditions"].split(",") if c.strip()]
+
+
+def condition_token(condition):
+    return condition.replace("/", "x")
+
+
+def trial_file(cond):
+    return f"trials/{condition_token(cond)}.tsv"
+
+
+def score_file(system, metric, cond):
+    return f"scores/{system}_{metric}_{condition_token(cond)}.tsv"
+
+
+def condition_files(cfg):
+    """Score files, then trial lists, of the configured ``eval.conditions``."""
+    conds = conditions(cfg)
+    return ([score_file(s, m, c) for s in SYSTEMS for m in METRICS for c in conds]
+            + [trial_file(c) for c in conds])
+
+
 def _load_manifest(ctx: Context) -> corpus.CorpusManifest:
-    return corpus.CorpusManifest.load(ctx.path("corpus"))
+    return corpus.CorpusManifest.load(ctx.path(CORPUS_DIR))
 
 
 def _train_records(manifest):
@@ -215,13 +269,13 @@ def _backend_subset(manifest, per_speaker):
 def stage_synth(ctx: Context):
     cfg = ctx.config
     manifest = corpus.build_corpus(
-        _corpus_config(cfg), cfg["corpus.seed"], ctx.path("corpus")
+        _corpus_config(cfg), cfg["corpus.seed"], ctx.path(CORPUS_DIR)
     )
     digest = hashlib.sha256()
     for rec in manifest.records:
         digest.update(rec.utterance_id.encode())
         digest.update(sha256_file(manifest.wav_path(rec)).encode())
-    with open(ctx.path("corpus/wav.sha256"), "w", encoding="utf-8") as fh:
+    with open(ctx.path(WAV_DIGEST), "w", encoding="utf-8") as fh:
         fh.write(digest.hexdigest() + "\n")
 
 
@@ -239,14 +293,14 @@ def stage_feats(ctx: Context):
             utt = corpus.load_utterance(manifest, rec)
             yield frontend.cmvn(frontend.add_deltas(frontend.mfcc(utt)))
 
-    archive.archive_write(fbank_records(), ctx.path("feats/fbank.farc"))
-    archive.archive_write(mfcc_records(), ctx.path("feats/mfcc.farc"))
+    archive.archive_write(fbank_records(), ctx.path(FBANK))
+    archive.archive_write(mfcc_records(), ctx.path(MFCC))
 
 
 def stage_train_asr(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    feats = archive.archive_read_dict(ctx.path("feats/fbank.farc"))
+    feats = archive.archive_read_dict(ctx.path(FBANK))
     train_feats = [feats[r.utterance_id] for r in _train_records(manifest)]
     labels = {
         r.utterance_id: corpus.expand_labels(
@@ -260,9 +314,7 @@ def stage_train_asr(ctx: Context):
         td_hidden=cfg["asr.td_hidden"],
         n_stages=cfg["asr.n_stages"],
     )
-    graph = phonenet.build_phone_classifier(
-        net_config, seed=cfg["asr.seed"], dtype=ctx.train_dtype
-    )
+    graph = phonenet.build_phone_classifier(net_config, seed=cfg["asr.seed"])
     data = phonenet.make_phone_dataset(
         train_feats, labels, chunk_frames=cfg["asr.chunk_frames"],
         batch_chunks=cfg["asr.batch_chunks"], seed=cfg["asr.seed"],
@@ -274,7 +326,7 @@ def stage_train_asr(ctx: Context):
     result = phonenet.train_phone_classifier(graph, data, state)
     log.info("phone classifier: val frame accuracy %.3f", result.val_accuracy)
     graph.save(
-        ctx.path("models/asr.nnck"),
+        ctx.path(ASR_MODEL),
         extra_header={
             "kind": "phone-classifier",
             "val_accuracy": result.val_accuracy,
@@ -282,7 +334,7 @@ def stage_train_asr(ctx: Context):
         },
     )
     extractor = phonenet.svd_decompose(graph, rank=cfg["asr.svd_rank"])
-    phonenet.save_extractor(ctx.path("models/svdf.nnck"), extractor)
+    phonenet.save_extractor(ctx.path(SVDF_MODEL), extractor)
 
     def factor_records():
         for rec in manifest.records:
@@ -293,33 +345,25 @@ def stage_train_asr(ctx: Context):
                 factors.astype(np.float32),
             )
 
-    archive.archive_write(factor_records(), ctx.path("feats/factors.farc"))
-
-
-# phone-aware flag -> (variant name, checkpoint name under models/)
-CTDNN_VARIANTS = {
-    False: ("phone-blind", "ctdnn_blind"),
-    True: ("phone-aware", "ctdnn_aware"),
-}
-CTDNN_MODELS = tuple(f"models/{name}.nnck" for _, name in CTDNN_VARIANTS.values())
+    archive.archive_write(factor_records(), ctx.path(FACTORS))
 
 
 def _train_one_ctdnn(ctx: Context, aware: bool):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    feats = archive.archive_read_dict(ctx.path("feats/fbank.farc"))
+    feats = archive.archive_read_dict(ctx.path(FBANK))
     train_recs = _train_records(manifest)
     net_config = _ctdnn_config(cfg)
     labels = ctdnn.contiguous_labels(manifest.train_speakers)
     factors_by_utt = None
-    variant, name = CTDNN_VARIANTS[aware]
+    variant = CTDNN_VARIANTS[aware]
     seed = corpus.derive_rng(cfg["ctdnn.seed"], variant).integers(0, 2**31 - 1)
     if aware:
-        factors = archive.archive_read_dict(ctx.path("feats/factors.farc"))
+        factors = archive.archive_read_dict(ctx.path(FACTORS))
         factors_by_utt = {u: f.data for u, f in factors.items()}
-        graph = ctdnn.build_phone_aware(net_config, seed=int(seed), dtype=ctx.train_dtype)
+        graph = ctdnn.build_phone_aware(net_config, seed=int(seed))
     else:
-        graph = ctdnn.build_phone_blind(net_config, seed=int(seed), dtype=ctx.train_dtype)
+        graph = ctdnn.build_phone_blind(net_config, seed=int(seed))
     data = ctdnn.make_speaker_dataset(
         [feats[r.utterance_id] for r in train_recs], labels, net_config,
         factors_by_utt=factors_by_utt, chunk_frames=cfg["ctdnn.chunk_frames"],
@@ -334,7 +378,7 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
     result = ctdnn.train_ctdnn(graph, data, state)
     log.info("%s feature net: val frame accuracy %.3f", variant, result.val_accuracy)
     graph.save(
-        ctx.path(f"models/{name}.nnck"),
+        ctx.path(ctdnn_model(aware)),
         extra_header={
             "kind": "ctdnn",
             "variant": variant,
@@ -359,7 +403,7 @@ def stage_train_ubm(ctx: Context):
     manifest = _load_manifest(ctx)
     rows = []
     train_ids = {r.utterance_id for r in _train_records(manifest)}
-    for feat in archive.archive_stream(ctx.path("feats/mfcc.farc")):
+    for feat in archive.archive_stream(ctx.path(MFCC)):
         if feat.utterance_id in train_ids:
             rows.append(feat.data)
     frames = np.concatenate(rows)
@@ -372,7 +416,7 @@ def stage_train_ubm(ctx: Context):
         seed=cfg["ivector.seed"],
     )
     archive.save_checkpoint(
-        ctx.path("models/ubm.nnck"),
+        ctx.path(UBM_MODEL),
         {"kind": "ubm", "section": "UBM0", "objective": ubm.objective},
         {"UBM0.weights": ubm.weights, "UBM0.means": ubm.means,
          "UBM0.variances": ubm.variances},
@@ -398,10 +442,10 @@ def load_tmatrix(path) -> ivector.TMatrix:
 def stage_train_tv(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    ubm = load_ubm(ctx.path("models/ubm.nnck"))
+    ubm = load_ubm(ctx.path(UBM_MODEL))
     train_ids = {r.utterance_id for r in _train_records(manifest)}
     stats = []
-    for feat in archive.archive_stream(ctx.path("feats/mfcc.farc")):
+    for feat in archive.archive_stream(ctx.path(MFCC)):
         if feat.utterance_id in train_ids:
             stats.append(ivector.accumulate_stats(ubm, feat))
     tmat = ivector.train_tmatrix(
@@ -409,66 +453,61 @@ def stage_train_tv(ctx: Context):
         seed=cfg["ivector.seed"],
     )
     archive.save_checkpoint(
-        ctx.path("models/tmatrix.nnck"),
+        ctx.path(TMATRIX_MODEL),
         {"kind": "tmatrix", "section": "TVMX", "n_components": tmat.n_components,
          "dim": tmat.dim, "objective": tmat.objective},
         {"TVMX.t": tmat.t},
     )
 
 
-def _extract_dvectors(ctx: Context, records, aware: bool, feats, factors):
-    _, name = CTDNN_VARIANTS[aware]
-    graph, _ = NetworkGraph.from_checkpoint(ctx.path(f"models/{name}.nnck"))
-    net_config = _ctdnn_config(ctx.config)
-    ids, spks, langs, rows = [], [], [], []
-    for rec in records:
-        feat = feats[rec.utterance_id]
-        fac = factors[rec.utterance_id].data if aware else None
-        frames = ctdnn.extract_frame_features(graph, feat, net_config, factors=fac)
-        rows.append(ctdnn.dvector(frames))
-        ids.append(rec.utterance_id)
-        spks.append(rec.speaker_id)
-        langs.append(rec.language_id)
-    return backend.EmbeddingSet(ids, spks, langs, np.array(rows))
+def _embedding_set(records, vector_of):
+    """``EmbeddingSet`` of ``vector_of(record)`` for each record, in order."""
+    return backend.EmbeddingSet(
+        [r.utterance_id for r in records], [r.speaker_id for r in records],
+        [r.language_id for r in records], np.array([vector_of(r) for r in records]),
+    )
 
 
 def stage_extract(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    train_recs = _backend_subset(manifest, cfg["backend.train_utts_per_speaker"])
-    eval_recs = _eval_records(manifest)
-    feats = archive.archive_read_dict(ctx.path("feats/fbank.farc"))
-    factors = archive.archive_read_dict(ctx.path("feats/factors.farc"))
-    for aware, tag in ((False, "dvec_blind"), (True, "dvec_aware")):
-        for recs, split in ((train_recs, "train"), (eval_recs, "eval")):
-            emb = _extract_dvectors(ctx, recs, aware, feats, factors)
-            emb.to_archive(ctx.path(f"embeddings/{tag}_{split}.farc"))
-    del feats, factors
-    ubm = load_ubm(ctx.path("models/ubm.nnck"))
-    tmat = load_tmatrix(ctx.path("models/tmatrix.nnck"))
-    mfcc_feats = archive.archive_read_dict(ctx.path("feats/mfcc.farc"))
-    for recs, split in ((train_recs, "train"), (eval_recs, "eval")):
-        ids, spks, langs, rows = [], [], [], []
-        for rec in recs:
-            stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
-            rows.append(ivector.extract_ivector(ubm, tmat, stats))
-            ids.append(rec.utterance_id)
-            spks.append(rec.speaker_id)
-            langs.append(rec.language_id)
-        backend.EmbeddingSet(ids, spks, langs, np.array(rows)).to_archive(
-            ctx.path(f"embeddings/ivec_{split}.farc")
-        )
+    splits = dict(zip(SPLITS, (
+        _backend_subset(manifest, cfg["backend.train_utts_per_speaker"]),
+        _eval_records(manifest),
+    )))
+    net_config = _ctdnn_config(cfg)
+    feats = archive.archive_read_dict(ctx.path(FBANK))
+    factors = archive.archive_read_dict(ctx.path(FACTORS))
+    for aware, variant in CTDNN_VARIANTS.items():
+        graph, _ = NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)))
 
+        def dvector(rec):
+            fac = factors[rec.utterance_id].data if aware else None
+            return ctdnn.dvector(ctdnn.extract_frame_features(
+                graph, feats[rec.utterance_id], net_config, factors=fac
+            ))
 
-EMBEDDING_TAGS = dict(zip(SYSTEMS, ("ivec", "dvec_blind", "dvec_aware")))
+        for split, recs in splits.items():
+            _embedding_set(recs, dvector).to_archive(
+                ctx.path(embedding_file(f"dvector-{variant}", split))
+            )
+    del feats, factors, graph
+    ubm = load_ubm(ctx.path(UBM_MODEL))
+    tmat = load_tmatrix(ctx.path(TMATRIX_MODEL))
+    mfcc_feats = archive.archive_read_dict(ctx.path(MFCC))
+
+    def ivec(rec):
+        stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
+        return ivector.extract_ivector(ubm, tmat, stats)
+
+    for split, recs in splits.items():
+        _embedding_set(recs, ivec).to_archive(ctx.path(embedding_file("ivector", split)))
 
 
 def stage_backend_train(ctx: Context):
     cfg = ctx.config
-    for system, tag in EMBEDDING_TAGS.items():
-        emb = backend.EmbeddingSet.from_archive(
-            ctx.path(f"embeddings/{tag}_train.farc")
-        )
+    for system in SYSTEMS:
+        emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "train")))
         mean = emb.vectors.mean(axis=0)
         normed = backend.center_lengthnorm(emb.vectors, mean)
         label_of = {s: i for i, s in enumerate(sorted(set(emb.speaker_ids)))}
@@ -480,7 +519,7 @@ def stage_backend_train(ctx: Context):
         lda = backend.train_lda(normed, labels, k)
         plda = backend.train_plda(normed, labels, n_iters=cfg["backend.plda_iters"])
         archive.save_checkpoint(
-            ctx.path(f"models/backend_{system}.nnck"),
+            ctx.path(backend_model(system)),
             {"kind": "backend", "system": system, "sections": ["LDAP", "PLDA"],
              "plda_objective": plda.objective, "lda_dim": int(k)},
             {
@@ -508,21 +547,17 @@ def load_backend(path):
     return tensors["MEAN.mean"], lda, plda
 
 
-def conditions(cfg) -> list:
-    return [c.strip() for c in cfg["eval.conditions"].split(",") if c.strip()]
-
-
 def stage_score(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
     trial_lists = {}
     for cond in conditions(cfg):
         trials = evalkit.make_trials(manifest, cond)
-        trials.save(ctx.path(f"trials/{condition_token(cond)}.tsv"))
+        trials.save(ctx.path(trial_file(cond)))
         trial_lists[cond] = trials
-    for system, tag in EMBEDDING_TAGS.items():
-        mean, lda, plda = load_backend(ctx.path(f"models/backend_{system}.nnck"))
-        emb = backend.EmbeddingSet.from_archive(ctx.path(f"embeddings/{tag}_eval.farc"))
+    for system in SYSTEMS:
+        mean, lda, plda = load_backend(ctx.path(backend_model(system)))
+        emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "eval")))
         normed = backend.center_lengthnorm(emb.vectors, mean)
         by_utt = dict(zip(emb.utterance_ids, normed))
         scorers = {
@@ -533,32 +568,27 @@ def stage_score(ctx: Context):
         for cond, trials in trial_lists.items():
             for metric, scorer in scorers.items():
                 scores = evalkit.score_trials(scorer, by_utt, trials)
-                scores.save(ctx.path(
-                    f"scores/{system}_{metric}_{condition_token(cond)}.tsv"
-                ))
+                scores.save(ctx.path(score_file(system, metric, cond)))
 
 
 def stage_eval(ctx: Context):
     trial_lists = {
-        cond: evalkit.TrialList.load(
-            ctx.path(f"trials/{condition_token(cond)}.tsv"), cond
-        )
+        cond: evalkit.TrialList.load(ctx.path(trial_file(cond)), cond)
         for cond in conditions(ctx.config)
     }
     lines = []
     for system in SYSTEMS:
         for metric in METRICS:
             for cond, trials in trial_lists.items():
-                token = condition_token(cond)
                 scores = evalkit.ScoreSet.load(
-                    ctx.path(f"scores/{system}_{metric}_{token}.tsv"), trials
+                    ctx.path(score_file(system, metric, cond)), trials
                 )
                 res = evalkit.compute_eer(scores)
                 lines.append(
                     f"{system}\t{metric}\t{cond}\t{res.eer:.6f}\t"
                     f"{res.threshold:.8e}\t{res.n_target}\t{res.n_nontarget}\n"
                 )
-    with open(ctx.path("results/eer.tsv"), "w", encoding="utf-8") as fh:
+    with open(ctx.path(EER_TABLE), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
@@ -574,79 +604,51 @@ def read_eer_table(path):
 
 
 def stage_report(ctx: Context):
-    results = read_eer_table(ctx.path("results/eer.tsv"))
+    results = read_eer_table(ctx.path(EER_TABLE))
     tsv, text = evalkit.results_table(results, conditions(ctx.config))
-    with open(ctx.path("results/report.tsv"), "w", encoding="utf-8") as fh:
+    with open(ctx.path(REPORT_TSV), "w", encoding="utf-8") as fh:
         fh.write(tsv)
-    with open(ctx.path("results/report.txt"), "w", encoding="utf-8") as fh:
+    with open(ctx.path(REPORT_TXT), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _score_outputs(cfg):
+# --- the stage table -------------------------------------------------------
+# Inputs and outputs are run-dir paths; a function of the config in their place
+# stands for the paths it returns (see ``stage_paths``).
+
+Stage = namedtuple("Stage", "name inputs outputs fn")
+
+_CTDNN_MODELS = (ctdnn_model(False), ctdnn_model(True))
+_EMBEDDINGS = tuple(embedding_file(s, split) for s in SYSTEMS for split in SPLITS)
+_BACKENDS = tuple(backend_model(s) for s in SYSTEMS)
+
+STAGES = (
+    Stage("synth", (), CORPUS_FILES, stage_synth),
+    Stage("feats", CORPUS_FILES, (FBANK, MFCC), stage_feats),
+    Stage("train-asr", CORPUS_FILES + (FBANK,), (ASR_MODEL, SVDF_MODEL, FACTORS),
+          stage_train_asr),
+    Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
+          stage_train_ctdnn),
+    Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm),
+    Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv),
+    Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
+          + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract),
+    Stage("backend-train", _EMBEDDINGS, _BACKENDS, stage_backend_train),
+    Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, (condition_files,),
+          stage_score),
+    Stage("eval", (condition_files,), (EER_TABLE,), stage_eval),
+    Stage("report", (EER_TABLE,), (REPORT_TSV, REPORT_TXT), stage_report),
+)
+STAGE_NAMES = [stage.name for stage in STAGES]
+_STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+
+
+def stage_paths(paths, cfg):
+    """``paths`` with each function replaced by the paths it gives for ``cfg``."""
     out = []
-    for system in SYSTEMS:
-        for metric in METRICS:
-            for cond in conditions(cfg):
-                out.append(f"scores/{system}_{metric}_{condition_token(cond)}.tsv")
-    out += [f"trials/{condition_token(c)}.tsv" for c in conditions(cfg)]
-    return tuple(out)
-
-
-def stage_definitions(cfg):
-    corpus_outputs = (
-        "corpus/manifest.tsv", "corpus/labels.tsv", "corpus/speakers.tsv",
-        "corpus/wav.sha256",
-    )
-    model_outputs = {
-        "train-asr": ("models/asr.nnck", "models/svdf.nnck", "feats/factors.farc"),
-        "train-ctdnn": CTDNN_MODELS,
-        "train-ubm": ("models/ubm.nnck",),
-        "train-tv": ("models/tmatrix.nnck",),
-    }
-    embedding_outputs = tuple(
-        f"embeddings/{tag}_{split}.farc"
-        for tag in EMBEDDING_TAGS.values()
-        for split in ("train", "eval")
-    )
-    backend_outputs = tuple(
-        f"models/backend_{system}.nnck" for system in SYSTEMS
-    )
-    return [
-        ("synth", (), corpus_outputs, stage_synth),
-        ("feats", corpus_outputs, ("feats/fbank.farc", "feats/mfcc.farc"), stage_feats),
-        ("train-asr", corpus_outputs + ("feats/fbank.farc",),
-         model_outputs["train-asr"], stage_train_asr),
-        ("train-ctdnn",
-         corpus_outputs + ("feats/fbank.farc", "feats/factors.farc"),
-         model_outputs["train-ctdnn"], stage_train_ctdnn),
-        ("train-ubm", corpus_outputs + ("feats/mfcc.farc",),
-         model_outputs["train-ubm"], stage_train_ubm),
-        ("train-tv", corpus_outputs + ("feats/mfcc.farc", "models/ubm.nnck"),
-         model_outputs["train-tv"], stage_train_tv),
-        ("extract",
-         corpus_outputs + ("feats/fbank.farc", "feats/mfcc.farc", "feats/factors.farc")
-         + CTDNN_MODELS + ("models/ubm.nnck", "models/tmatrix.nnck"),
-         embedding_outputs, stage_extract),
-        ("backend-train", embedding_outputs, backend_outputs, stage_backend_train),
-        ("score",
-         corpus_outputs + embedding_outputs + backend_outputs,
-         _score_outputs(cfg), stage_score),
-        ("eval", _score_outputs(cfg), ("results/eer.tsv",), stage_eval),
-        ("report", ("results/eer.tsv",),
-         ("results/report.tsv", "results/report.txt"), stage_report),
-    ]
-
-
-STAGE_NAMES = [
-    "synth", "feats", "train-asr", "train-ctdnn", "train-ubm", "train-tv",
-    "extract", "backend-train", "score", "eval", "report",
-]
-
-
-def _ensure_dirs(run_dir):
-    for sub in ("corpus", "feats", "models", "embeddings", "trials", "scores",
-                "results"):
-        os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
+    for rel in paths:
+        out.extend(rel(cfg) if callable(rel) else (rel,))
+    return out
 
 
 def run_stage(ctx: Context, name, force=False, digests=None):
@@ -658,11 +660,11 @@ def run_stage(ctx: Context, name, force=False, digests=None):
     """
     if digests is None:
         digests = {}
-    defs = {d[0]: d for d in stage_definitions(ctx.config)}
-    if name not in defs:
+    stage = _STAGE_BY_NAME.get(name)
+    if stage is None:
         raise DataError(f"unknown stage {name!r}")
-    _, inputs, outputs, fn = defs[name]
-    _ensure_dirs(ctx.run_dir)
+    inputs = stage_paths(stage.inputs, ctx.config)
+    outputs = stage_paths(stage.outputs, ctx.config)
     missing = [rel for rel in inputs if not os.path.exists(ctx.path(rel))]
     if missing:
         raise DataError(
@@ -676,9 +678,11 @@ def run_stage(ctx: Context, name, force=False, digests=None):
         log.info("stage %s: up to date, skipping", name)
         return False
     log.info("stage %s: running (%s)", name, reason)
+    for rel in outputs:
+        os.makedirs(os.path.dirname(ctx.path(rel)), exist_ok=True)
     config = RecordingConfig(ctx.config)
     t0 = time.perf_counter()
-    fn(dataclasses.replace(ctx, config=config))
+    stage.fn(dataclasses.replace(ctx, config=config))
     wall = time.perf_counter() - t0
     output_hashes = {}
     for rel in outputs:

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from xldv import evalkit, pipeline
+from xldv import archive, evalkit, pipeline
 from xldv.cli import main
 from xldv.config import (
     SCHEMA,
@@ -182,15 +182,39 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("xldv: error: config:")
 
-    def test_removed_factor_injection_key_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("ctdnn.factor_injection", "bottleneck"),
+        ("experiment.deterministic", "true"),
+    ], ids=["ctdnn.factor_injection", "experiment.deterministic"])
+    def test_removed_key_exits_one(self, tmp_path, capsys, key, value):
         path = tmp_path / "old.ini"
-        path.write_text("corpus.n_train_utts = 9\nctdnn.factor_injection = bottleneck\n")
+        path.write_text(f"corpus.n_train_utts = 9\n{key} = {value}\n")
         code = main(["validate-config", "--config", str(path), "--quiet"])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
+        assert lines[0].startswith("xldv: error: config: line 2:")
+        assert key in lines[0]
+
+    def test_removed_deterministic_flag_exits_one(self, tmp_path, capsys):
+        code = main(["all", "--deterministic"] + tiny_args(tmp_path / "run"))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
         assert lines[0].startswith("xldv: error: config:")
-        assert "ctdnn.factor_injection" in lines[0]
+        assert "--deterministic" in lines[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_synth_runs_in_empty_run_dir(self, tmp_path):
+        run_dir = tmp_path / "empty"
+        run_dir.mkdir()
+        assert pipeline.run_stage(tiny_context(run_dir), "synth")
+        # only the directories of the stage's own outputs are made
+        assert sorted(os.listdir(run_dir)) == [
+            "config.resolved.ini", "corpus", "manifest.json"
+        ]
+        for rel in pipeline.CORPUS_FILES:
+            assert (run_dir / rel).is_file()
 
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -305,6 +329,24 @@ class TestReuse:
         pipeline.run_stage(tiny_context(run_copy), "eval", force=True)
         assert loaded == ["A-A", "B-B", "A/B"]
         assert eer.read_bytes() == before
+
+    def test_extract_loads_each_checkpoint_once(self, run_copy, monkeypatch):
+        embeddings = sorted((run_copy / "embeddings").iterdir())
+        before = [path.read_bytes() for path in embeddings]
+        loaded = []
+        real = archive.load_checkpoint
+
+        def counting(path, *args, **kwargs):
+            loaded.append(os.path.basename(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(archive, "load_checkpoint", counting)
+        pipeline.run_stage(tiny_context(run_copy), "extract", force=True)
+        assert sorted(loaded) == [
+            "ctdnn_aware.nnck", "ctdnn_blind.nnck", "tmatrix.nnck", "ubm.nnck"
+        ]
+        assert sorted((run_copy / "embeddings").iterdir()) == embeddings
+        assert [path.read_bytes() for path in embeddings] == before
 
     def test_every_key_but_master_seed_is_read(self, tiny_run):
         read = set()

@@ -1,0 +1,121 @@
+"""The stage table, and the names the benchmark in ``perfbench/`` relies on."""
+
+import argparse
+import ast
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+from xldv import evalkit, pipeline
+from xldv.cli import build_parser
+from xldv.config import load_config
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+def table(overrides=()):
+    """[(name, inputs, outputs)] with the config-dependent paths expanded."""
+    cfg = load_config(None, list(overrides))
+    return [(stage.name, pipeline.stage_paths(stage.inputs, cfg),
+             pipeline.stage_paths(stage.outputs, cfg)) for stage in pipeline.STAGES]
+
+
+CONFIGS = [(), ("eval.conditions=A/B,A-A",)]
+
+
+class TestTable:
+    @pytest.mark.parametrize("overrides", CONFIGS, ids=["default", "two-conditions"])
+    def test_each_input_is_an_output_of_an_earlier_stage(self, overrides):
+        made = set()
+        for name, inputs, outputs in table(overrides):
+            assert set(inputs) <= made, (name, sorted(set(inputs) - made))
+            made.update(outputs)
+
+    @pytest.mark.parametrize("overrides", CONFIGS, ids=["default", "two-conditions"])
+    def test_no_file_is_the_output_of_two_stages(self, overrides):
+        owner = {}
+        for name, _, outputs in table(overrides):
+            assert len(set(outputs)) == len(outputs), name
+            for rel in outputs:
+                assert owner.setdefault(rel, name) == name, rel
+
+    def test_condition_files_follow_the_config(self):
+        stages = {name: (inputs, outputs) for name, inputs, outputs in table(CONFIGS[1])}
+        score_out = stages["score"][1]
+        assert stages["eval"][0] == score_out
+        assert len(score_out) == 3 * 3 * 2 + 2
+        assert score_out[0] == "scores/ivector_cosine_AxB.tsv"
+        assert score_out[-2:] == ["trials/AxB.tsv", "trials/A-A.tsv"]
+
+    def test_cli_subcommands_are_the_table_names_in_order(self):
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == pipeline.STAGE_NAMES + ["all", "validate-config"]
+
+
+def constants(filename, names):
+    """Top-level literal assignments of a perfbench module, read without importing it."""
+    with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    assert set(found) == set(names), filename
+    return found
+
+
+class TestBenchmarkContract:
+    """perfbench drives xldv from outside; these are the names it uses."""
+
+    def test_every_wrapped_name_resolves(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py")
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.WRAPPED
+        for mod_name, attr, _, _ in tracer.WRAPPED:
+            obj = importlib.import_module(mod_name)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (mod_name, attr)
+
+    def test_stage_lists_match_the_table(self):
+        metrics = constants("metrics.py", ["STAGES", "TRAINING_STAGES"])
+        worker = constants("worker.py", ["N_STAGES", "FORCED_STAGES"])
+        assert list(metrics["STAGES"]) == pipeline.STAGE_NAMES
+        assert set(metrics["TRAINING_STAGES"]) <= set(pipeline.STAGE_NAMES)
+        assert worker["N_STAGES"] == len(pipeline.STAGES)
+        forced = list(worker["FORCED_STAGES"])
+        assert forced == [n for n in pipeline.STAGE_NAMES if n in forced]
+
+    def test_systems_metrics_and_conditions_match(self):
+        worker = constants("worker.py", ["SYSTEMS", "METRICS", "CONDITIONS"])
+        assert worker["SYSTEMS"] == evalkit.SYSTEMS
+        assert worker["METRICS"] == evalkit.METRICS
+        assert list(worker["CONDITIONS"]) == pipeline.conditions(load_config())
+
+    def test_run_stage_signature_and_log_templates(self):
+        params = list(inspect.signature(pipeline.run_stage).parameters)
+        assert params == ["ctx", "name", "force", "digests"]
+        source = inspect.getsource(pipeline.run_stage)
+        templates = constants("worker.py", ["LOG_COUNTERS"])["LOG_COUNTERS"]
+        stage_templates = [t for t in templates if t.startswith("stage %s:")]
+        assert len(stage_templates) == 3
+        for template in stage_templates:
+            assert f'"{template}' in source, template
+
+    def test_run_dir_files_the_worker_reads(self):
+        conds = constants("worker.py", ["CONDITIONS"])["CONDITIONS"]
+        assert pipeline.EER_TABLE == "results/eer.tsv"
+        assert pipeline.REPORT_TXT == "results/report.txt"
+        for system in evalkit.SYSTEMS:
+            assert pipeline.backend_model(system) == f"models/backend_{system}.nnck"
+        for cond in conds:
+            assert pipeline.trial_file(cond) == f"trials/{cond.replace('/', 'x')}.tsv"
