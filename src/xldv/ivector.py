@@ -1,7 +1,11 @@
 """Diagonal-covariance UBM, Baum-Welch statistics, and total-variability i-vectors.
 
 UBM training is plain EM with a k-means-style start from random frames and a
-variance floor at 1e-4 of the global variance. The total-variability model
+variance floor at 1e-4 of the global variance. The E-step (``_e_step``, shared
+with ``accumulate_stats``) runs over blocks of ``E_STEP_ROWS`` frames, so its
+(N, C) temporaries shrink to block size; each row gets the same arithmetic as
+a whole-matrix pass. The posterior itself is kept whole, so the M-step sums
+over all N frames exactly as before. The total-variability model
 M = m + T w (w ~ N(0, I)) is trained by EM over per-utterance sufficient
 statistics; both EM loops record their objective per iteration so callers can
 assert monotonicity. ``TMatrix`` caches its whitened form and per-component
@@ -22,6 +26,7 @@ log = logging.getLogger(__name__)
 VAR_FLOOR_FRACTION = 1e-4
 EMPTY_COMPONENT_OCCUPANCY = 1e-8
 RIDGE = 1e-8
+E_STEP_ROWS = 2048  # frames per E-step block
 
 
 @dataclass
@@ -66,6 +71,22 @@ def _logsumexp(a):
     return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
+def _e_step(ubm: UBM, frames):
+    """(N, C) posteriors and (N,) per-frame log-likelihoods of ``frames``.
+
+    Computed ``E_STEP_ROWS`` rows at a time into preallocated arrays; every
+    row is bitwise what ``np.exp(ubm.log_posteriors(frames)[0])`` gives.
+    """
+    n = frames.shape[0]
+    post = np.empty((n, ubm.n_components))
+    ll = np.empty(n)
+    for start in range(0, n, E_STEP_ROWS):
+        rows = slice(start, start + E_STEP_ROWS)
+        log_post, ll[rows] = ubm.log_posteriors(frames[rows])
+        np.exp(log_post, out=post[rows])
+    return post, ll
+
+
 def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
     """EM-train a diagonal GMM on an (N, D) frame matrix.
 
@@ -89,9 +110,8 @@ def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
         variances=np.tile(np.maximum(global_var, floor), (n_components, 1)),
     )
     for it in range(n_iters):
-        log_post, ll = ubm.log_posteriors(frames)
+        post, ll = _e_step(ubm, frames)
         ubm.objective.append(float(ll.sum()))
-        post = np.exp(log_post)
         occ = post.sum(axis=0)
         order = np.argsort(occ)
         for c in order:
@@ -111,9 +131,10 @@ def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
         weights = occ / occ.sum()
         means = (post.T @ frames) / occ[:, None]
         second = (post.T @ (frames**2)) / occ[:, None]
+        del post  # the next E-step allocates a fresh one
         variances = np.maximum(second - means**2, floor)
         ubm.weights, ubm.means, ubm.variances = weights, means, variances
-    _, ll = ubm.log_posteriors(frames)
+    _, ll = _e_step(ubm, frames)
     ubm.objective.append(float(ll.sum()))
     return ubm
 
@@ -134,8 +155,7 @@ def accumulate_stats(ubm: UBM, features) -> SuffStats:
         raise InvalidArgumentError(
             f"features must be (T, {ubm.dim}), got {x.shape}"
         )
-    log_post, _ = ubm.log_posteriors(x)
-    post = np.exp(log_post)
+    post, _ = _e_step(ubm, x)
     n = post.sum(axis=0)
     f = post.T @ x - n[:, None] * ubm.means
     return SuffStats(n=n, f=f, n_frames=x.shape[0])

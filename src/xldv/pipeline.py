@@ -12,7 +12,11 @@ la Carte", ICFP 2018). So re-running an unchanged experiment is a no-op,
 changing one config key re-runs the stages that read it plus the dependents
 whose inputs actually changed, and deleting one stage's outputs regenerates
 only that stage (and dependents whose inputs actually changed). The reason a
-stage ran is logged and kept in its record, with a per-stage run counter.
+stage ran is logged and kept in its record, with a per-stage run counter,
+the wall time and ``max_rss_mb``: the process's ``ru_maxrss`` after the stage.
+That is a high-water mark of the whole process, so in one ``run_all`` a
+stage's own peak shows as the first record where the value rises. Neither
+takes part in ``stage_current``.
 One ``run_all`` hashes each file at most once: stages share a digest memo,
 and a stage that runs replaces its outputs' entries.
 """
@@ -22,6 +26,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -91,6 +96,10 @@ class RunManifest:
             "reason": reason,
             "run_seq": previous.get("run_seq", 0) + 1,
             "wall_clock_s": round(wall_clock, 3),
+            # ru_maxrss is in KiB on Linux
+            "max_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+            ),
         }
         self.save()
 
@@ -398,19 +407,28 @@ def stage_train_ctdnn(ctx: Context):
     _train_one_ctdnn(ctx, aware=True)
 
 
-def stage_train_ubm(ctx: Context):
+def _ubm_sample(ctx: Context):
+    """The training utterances' MFCC frames, subsampled to ``ivector.ubm_frames``.
+
+    The per-utterance rows and their concatenation are freed on return, so
+    they are not held through UBM training.
+    """
     cfg = ctx.config
-    manifest = _load_manifest(ctx)
-    rows = []
-    train_ids = {r.utterance_id for r in _train_records(manifest)}
-    for feat in archive.archive_stream(ctx.path(MFCC)):
-        if feat.utterance_id in train_ids:
-            rows.append(feat.data)
-    frames = np.concatenate(rows)
+    train_ids = {r.utterance_id for r in _train_records(_load_manifest(ctx))}
+    frames = np.concatenate([
+        feat.data for feat in archive.archive_stream(ctx.path(MFCC))
+        if feat.utterance_id in train_ids
+    ])
     budget = cfg["ivector.ubm_frames"]
     if frames.shape[0] > budget:
         rng = corpus.derive_rng(cfg["ivector.seed"], "ubm-subsample")
         frames = frames[rng.choice(frames.shape[0], budget, replace=False)]
+    return frames
+
+
+def stage_train_ubm(ctx: Context):
+    cfg = ctx.config
+    frames = _ubm_sample(ctx)
     ubm = ivector.train_ubm(
         frames, cfg["ivector.n_components"], n_iters=cfg["ivector.ubm_iters"],
         seed=cfg["ivector.seed"],

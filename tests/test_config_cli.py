@@ -140,6 +140,18 @@ class TestCli:
         manifest_after = json.loads((tiny_run / "manifest.json").read_text())
         assert json.loads(manifest_before)["stages"] == manifest_after["stages"]
 
+    def test_stage_records_keep_max_rss(self, tiny_run):
+        # must run before any test here re-runs a stage of tiny_run: ru_maxrss
+        # is the test process's high-water mark, so a later re-run records more
+        manifest = tiny_run / "manifest.json"
+        stages = json.loads(manifest.read_text())["stages"]
+        rss = [stages[name]["max_rss_mb"] for name in pipeline.STAGE_NAMES]
+        assert rss[0] > 0
+        assert rss == sorted(rss)
+        before = manifest.read_bytes()
+        assert main(["all"] + tiny_args(tiny_run)) == 0
+        assert manifest.read_bytes() == before
+
     def test_stage_isolation_on_deleted_output(self, tiny_run):
         before = json.loads((tiny_run / "manifest.json").read_text())["stages"]
         os.remove(tiny_run / "models" / "ubm.nnck")

@@ -1,5 +1,7 @@
 """UBM EM, Baum-Welch statistics, T-matrix EM, and i-vector extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,76 @@ class TestAccumulateStats:
         ubm = train_ubm(rng.normal(size=(100, 4)), 2, n_iters=1, seed=6)
         with pytest.raises(InvalidArgumentError):
             accumulate_stats(ubm, rng.normal(size=(10, 5)))
+
+
+def _random_ubm(rng, c, d):
+    return UBM(
+        weights=rng.dirichlet(np.full(c, 2.0)),
+        means=rng.normal(size=(c, d)),
+        variances=rng.uniform(0.5, 2.0, (c, d)),
+    )
+
+
+def _reference_e_step(ubm, frames):
+    """The E-step as one whole-matrix pass."""
+    log_post, ll = ubm.log_posteriors(frames)
+    return np.exp(log_post), ll
+
+
+class TestBlockedEStep:
+    """The E-step runs over row blocks with the bits of a whole-matrix pass."""
+
+    BLOCK = ivector.E_STEP_ROWS
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, 2 * BLOCK + 37])
+    def test_bitwise_equals_whole_matrix(self, n):
+        rng = np.random.default_rng(20)
+        ubm = _random_ubm(rng, 64, 60)
+        frames = rng.normal(size=(n, 60))
+        post, ll = ivector._e_step(ubm, frames)
+        ref_post, ref_ll = _reference_e_step(ubm, frames)
+        assert post.shape == (n, 64) and ll.shape == (n,)
+        assert post.tobytes() == ref_post.tobytes()
+        assert ll.tobytes() == ref_ll.tobytes()
+
+    def test_train_ubm_with_reseed_matches_one_block(self, monkeypatch, caplog):
+        rng = np.random.default_rng(21)
+        frames = rng.normal(size=(2 * self.BLOCK + 37, 5)) * rng.uniform(0.5, 2.0, 5)
+        # components below half the mean occupancy count as empty
+        monkeypatch.setattr(ivector, "EMPTY_COMPONENT_OCCUPANCY", 0.5 / 16)
+        with caplog.at_level("INFO", logger="xldv.ivector"):
+            blocked = train_ubm(frames, 16, n_iters=3, seed=22)
+        assert "re-seeding empty component" in caplog.text
+        monkeypatch.setattr(ivector, "E_STEP_ROWS", frames.shape[0])
+        whole = train_ubm(frames, 16, n_iters=3, seed=22)
+        for name in ("weights", "means", "variances"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+        assert blocked.objective == whole.objective
+
+    def test_stats_of_long_utterance_match_whole_matrix(self):
+        rng = np.random.default_rng(23)
+        ubm = _random_ubm(rng, 8, 6)
+        x = rng.normal(size=(self.BLOCK + 500, 6))
+        stats = accumulate_stats(ubm, x)
+        post, _ = _reference_e_step(ubm, x)
+        n = post.sum(axis=0)
+        assert stats.n.tobytes() == n.tobytes()
+        assert stats.f.tobytes() == (post.T @ x - n[:, None] * ubm.means).tobytes()
+        assert stats.n_frames == x.shape[0]
+
+    def test_train_ubm_peak_memory_bounded_by_posterior(self):
+        n, dim, c = 25_000, 60, 64
+        rng = np.random.default_rng(24)
+        frames = rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0, dim)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_ubm(frames, c, n_iters=2, seed=25)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a whole-matrix E-step peaks at about 7x the (N, C) posterior
+        assert peak <= 3 * n * c * 8
 
 
 def synthetic_stats_from_model(ubm, t_true, n_utts, frames_per_utt, seed):
