@@ -116,11 +116,6 @@ def archive_stream(path):
             yield FeatureMatrix(utt_id, spk_id, lang_id, data, shift, length)
 
 
-def archive_read(path):
-    """Read a whole archive into a list of FeatureMatrix records."""
-    return list(archive_stream(path))
-
-
 def archive_read_dict(path):
     """Read an archive keyed by utterance id."""
     return {feat.utterance_id: feat for feat in archive_stream(path)}

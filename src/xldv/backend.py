@@ -284,13 +284,8 @@ def _llr_terms(model: PLDAModel):
     return k0, q, p
 
 
-def plda_score(model: PLDAModel, enroll, test) -> float:
-    """log p(enroll,test | same speaker) - log p(enroll,test | different)."""
-    return float(plda_score_pairs(model, np.atleast_2d(enroll), np.atleast_2d(test))[0])
-
-
 def plda_score_pairs(model: PLDAModel, enroll, test) -> np.ndarray:
-    """Scores for row-aligned pairs of embeddings."""
+    """log p(same speaker) - log p(different speakers) of row-aligned pairs."""
     ua = model.transform(enroll)
     ub = model.transform(test)
     if ua.shape != ub.shape:
@@ -320,9 +315,6 @@ class CosineScorer:
     def score_pairs(self, enroll, test):
         return (self._prep(enroll) * self._prep(test)).sum(axis=1)
 
-    def score(self, enroll, test):
-        return float(self.score_pairs(enroll, test)[0])
-
 
 class PLDAScorer:
     def __init__(self, model: PLDAModel):
@@ -330,6 +322,3 @@ class PLDAScorer:
 
     def score_pairs(self, enroll, test):
         return plda_score_pairs(self.model, enroll, test)
-
-    def score(self, enroll, test):
-        return plda_score(self.model, enroll, test)

@@ -193,8 +193,3 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
         key, raw = item.split("=", 1)
         config.set(key.strip(), raw.strip())
     return config.validate()
-
-
-def validate_config(path) -> str:
-    """Materialize a config file and report every value; raises on errors."""
-    return load_config(path).report()

@@ -65,10 +65,6 @@ class PhoneInventory:
     def n_phones(self):
         return len(self.phones)
 
-    @property
-    def max_mean_duration_ms(self):
-        return max(p.mean_duration_ms for p in self.phones)
-
 
 @dataclass
 class SpeakerProfile:
@@ -320,18 +316,12 @@ class CorpusManifest:
     records: list = field(default_factory=list)
     labels: dict = field(default_factory=dict)  # utt_id -> [(start_frame, phone_idx)]
 
-    def utterances(self, split=None, language=None):
-        out = []
+    def utterances(self, split):
+        """Records of the ``"train"`` or ``"eval"`` speakers, in manifest order."""
+        if split not in ("train", "eval"):
+            raise InvalidArgumentError(f"unknown split {split!r}")
         train = set(self.train_speakers)
-        for rec in self.records:
-            if split == "train" and rec.speaker_id not in train:
-                continue
-            if split == "eval" and rec.speaker_id in train:
-                continue
-            if language is not None and rec.language_id != language:
-                continue
-            out.append(rec)
-        return out
+        return [r for r in self.records if (r.speaker_id in train) == (split == "train")]
 
     def wav_path(self, rec: UttRecord):
         return os.path.join(self.root, rec.rel_path)

@@ -16,7 +16,7 @@ t's own bottleneck output (and linguistic factor).
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,7 @@ class CTDNNConfig:
     splice_right: int = 4
     conv1_channels: int = 32
     conv2_channels: int = 64
-    conv1_time: int = 4
-    conv2_time: int = 3
-    conv1_freq: int = 5
-    conv2_freq: int = 4
-    conv1_freq_stride: int = 2
-    conv2_freq_stride: int = 1
-    pool_freq: int = 2
     bottleneck_dim: int = 512
-    td1_offsets: tuple = (-1, 2)
-    td2_offsets: tuple = (-2, 1)
     td_hidden: int = 256
     pnorm_group: int = 2
     feature_dim: int = 400
@@ -60,24 +51,21 @@ class CTDNNConfig:
             raise InvalidArgumentError("need at least 2 speakers")
         if self.feature_dim < 1 or self.bottleneck_dim < 1:
             raise InvalidArgumentError("feature and bottleneck dims must be >= 1")
-        if self.td_hidden % self.pnorm_group:
-            raise InvalidArgumentError("td_hidden must divide by the pnorm group size")
 
 
 def _specs(config: CTDNNConfig):
+    """The layer stack; its temporal and frequency geometry is fixed."""
     return [
-        LayerSpec("conv2d", kernel_t=config.conv1_time, kernel_f=config.conv1_freq,
-                  channels=config.conv1_channels, t_lo=-(config.conv1_time // 2),
-                  stride_f=config.conv1_freq_stride),
-        LayerSpec("maxpool", window_f=config.pool_freq),
-        LayerSpec("conv2d", kernel_t=config.conv2_time, kernel_f=config.conv2_freq,
-                  channels=config.conv2_channels, t_lo=-(config.conv2_time // 2),
-                  stride_f=config.conv2_freq_stride),
-        LayerSpec("maxpool", window_f=config.pool_freq),
+        LayerSpec("conv2d", kernel_t=4, kernel_f=5, channels=config.conv1_channels,
+                  t_lo=-2, stride_f=2),
+        LayerSpec("maxpool", window_f=2),
+        LayerSpec("conv2d", kernel_t=3, kernel_f=4, channels=config.conv2_channels,
+                  t_lo=-1, stride_f=1),
+        LayerSpec("maxpool", window_f=2),
         LayerSpec("affine", dim=config.bottleneck_dim),
-        LayerSpec("timedelay", offsets=list(config.td1_offsets), dim=config.td_hidden),
+        LayerSpec("timedelay", offsets=[-1, 2], dim=config.td_hidden),
         LayerSpec("pnorm", group=config.pnorm_group),
-        LayerSpec("timedelay", offsets=list(config.td2_offsets), dim=config.td_hidden),
+        LayerSpec("timedelay", offsets=[-2, 1], dim=config.td_hidden),
         LayerSpec("pnorm", group=config.pnorm_group),
         LayerSpec("affine", dim=config.feature_dim),
         LayerSpec("lengthnorm"),
@@ -110,17 +98,13 @@ def build_phone_blind(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkG
     return _build(config, seed, dtype)
 
 
-def build_phone_aware(config: CTDNNConfig, linguistic_dim=None, seed=0,
-                      dtype=np.float32) -> NetworkGraph:
+def build_phone_aware(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkGraph:
     """Phone-blind structure plus a per-frame linguistic-factor input.
 
-    The factor is concatenated to the bottleneck output just before the first
-    time-delay layer.
+    The ``factor_dim``-wide factor is concatenated to the bottleneck output
+    just before the first time-delay layer.
     """
-    dim = config.factor_dim if linguistic_dim is None else linguistic_dim
-    if dim < 1:
-        raise InvalidArgumentError("linguistic factor dim must be >= 1")
-    return _build(config, seed, dtype, aux={"layer": 5, "dim": dim})  # first timedelay
+    return _build(config, seed, dtype, aux={"layer": 5, "dim": config.factor_dim})
 
 
 def receptive_field(graph: NetworkGraph) -> int:
@@ -171,6 +155,9 @@ def dvector(frame_features: np.ndarray) -> np.ndarray:
     return frame_features.mean(axis=0)
 
 
+MIN_VAL_ITEMS = 2  # held-out utterances, however small ``val_fraction``
+
+
 class ChunkDataset:
     """Fixed-length chunk sampler over utterance-level arrays.
 
@@ -186,12 +173,12 @@ class ChunkDataset:
     """
 
     def __init__(self, items, chunk_frames=24, batch_chunks=8, val_fraction=0.05,
-                 seed=0, min_val_items=2):
+                 seed=0):
         if not items:
             raise InvalidArgumentError("dataset is empty")
         rng = derive_rng(seed, "dataset-split")
         order = rng.permutation(len(items))
-        n_val = max(min_val_items, int(round(val_fraction * len(items))))
+        n_val = max(MIN_VAL_ITEMS, int(round(val_fraction * len(items))))
         n_val = min(n_val, max(1, len(items) - 1))
         val_idx = set(order[:n_val].tolist())
         self.train_items = [it for i, it in enumerate(items) if i not in val_idx]

@@ -76,10 +76,7 @@ def make_trials(manifest, condition) -> TrialList:
     lang_a, lang_b, cross = parse_condition(condition)
     speaker_of = {}
     utts = {lang_a: [], lang_b: []}
-    train = set(manifest.train_speakers)
-    for rec in manifest.records:
-        if rec.speaker_id in train:
-            continue
+    for rec in manifest.utterances("eval"):
         speaker_of[rec.utterance_id] = rec.speaker_id
         if rec.language_id in utts:
             utts[rec.language_id].append(rec.utterance_id)
@@ -173,14 +170,12 @@ def _sweep_thresholds(scores):
     return np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
 
 
-def compute_eer(target_scores, nontarget_scores=None) -> EERResult:
+def compute_eer(target_scores, nontarget_scores) -> EERResult:
     """EER at the interpolated FAR/FRR crossing over midpoint thresholds.
 
-    Accepts either a ScoreSet or two score arrays. Acceptance is score >=
-    threshold, so FAR falls and FRR rises as the threshold sweeps upward.
+    Acceptance is score >= threshold, so FAR falls and FRR rises as the
+    threshold sweeps upward.
     """
-    if nontarget_scores is None:
-        target_scores, nontarget_scores = target_scores.split()
     tar = np.asarray(target_scores, dtype=np.float64)
     non = np.asarray(nontarget_scores, dtype=np.float64)
     if tar.size == 0 or non.size == 0:
@@ -202,20 +197,17 @@ def compute_eer(target_scores, nontarget_scores=None) -> EERResult:
                      n_target=int(tar.size), n_nontarget=int(non.size))
 
 
-def results_table(results, conditions, systems=None, metrics=METRICS):
+def results_table(results, conditions):
     """Render the (system, metric, condition) -> EERResult grid.
 
-    Returns (tsv, aligned_text). Rows are grouped by system then metric in a
-    fixed order; missing cells render as "-".
+    Returns (tsv, aligned_text). Rows are grouped by system then metric in
+    ``SYSTEMS`` and ``METRICS`` order; missing cells render as "-", and a row
+    with no cell is left out.
     """
-    if systems is None:
-        known = [s for s in SYSTEMS if any(k[0] == s for k in results)]
-        extra = sorted({k[0] for k in results} - set(known))
-        systems = known + extra
     header = ["System", "Metric"] + [f"{c} EER%" for c in conditions]
     rows = []
-    for system in systems:
-        for metric in metrics:
+    for system in SYSTEMS:
+        for metric in METRICS:
             cells = []
             any_present = False
             for cond in conditions:

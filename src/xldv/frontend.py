@@ -6,12 +6,12 @@ context is edge-replicated throughout: ``edge_index`` is the one gather rule
 for deltas here and for splicing, chunking and network time context elsewhere.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 SAMPLE_RATE = 8000
 FRAME_LENGTH_MS = 25.0
@@ -107,14 +107,6 @@ def mel_filterbank(n_filters, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=20.0, f
         down = (hi - bin_freqs) / (hi - ctr)
         weights[j] = np.clip(np.minimum(up, down), 0.0, None)
     return weights
-
-
-def filter_band_edges(n_filters, sample_rate=SAMPLE_RATE, fmin=20.0, fmax=None):
-    """(low, high) Hz support of each triangular filter."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_filters + 2))
-    return [(edges[j], edges[j + 2]) for j in range(n_filters)]
 
 
 def _power_spectrum(utterance):

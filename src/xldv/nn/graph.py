@@ -75,10 +75,6 @@ class NetworkGraph:
         self.output_shape = shape
         self._caches = None
 
-    @property
-    def n_parameters(self):
-        return sum(int(np.prod(p.shape)) for l in self.layers for p in l.params.values())
-
     def parameters(self):
         """Yield (layer_index, name, array) for every parameter tensor."""
         for i, layer in enumerate(self.layers):
@@ -142,13 +138,6 @@ class NetworkGraph:
                 dx = dx[:, :, : dx.shape[2] - self.aux["dim"]]
         self._caches = None
         return grads, dx
-
-    def astype(self, dtype):
-        """In-place parameter dtype conversion (64-bit for gradient checks)."""
-        self.dtype = np.dtype(dtype)
-        for layer in self.layers:
-            layer.astype(self.dtype)
-        return self
 
     def find_first_nonfinite(self, x, aux=None):
         """Name the first layer producing non-finite values, or None."""

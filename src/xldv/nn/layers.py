@@ -57,9 +57,6 @@ class Layer:
         """Returns (dx, grads dict aligned with self.params)."""
         raise NotImplementedError
 
-    def astype(self, dtype):
-        self.params = {k: v.astype(dtype) for k, v in self.params.items()}
-
     def _bad(self, msg):
         return InvalidArgumentError(f"layer {self.name} ({self.kind}): {msg}")
 

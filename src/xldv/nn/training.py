@@ -13,6 +13,10 @@ from .graph import softmax_xent
 log = logging.getLogger(__name__)
 
 
+MIN_REL_IMPROVEMENT = 0.01
+PATIENCE = 3
+
+
 @dataclass
 class TrainState:
     """Trainer hyperparameters and mutable progress counters."""
@@ -22,8 +26,6 @@ class TrainState:
     max_epochs: int = 10
     batches_per_epoch: int = 100
     seed: int = 0
-    min_rel_improvement: float = 0.01
-    patience: int = 3
     epoch: int = 0
     history: list = field(default_factory=list)
 
@@ -78,8 +80,8 @@ def train(graph, data, state: TrainState) -> TrainResult:
     ``data`` provides ``train_batch(rng) -> (x, aux, labels)`` and a
     ``val_batches`` list in the same layout (labels flattened over
     batch*time). The learning rate halves whenever validation loss fails to
-    improve by at least ``min_rel_improvement`` relatively; training stops
-    after ``max_epochs`` or ``patience`` consecutive non-improvements.
+    improve by at least ``MIN_REL_IMPROVEMENT`` relatively; training stops
+    after ``max_epochs`` or ``PATIENCE`` consecutive non-improvements.
     """
     rng = derive_rng(state.seed, "train")
     velocity = [dict() for _ in graph.layers]
@@ -105,7 +107,7 @@ def train(graph, data, state: TrainState) -> TrainResult:
             train_loss += loss
         train_loss /= max(state.batches_per_epoch, 1)
         val_loss, val_acc = _evaluate(graph, data.val_batches)
-        improved = val_loss < best_val * (1.0 - state.min_rel_improvement)
+        improved = val_loss < best_val * (1.0 - MIN_REL_IMPROVEMENT)
         state.history.append(
             {
                 "epoch": epoch,
@@ -128,7 +130,7 @@ def train(graph, data, state: TrainState) -> TrainResult:
         else:
             fails += 1
             lr *= 0.5
-            if fails >= state.patience:
+            if fails >= PATIENCE:
                 log.info("stopping after %d non-improvements", fails)
                 break
     return TrainResult(val_loss, val_acc, state.epoch, state.history)

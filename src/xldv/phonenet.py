@@ -3,9 +3,8 @@
 The classifier is a small stack of time-delay layers (with pnorm
 nonlinearities) over log-mel input, ending in an affine map onto the phone
 set. A rank-r SVD of that final affine transform gives the factor extractor:
-per frame, factor = sqrt(S_r) V_r^T h where h is the last hidden activation.
-The balanced square-root split is the default; V_r^T h is available as the
-"unbalanced" variant.
+per frame, factor = sqrt(S_r) V_r^T h where h is the last hidden activation
+(the balanced square-root split of S_r).
 """
 
 import logging
@@ -25,25 +24,20 @@ log = logging.getLogger(__name__)
 class PhoneNetConfig:
     n_phones: int
     n_mels: int = 40
-    td_offsets: tuple = (-2, 0, 2)
     td_hidden: int = 256
-    pnorm_group: int = 2
     n_stages: int = 2
 
     def validate(self):
         if self.n_phones < 1:
             raise InvalidArgumentError("need at least 1 phone")
-        if self.td_hidden % self.pnorm_group:
-            raise InvalidArgumentError("td_hidden must divide by the pnorm group size")
 
 
 def build_phone_classifier(config: PhoneNetConfig, seed=0, dtype=np.float32) -> NetworkGraph:
     config.validate()
     specs = []
     for _ in range(config.n_stages):
-        specs.append(LayerSpec("timedelay", offsets=list(config.td_offsets),
-                               dim=config.td_hidden))
-        specs.append(LayerSpec("pnorm", group=config.pnorm_group))
+        specs.append(LayerSpec("timedelay", offsets=[-2, 0, 2], dim=config.td_hidden))
+        specs.append(LayerSpec("pnorm", group=2))
     specs.append(LayerSpec("affine", dim=config.n_phones))
     specs.append(LayerSpec("softmax-xent"))
     return NetworkGraph(specs, ("vec", config.n_mels), seed=seed, dtype=dtype)
@@ -140,7 +134,6 @@ class LinguisticFactorExtractor:
     v_r: np.ndarray  # (hidden, r), orthonormal columns
     s_r: np.ndarray  # (r,), non-increasing, >= 0
     rank: int
-    balanced: bool = True
 
     def __post_init__(self):
         if np.any(np.diff(self.s_r) > 1e-12):
@@ -150,7 +143,7 @@ class LinguisticFactorExtractor:
             raise InvalidArgumentError("V_r columns must be orthonormal within 1e-6")
 
 
-def svd_decompose(graph: NetworkGraph, rank=40, balanced=True) -> LinguisticFactorExtractor:
+def svd_decompose(graph: NetworkGraph, rank=40) -> LinguisticFactorExtractor:
     """Best rank-r factors of the final affine: W ~ U_r S_r V_r^T (Frobenius)."""
     w = final_affine(graph)  # (P, H)
     r_max = min(w.shape)
@@ -165,7 +158,7 @@ def svd_decompose(graph: NetworkGraph, rank=40, balanced=True) -> LinguisticFact
         u, s, v = jacobi_svd(w)
         v_full = v
     return LinguisticFactorExtractor(
-        v_r=v_full[:, :rank].copy(), s_r=s[:rank].copy(), rank=rank, balanced=balanced
+        v_r=v_full[:, :rank].copy(), s_r=s[:rank].copy(), rank=rank
     )
 
 
@@ -188,12 +181,9 @@ def hidden_activations(graph: NetworkGraph, feat: FeatureMatrix) -> np.ndarray:
 
 def linguistic_factor(extractor: LinguisticFactorExtractor, graph: NetworkGraph,
                       feat: FeatureMatrix) -> np.ndarray:
-    """Per-frame factor, (T, r): sqrt(S_r) V_r^T h (or V_r^T h unbalanced)."""
+    """Per-frame factor, (T, r): sqrt(S_r) V_r^T h."""
     h = hidden_activations(graph, feat)
-    proj = h @ extractor.v_r
-    if extractor.balanced:
-        proj = proj * np.sqrt(extractor.s_r)
-    return proj
+    return h @ extractor.v_r * np.sqrt(extractor.s_r)
 
 
 def save_extractor(path, extractor: LinguisticFactorExtractor):
@@ -202,7 +192,7 @@ def save_extractor(path, extractor: LinguisticFactorExtractor):
     archive.save_checkpoint(
         path,
         {"kind": "svd-factor", "section": "SVDF", "rank": extractor.rank,
-         "balanced": extractor.balanced},
+         "balanced": True},
         {"SVDF.V_r": extractor.v_r, "SVDF.S_r": extractor.s_r},
     )
 
@@ -212,6 +202,5 @@ def load_extractor(path) -> LinguisticFactorExtractor:
 
     header, tensors = archive.load_checkpoint(path)
     return LinguisticFactorExtractor(
-        v_r=tensors["SVDF.V_r"], s_r=tensors["SVDF.S_r"],
-        rank=header["rank"], balanced=header["balanced"],
+        v_r=tensors["SVDF.V_r"], s_r=tensors["SVDF.S_r"], rank=header["rank"]
     )

@@ -250,21 +250,11 @@ def _load_manifest(ctx: Context) -> corpus.CorpusManifest:
     return corpus.CorpusManifest.load(ctx.path(CORPUS_DIR))
 
 
-def _train_records(manifest):
-    train = set(manifest.train_speakers)
-    return [r for r in manifest.records if r.speaker_id in train]
-
-
-def _eval_records(manifest):
-    train = set(manifest.train_speakers)
-    return [r for r in manifest.records if r.speaker_id not in train]
-
-
 def _backend_subset(manifest, per_speaker):
     """First N train utterances per speaker (by utterance id) for back-ends."""
     chosen = []
     by_spk = {}
-    for rec in sorted(_train_records(manifest), key=lambda r: r.utterance_id):
+    for rec in sorted(manifest.utterances("train"), key=lambda r: r.utterance_id):
         taken = by_spk.setdefault(rec.speaker_id, 0)
         if taken < per_speaker:
             by_spk[rec.speaker_id] += 1
@@ -310,12 +300,12 @@ def stage_train_asr(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
     feats = archive.archive_read_dict(ctx.path(FBANK))
-    train_feats = [feats[r.utterance_id] for r in _train_records(manifest)]
+    train_feats = [feats[r.utterance_id] for r in manifest.utterances("train")]
     labels = {
         r.utterance_id: corpus.expand_labels(
             manifest.labels[r.utterance_id], feats[r.utterance_id].n_frames
         )
-        for r in _train_records(manifest)
+        for r in manifest.utterances("train")
     }
     net_config = phonenet.PhoneNetConfig(
         n_phones=cfg["corpus.n_phones"],
@@ -361,7 +351,7 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
     feats = archive.archive_read_dict(ctx.path(FBANK))
-    train_recs = _train_records(manifest)
+    train_recs = manifest.utterances("train")
     net_config = _ctdnn_config(cfg)
     labels = ctdnn.contiguous_labels(manifest.train_speakers)
     factors_by_utt = None
@@ -414,7 +404,7 @@ def _ubm_sample(ctx: Context):
     they are not held through UBM training.
     """
     cfg = ctx.config
-    train_ids = {r.utterance_id for r in _train_records(_load_manifest(ctx))}
+    train_ids = {r.utterance_id for r in _load_manifest(ctx).utterances("train")}
     frames = np.concatenate([
         feat.data for feat in archive.archive_stream(ctx.path(MFCC))
         if feat.utterance_id in train_ids
@@ -461,7 +451,7 @@ def stage_train_tv(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
     ubm = load_ubm(ctx.path(UBM_MODEL))
-    train_ids = {r.utterance_id for r in _train_records(manifest)}
+    train_ids = {r.utterance_id for r in manifest.utterances("train")}
     stats = []
     for feat in archive.archive_stream(ctx.path(MFCC)):
         if feat.utterance_id in train_ids:
@@ -491,7 +481,7 @@ def stage_extract(ctx: Context):
     manifest = _load_manifest(ctx)
     splits = dict(zip(SPLITS, (
         _backend_subset(manifest, cfg["backend.train_utts_per_speaker"]),
-        _eval_records(manifest),
+        manifest.utterances("eval"),
     )))
     net_config = _ctdnn_config(cfg)
     feats = archive.archive_read_dict(ctx.path(FBANK))
@@ -601,7 +591,7 @@ def stage_eval(ctx: Context):
                 scores = evalkit.ScoreSet.load(
                     ctx.path(score_file(system, metric, cond)), trials
                 )
-                res = evalkit.compute_eer(scores)
+                res = evalkit.compute_eer(*scores.split())
                 lines.append(
                     f"{system}\t{metric}\t{cond}\t{res.eer:.6f}\t"
                     f"{res.threshold:.8e}\t{res.n_target}\t{res.n_nontarget}\n"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from xldv.archive import (
-    archive_read,
     archive_read_dict,
     archive_stream,
     archive_write,
@@ -30,7 +29,7 @@ class TestFeatureArchive:
         feats = random_feats(3, np.random.default_rng(0))
         path = tmp_path / "a.farc"
         archive_write(feats, path)
-        back = archive_read(path)
+        back = list(archive_stream(path))
         assert len(back) == 3
         for a, b in zip(feats, back):
             assert a.utterance_id == b.utterance_id
@@ -43,7 +42,7 @@ class TestFeatureArchive:
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "empty.farc"
         archive_write([], path)
-        assert archive_read(path) == []
+        assert list(archive_stream(path)) == []
 
     def test_duplicate_id_rejected(self, tmp_path):
         feats = random_feats(2, np.random.default_rng(1))
@@ -59,7 +58,7 @@ class TestFeatureArchive:
         truncated = tmp_path / "trunc.farc"
         truncated.write_bytes(blob[:-7])
         with pytest.raises(FormatError) as err:
-            archive_read(truncated)
+            list(archive_stream(truncated))
         assert err.value.record == "utt2"
         assert err.value.offset is not None
 
@@ -72,7 +71,7 @@ class TestFeatureArchive:
         bad = tmp_path / "bad.farc"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            archive_read(bad)
+            list(archive_stream(bad))
 
     def test_streaming_read_one_at_a_time(self, tmp_path):
         feats = random_feats(5, np.random.default_rng(4))

@@ -14,7 +14,6 @@ from xldv.config import (
     ExperimentConfig,
     load_config,
     parse_config_text,
-    validate_config,
 )
 from xldv.errors import ConfigError
 
@@ -59,7 +58,7 @@ class TestConfig:
     def test_empty_file_materializes_all_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("")
-        report = validate_config(path)
+        report = load_config(path).report()
         assert "corpus.n_train_speakers = 200" in report
         assert "ctdnn.bottleneck_dim = 512" in report
         assert "ctdnn.feature_dim = 400" in report
@@ -72,7 +71,7 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("corpus.n_train_speakers = 10\ncorpus.n_phoness = 3\n")
         with pytest.raises(ConfigError, match="line 2"):
-            validate_config(path)
+            load_config(path).report()
 
     def test_type_error_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -85,7 +84,7 @@ class TestConfig:
             "ivector.n_components = 2048\n"
             "ivector.dim = 400\n"
         )
-        report = validate_config(path)
+        report = load_config(path).report()
         assert "flag: large-scale" in report
         assert "ivector.n_components = 2048" in report
 

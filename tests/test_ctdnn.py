@@ -66,7 +66,7 @@ class TestStructure:
 
 class TestReceptiveFieldProbe:
     def test_symbolic_equals_empirical_probe(self):
-        g = build_phone_blind(SMALL, seed=1).astype(np.float64)
+        g = build_phone_blind(SMALL, seed=1, dtype=np.float64)
         rng = derive_rng(0, "probe")
         t_total, center = 48, 24
         base_feat = rng.normal(size=(t_total, 40))
@@ -102,8 +102,8 @@ class TestPhoneAware:
         assert td_in == ("vec", 512 + 40)
 
     def test_zero_factor_matches_blind_graph_with_zeroed_columns(self):
-        blind = build_phone_blind(SMALL, seed=3).astype(np.float64)
-        aware = build_phone_aware(SMALL, seed=3).astype(np.float64)
+        blind = build_phone_blind(SMALL, seed=3, dtype=np.float64)
+        aware = build_phone_aware(SMALL, seed=3, dtype=np.float64)
         # copy blind parameters into the aware graph; the aware TD1 keeps
         # zero weight on the factor rows of each gathered frame block
         for i, layer in enumerate(aware.layers):
@@ -128,7 +128,7 @@ class TestPhoneAware:
         )
 
     def test_factor_perturbation_changes_same_frame_output(self):
-        g = build_phone_aware(SMALL, seed=4).astype(np.float64)
+        g = build_phone_aware(SMALL, seed=4, dtype=np.float64)
         rng = derive_rng(2, "factor-probe")
         feat = FeatureMatrix("u", "s", "L", rng.normal(size=(30, 40)))
         factors = rng.normal(size=(30, SMALL.factor_dim))
@@ -156,7 +156,7 @@ class TestExtraction:
 
     def test_identical_windows_give_identical_rows(self):
         # the frame feature is a function of its 20-frame input window only
-        g = build_phone_blind(SMALL, seed=6).astype(np.float64)
+        g = build_phone_blind(SMALL, seed=6, dtype=np.float64)
         rng = derive_rng(3, "window")
         window = rng.normal(size=(20, 40))
         left = rng.normal(size=(8, 40))
@@ -234,7 +234,7 @@ def micro_corpus(tmp_path_factory):
 
     feats = [
         cmvn(fbank(load_utterance(manifest, rec)))
-        for rec in manifest.utterances(split="train")
+        for rec in manifest.utterances("train")
     ]
     return manifest, feats
 

@@ -209,7 +209,7 @@ class TestComputeEer:
         tar, non = scores.split()
         assert len(tar) == trials.n_target
         assert len(non) == trials.n_nontarget
-        res = compute_eer(scores)
+        res = compute_eer(*scores.split())
         assert 0.0 <= res.eer <= 1.0
 
 

@@ -29,7 +29,10 @@ class TestGraphBuild:
     def test_parameter_count_reproducible_from_specs(self):
         g1 = build_phone_blind(SMALL, seed=1)
         g2 = build_phone_blind(SMALL, seed=99)
-        assert g1.n_parameters == g2.n_parameters
+        def shapes(g):
+            return [(i, name, p.shape) for i, name, p in g.parameters()]
+
+        assert shapes(g1) == shapes(g2)
 
     def test_deterministic_init(self):
         g1 = build_phone_blind(SMALL, seed=7)
@@ -43,7 +46,7 @@ class TestGraphBuild:
             g.backward(np.zeros((1, 3, 4)))
 
     def test_checkpoint_round_trip(self, tmp_path):
-        g = build_phone_blind(SMALL, seed=3).astype(np.float64)
+        g = build_phone_blind(SMALL, seed=3, dtype=np.float64)
         path = tmp_path / "g.nnck"
         g.save(path, extra_header={"variant": "phone-blind"})
         g2, header = NetworkGraph.from_checkpoint(path)
@@ -54,7 +57,7 @@ class TestGraphBuild:
 
 class TestBackwardProperties:
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
-        g = build_phone_blind(SMALL, seed=2).astype(np.float64)
+        g = build_phone_blind(SMALL, seed=2, dtype=np.float64)
         x = np.random.default_rng(1).normal(size=(1, 5, 40, 9))
         g.forward(x, want_cache=True)
         grads, _ = g.backward(np.zeros((1, 5, 4)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xldv.archive import load_checkpoint
 from xldv.corpus import (
     CorpusConfig,
     build_corpus,
@@ -138,16 +139,6 @@ class TestLinguisticFactor:
             expected = np.diag(np.sqrt(ex.s_r)) @ ex.v_r.T @ h[t]
             np.testing.assert_allclose(out[t], expected, atol=1e-10)
 
-    def test_unbalanced_variant(self):
-        _, g = random_classifier(seed=11)
-        ex = svd_decompose(g, rank=5, balanced=False)
-        rng = np.random.default_rng(2)
-        feat = FeatureMatrix("u", "s", "L", rng.normal(size=(4, 40)))
-        h = hidden_activations(g, feat)
-        np.testing.assert_allclose(
-            linguistic_factor(ex, g, feat), h @ ex.v_r, atol=1e-12
-        )
-
     def test_extractor_round_trip(self, tmp_path):
         _, g = random_classifier(seed=12)
         ex = svd_decompose(g, rank=7)
@@ -156,7 +147,8 @@ class TestLinguisticFactor:
         back = load_extractor(path)
         np.testing.assert_array_equal(back.v_r, ex.v_r)
         np.testing.assert_array_equal(back.s_r, ex.s_r)
-        assert back.rank == 7 and back.balanced
+        assert back.rank == 7
+        assert load_checkpoint(path)[0]["balanced"] is True
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +160,7 @@ def labeled_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("phones")
     manifest = build_corpus(config, 55, root / "corpus")
     feats, labels = [], {}
-    for rec in manifest.utterances(split="train"):
+    for rec in manifest.utterances("train"):
         feat = cmvn(fbank(load_utterance(manifest, rec)))
         feats.append(feat)
         labels[rec.utterance_id] = expand_labels(
@@ -193,7 +185,7 @@ class TestTrainPhoneClassifier:
         )
         manifest = build_corpus(config, 66, tmp_path / "corpus")
         feats, labels = [], {}
-        for rec in manifest.utterances(split="train"):
+        for rec in manifest.utterances("train"):
             feat = cmvn(fbank(load_utterance(manifest, rec)))
             feats.append(feat)
             labels[rec.utterance_id] = expand_labels(
