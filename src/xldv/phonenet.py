@@ -86,47 +86,6 @@ def train_phone_classifier(graph: NetworkGraph, dataset, state: TrainState):
     return train(graph, dataset, state)
 
 
-def jacobi_svd(a: np.ndarray, tol=1e-10, max_sweeps=60):
-    """One-sided Jacobi SVD of a (m x n, m >= n) matrix: a = U diag(s) V^T.
-
-    Rotates column pairs until the off-diagonal mass of A^T A is below
-    ``tol`` relative to its diagonal. Returns U (m x n), s (n,) descending,
-    V (n x n).
-    """
-    a = np.array(a, dtype=np.float64)
-    m, n = a.shape
-    if m < n:
-        raise InvalidArgumentError("jacobi_svd expects m >= n")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p] @ a[:, q]
-                app = a[:, p] @ a[:, p]
-                aqq = a[:, q] @ a[:, q]
-                off = max(off, abs(apq) / max(np.sqrt(app * aqq), 1e-300))
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if off <= tol:
-            break
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    v = v[:, order]
-    u = a[:, order]
-    nonzero = sigma > 1e-300
-    u[:, nonzero] /= sigma[nonzero]
-    return u, sigma, v
-
-
 @dataclass
 class LinguisticFactorExtractor:
     """Truncated factors of the classifier's final affine transform."""
@@ -144,22 +103,20 @@ class LinguisticFactorExtractor:
 
 
 def svd_decompose(graph: NetworkGraph, rank=40) -> LinguisticFactorExtractor:
-    """Best rank-r factors of the final affine: W ~ U_r S_r V_r^T (Frobenius)."""
+    """Best rank-r factors of the final affine: W ~ U_r S_r V_r^T (Frobenius).
+
+    Each singular pair's sign is fixed so that the largest-magnitude entry of
+    its V column is positive; the factors then depend on W alone, not on the
+    signs LAPACK happens to return.
+    """
     w = final_affine(graph)  # (P, H)
     r_max = min(w.shape)
     if not 1 <= rank <= r_max:
         raise InvalidArgumentError(f"rank {rank} outside 1..{r_max}")
-    # one-sided Jacobi needs m >= n; W^T is (H, P) with H >= P in our nets,
-    # and W^T = U' S V'^T gives W = V' S U'^T, so V_r comes from U'.
-    if w.shape[0] <= w.shape[1]:
-        u_t, s, v_t = jacobi_svd(w.T)
-        v_full = u_t
-    else:
-        u, s, v = jacobi_svd(w)
-        v_full = v
-    return LinguisticFactorExtractor(
-        v_r=v_full[:, :rank].copy(), s_r=s[:rank].copy(), rank=rank
-    )
+    _, s, vt = np.linalg.svd(w, full_matrices=False)
+    v_r = vt[:rank].T.copy()
+    v_r *= np.sign(v_r[np.abs(v_r).argmax(axis=0), np.arange(rank)])
+    return LinguisticFactorExtractor(v_r=v_r, s_r=s[:rank], rank=rank)
 
 
 def reconstruct_low_rank(graph: NetworkGraph, extractor: LinguisticFactorExtractor):

@@ -20,7 +20,6 @@ from xldv.phonenet import (
     build_phone_classifier,
     final_affine,
     hidden_activations,
-    jacobi_svd,
     linguistic_factor,
     load_extractor,
     make_phone_dataset,
@@ -31,22 +30,6 @@ from xldv.phonenet import (
 )
 
 SMALL_NET = PhoneNetConfig(n_phones=10, td_hidden=32)
-
-
-class TestJacobiSvd:
-    def test_matches_lapack_singular_values(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(30, 12))
-        _, s, _ = jacobi_svd(a)
-        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), atol=1e-9)
-
-    def test_reconstructs_input(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(20, 8))
-        u, s, v = jacobi_svd(a)
-        np.testing.assert_allclose(u * s @ v.T, a, atol=1e-9)
-        np.testing.assert_allclose(u.T @ u, np.eye(8), atol=1e-9)
-        np.testing.assert_allclose(v.T @ v, np.eye(8), atol=1e-9)
 
 
 def random_classifier(seed=0, n_phones=10, hidden=32):
@@ -106,6 +89,18 @@ class TestSvdDecompose:
         assert np.all(np.diff(ex.s_r) <= 1e-12)
         assert np.all(ex.s_r >= 0)
         np.testing.assert_allclose(ex.v_r.T @ ex.v_r, np.eye(8), atol=1e-6)
+
+    def test_sign_convention_fixes_each_v_column(self):
+        # the largest-magnitude entry of each V_r column is positive, so W and
+        # -W (whose singular vectors LAPACK may return with either sign) give
+        # the same factors
+        _, g = random_classifier(seed=8)
+        ex = svd_decompose(g, rank=6)
+        assert np.all(ex.v_r[np.abs(ex.v_r).argmax(axis=0), np.arange(6)] > 0)
+        _, _, vt = np.linalg.svd(final_affine(g))
+        np.testing.assert_allclose(np.abs(ex.v_r), np.abs(vt[:6].T), atol=1e-12)
+        g.layers[-2].params["W"] = -g.layers[-2].params["W"]
+        np.testing.assert_allclose(svd_decompose(g, rank=6).v_r, ex.v_r, atol=1e-12)
 
     def test_rank_out_of_range(self):
         _, g = random_classifier(seed=7)
