@@ -184,8 +184,12 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     """Load a config file (optional) and apply ``--set key=value`` overrides."""
     values = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            values = parse_config_text(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        values = parse_config_text(text)
     config = ExperimentConfig(values)
     for item in overrides:
         if "=" not in item:

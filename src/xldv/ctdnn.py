@@ -107,12 +107,6 @@ def build_phone_aware(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkG
     return _build(config, seed, dtype, aux={"layer": 5, "dim": config.factor_dim})
 
 
-def receptive_field(graph: NetworkGraph) -> int:
-    """Symbolic temporal context (frames) of one output/feature frame."""
-    lo, hi = graph.time_span()
-    return hi - lo + 1
-
-
 def _splice_maps(frames, rows, config: CTDNNConfig) -> np.ndarray:
     """(len(rows), n_mels, splice) maps centred on ``rows`` of (T, n_mels) frames."""
     offsets = range(-config.splice_left, config.splice_right + 1)

@@ -25,10 +25,6 @@ class GradCheckReport:
     tolerance: float
     probes: list = field(default_factory=list)  # (layer name, param, index, rel err)
 
-    @property
-    def passed(self):
-        return self.max_rel_err < self.tolerance
-
 
 def _loss(graph, x, aux, labels):
     logits = graph.forward(x, aux=aux)

@@ -37,7 +37,7 @@ class NetworkGraph:
 
     ``input_shape`` is ("map", freq, chan) or ("vec", dim); ``input_context``
     is the (lo, hi) frame context already baked into each input frame by the
-    front-end (e.g. (-4, 4) for a +-4 splice), counted by receptive_field.
+    front-end (e.g. (-4, 4) for a +-4 splice), counted by ``time_span``.
     ``aux`` optionally concatenates a per-frame auxiliary input of width
     ``aux["dim"]`` to the activations entering layer ``aux["layer"]``.
     """

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xldv
 from xldv import archive, evalkit, pipeline
 from xldv.cli import main
 from xldv.config import (
@@ -193,6 +196,17 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("xldv: error: config:")
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, kind):
+        path = {"missing": tmp_path / "none.ini", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.ini"}[kind]
+        if kind == "not-utf8":
+            path.write_bytes(b"# \xe9\n")
+        code = main(["validate-config", "--config", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"xldv: error: config: cannot read {path}")
+
     @pytest.mark.parametrize("key, value", [
         ("ctdnn.factor_injection", "bottleneck"),
         ("experiment.deterministic", "true"),
@@ -242,6 +256,27 @@ class TestCli:
 
 
 class TestDeterminism:
+    def test_gemm_bits_do_not_depend_on_blas_thread_env(self):
+        # OpenBLAS rounds this float32 GEMM (K = 1104, the phone-aware TD #1)
+        # differently at 1 and 2 threads; importing xldv first pins 1 thread
+        script = (
+            "import hashlib, sys, xldv\n"
+            "import numpy as np\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = rng.standard_normal((384, 1104)).astype(np.float32)\n"
+            "b = rng.standard_normal((1104, 256)).astype(np.float32)\n"
+            "sys.stdout.write(hashlib.sha256((a @ b).tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(xldv.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(out.stdout)
+        assert digests[0] == digests[1]
+
     def test_two_runs_byte_identical_reports(self, tiny_run, tmp_path):
         other = tmp_path / "run2"
         code = main(["all"] + tiny_args(other))

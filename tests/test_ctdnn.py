@@ -13,7 +13,6 @@ from xldv.ctdnn import (
     extract_frame_features,
     feature_layer_index,
     make_speaker_dataset,
-    receptive_field,
     to_input_tensor,
     train_ctdnn,
 )
@@ -26,6 +25,12 @@ SMALL = CTDNNConfig(
     td_hidden=8, feature_dim=12, factor_dim=5,
 )
 DEFAULT = CTDNNConfig(n_speakers=200)
+
+
+def receptive_field(graph):
+    """Frames of input context behind one output frame."""
+    lo, hi = graph.time_span()
+    return hi - lo + 1
 
 
 class TestStructure:

@@ -19,7 +19,7 @@ def test_identity_affine_layer_passes():
         ("vec", 4), dtype=np.float64,
     )
     report = grad_check(g, n_probes=30, seed=0)
-    assert report.passed
+    assert report.max_rel_err < report.tolerance
     assert report.max_rel_err < 1e-6
 
 
@@ -39,14 +39,14 @@ def test_each_layer_kind_in_isolation():
     for specs, in_shape in cases:
         g = NetworkGraph(specs, in_shape, dtype=np.float64, seed=3)
         report = grad_check(g, n_probes=40, seed=1)
-        assert report.passed, (specs[0].kind, report.max_rel_err)
+        assert report.max_rel_err < report.tolerance, (specs[0].kind, report.max_rel_err)
 
 
 def test_full_phone_blind_graph():
     g = build_phone_blind(SMALL, seed=2, dtype=np.float64)
     report = grad_check(g, n_probes=80, seed=4)
     assert report.max_rel_err < 1e-3
-    assert report.passed
+    assert report.max_rel_err < report.tolerance
 
 
 def test_full_phone_aware_graph():
