@@ -161,8 +161,8 @@ class PLDAModel:
     phi_w: np.ndarray  # within-class covariance, PD
     objective: list = field(default_factory=list)
     # simultaneous diagonalization cache: V^T phi_w V = I, V^T phi_b V = diag(psi)
-    _v: np.ndarray = None
-    _psi: np.ndarray = None
+    _v: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _psi: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def diagonalized(self):
         if self._v is None:
@@ -177,44 +177,50 @@ class PLDAModel:
 
 
 def _floor_spd(mat, floor):
-    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    sym = (mat + mat.T) / 2.0
+    evals, evecs = np.linalg.eigh(sym)
     if evals.min() >= floor:
-        return (mat + mat.T) / 2.0, False
+        return sym, False
     return (evecs * np.maximum(evals, floor)) @ evecs.T, True
 
 
+def _cholesky(mat, name):
+    try:
+        return scipy.linalg.cholesky(mat, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NumericError(f"{name} lost positive definiteness") from None
+
+
 def _plda_loglik(x, labels, mu, phi_b, phi_w):
-    """Exact marginal log-likelihood of the two-covariance model."""
+    """Exact marginal log-likelihood of the two-covariance model.
+
+    A class of n vectors splits into its mean, ~ N(mu, Phi_b + Phi_w/n), and
+    n - 1 independent within-class directions, ~ N(0, Phi_w) each.
+    """
     labels = np.asarray(labels)
-    total = 0.0
     d = x.shape[1]
-    sign, logdet_w = np.linalg.slogdet(phi_w)
-    if sign <= 0:
-        raise NumericError("within-class covariance lost positive definiteness")
-    inv_w = np.linalg.inv(phi_w)
+    chol_w = _cholesky(phi_w, "within-class covariance")
+    logdet_w = 2.0 * np.log(np.diag(chol_w)).sum()
     by_n = {}
     for cls in sorted(set(labels)):
         xc = x[labels == cls] - mu
         by_n.setdefault(xc.shape[0], []).append(xc)
+    total = 0.0
     for n, groups in by_n.items():
-        cov_mean = phi_b + phi_w / n
-        sign, logdet_m = np.linalg.slogdet(cov_mean)
-        if sign <= 0:
-            raise NumericError("mean covariance lost positive definiteness")
-        inv_m = np.linalg.inv(cov_mean)
-        for xc in groups:
-            xbar = xc.mean(axis=0)
-            dev = xc - xbar
-            total += (
-                -0.5 * (n - 1) * d * np.log(2 * np.pi)
-                - 0.5 * (n - 1) * logdet_w
-                - 0.5 * d * np.log(n)
-                - 0.5 * float(np.einsum("ij,jk,ik->", dev, inv_w, dev))
-                - 0.5 * d * np.log(2 * np.pi)
-                - 0.5 * logdet_m
-                - 0.5 * float(xbar @ inv_m @ xbar)
-            )
-    return total
+        chol_m = _cholesky(phi_b + phi_w / n, "mean covariance")
+        xc = np.stack(groups)  # (classes, n, D)
+        xbar = xc.mean(axis=1)
+        dev = (xc - xbar[:, None, :]).reshape(-1, d)
+        quad_w = np.square(scipy.linalg.solve_triangular(chol_w, dev.T, lower=True)).sum()
+        quad_m = np.square(scipy.linalg.solve_triangular(chol_m, xbar.T, lower=True)).sum()
+        logdet_m = 2.0 * np.log(np.diag(chol_m)).sum()
+        total += len(groups) * (
+            -0.5 * n * d * np.log(2 * np.pi)
+            - 0.5 * (n - 1) * logdet_w
+            - 0.5 * d * np.log(n)
+            - 0.5 * logdet_m
+        ) - 0.5 * (quad_w + quad_m)
+    return float(total)
 
 
 def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
@@ -268,8 +274,6 @@ def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
         if floored:
             log.info("PLDA M-step: within-class covariance floored")
         model.phi_b, model.phi_w = phi_b, phi_w
-        model._v = None
-    model.diagonalized()
     return model
 
 

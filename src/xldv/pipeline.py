@@ -89,6 +89,9 @@ class RunManifest:
     def record(self, stage, config_keys, inputs, outputs, wall_clock, reason):
         previous = self.data["stages"].get(stage, {})
         self.data["tool_version"] = __version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        self.data["blas"] = {"name": blas["name"], "version": blas["version"],
+                             "threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
         self.data["stages"][stage] = {
             "config_keys": config_keys,
             "inputs": inputs,

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from xldv.backend import (
     CosineScorer,
     EmbeddingSet,
     LDAProjection,
+    _plda_loglik,
     center_lengthnorm,
     cosine_score,
     lda_project,
@@ -15,7 +16,7 @@ from xldv.backend import (
     train_lda,
     train_plda,
 )
-from xldv.errors import DegenerateInputError, InvalidArgumentError
+from xldv.errors import DegenerateInputError, InvalidArgumentError, NumericError
 
 
 def monotone(seq, rel=1e-6):
@@ -207,6 +208,45 @@ class TestTrainPlda:
         rng = np.random.default_rng(14)
         with pytest.raises(InvalidArgumentError):
             train_plda(rng.normal(size=(4, 2)), np.arange(4), n_iters=2)
+
+
+class TestPldaObjective:
+    def _case(self):
+        rng = np.random.default_rng(22)
+        d = 3
+        a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+        phi_b = a @ a.T + 0.2 * np.eye(d)
+        phi_w = 0.5 * (b @ b.T) + 0.3 * np.eye(d)
+        labels = np.repeat([0, 1, 2, 3], [1, 2, 2, 5])
+        x = rng.normal(size=(len(labels), d))
+        return x, labels, rng.normal(size=d), phi_b, phi_w
+
+    def test_matches_joint_gaussian_oracle(self):
+        # oracle: a class of n vectors is one n*D Gaussian whose covariance
+        # is Phi_w on the diagonal blocks plus Phi_b in every block
+        x, labels, mu, phi_b, phi_w = self._case()
+        expected = 0.0
+        for cls in np.unique(labels):
+            xc = x[labels == cls]
+            n = xc.shape[0]
+            cov = np.kron(np.eye(n), phi_w) + np.kron(np.ones((n, n)), phi_b)
+            expected += stats.multivariate_normal.logpdf(
+                xc.ravel(), mean=np.tile(mu, n), cov=cov
+            )
+        np.testing.assert_allclose(
+            _plda_loglik(x, labels, mu, phi_b, phi_w), expected, rtol=1e-10
+        )
+
+    def test_indefinite_within_class_covariance_raises(self):
+        x, labels, mu, phi_b, _ = self._case()
+        with pytest.raises(NumericError, match="within-class covariance"):
+            _plda_loglik(x, labels, mu, phi_b, np.diag([1.0, -0.5, 1.0]))
+
+    def test_indefinite_mean_covariance_raises(self):
+        x, labels, mu, _, phi_w = self._case()
+        phi_b = -np.eye(3) * (2.0 * np.linalg.eigvalsh(phi_w).max())
+        with pytest.raises(NumericError, match="mean covariance"):
+            _plda_loglik(x, labels, mu, phi_b, phi_w)
 
 
 def gaussian_pdf(x, var):

@@ -135,6 +135,13 @@ class TestCli:
         assert lines[0] == "System\tMetric\tA-A EER%\tB-B EER%\tA/B EER%"
         assert (tiny_run / "results" / "report.txt").exists()
 
+    def test_manifest_records_blas(self, tiny_run):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        recorded = json.loads((tiny_run / "manifest.json").read_text())["blas"]
+        # importing xldv sets OPENBLAS_NUM_THREADS to 1, whatever it was before
+        assert recorded == {"name": blas["name"], "version": blas["version"], "threads": 1}
+        assert recorded["name"] and recorded["version"]
+
     def test_second_run_is_noop(self, tiny_run, caplog):
         manifest_before = (tiny_run / "manifest.json").read_text()
         code = main(["all"] + tiny_args(tiny_run))

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pathlib
 
 import pytest
 
@@ -110,6 +111,19 @@ class TestBenchmarkContract:
         assert len(stage_templates) == 3
         for template in stage_templates:
             assert f'"{template}' in source, template
+
+    def test_intervention_templates_start_a_source_string(self):
+        # a reworded log message would silently zero its perfbench counter
+        literals = set()
+        for path in sorted(pathlib.Path(pipeline.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        templates = constants("worker.py", ["LOG_COUNTERS"])["LOG_COUNTERS"]
+        interventions = [t for t in templates if not t.startswith("stage %s:")]
+        assert interventions
+        for template in interventions:
+            assert any(lit.startswith(template) for lit in literals), template
 
     def test_run_dir_files_the_worker_reads(self):
         conds = constants("worker.py", ["CONDITIONS"])["CONDITIONS"]
