@@ -9,8 +9,9 @@ explicit and the whole pipeline is reproducible from the resolved file.
 import hashlib
 from dataclasses import dataclass
 
-from .corpus import derive_rng
-from .errors import ConfigError
+from .corpus import CorpusConfig, derive_rng
+from .errors import ConfigError, InvalidArgumentError
+from .evalkit import parse_condition, split_conditions
 
 
 @dataclass
@@ -152,6 +153,19 @@ class ExperimentConfig:
                     "corpus.n_train_utts", "corpus.n_eval_utts", "corpus.n_phones"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        conds = split_conditions(self.values["eval.conditions"])
+        if not conds or len(set(conds)) < len(conds):
+            raise ConfigError("eval.conditions must name one or more conditions, each once")
+        for cond in conds:
+            try:
+                langs = parse_condition(cond)[:2]
+            except InvalidArgumentError as exc:
+                raise ConfigError(f"eval.conditions: {exc}") from exc
+            if not set(langs) <= set(CorpusConfig.eval_languages):
+                raise ConfigError(
+                    f"eval.conditions: {cond!r} names a language outside "
+                    f"{', '.join(CorpusConfig.eval_languages)}"
+                )
         return self
 
     def report(self):

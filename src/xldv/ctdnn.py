@@ -17,6 +17,7 @@ t's own bottleneck output (and linguistic factor).
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -155,19 +156,18 @@ MIN_VAL_ITEMS = 2  # held-out utterances, however small ``val_fraction``
 class ChunkDataset:
     """Fixed-length chunk sampler over utterance-level arrays.
 
-    ``items`` is a list of (frames (T,...) float32, aux (T,A) or None, label).
-    Chunks are index-gathered with edge clamping, so a chunk near an
-    utterance boundary replicates the boundary frame exactly like the
-    network's own edge handling. Validation batches are pre-cut
-    deterministically; training batches sample (utterance, offset) pairs from
-    the trainer RNG, so the trajectory depends only on seeds.
-
-    Subclasses define ``_make_chunk(item, start)``, which turns the frame
-    window ``_window(item, start)`` into (input, aux or None, labels).
+    ``items`` is a list of (frames (T, D) float32, aux (T, A) or None,
+    labels (T,) int64). A chunk takes the rows ``start..start+chunk_frames-1``
+    of each array with edge clamping, so a chunk near an utterance boundary
+    replicates the boundary frame exactly like the network's own edge
+    handling; ``make_input(frames, rows)`` turns the frame rows into the
+    network input. Validation batches are pre-cut deterministically; training
+    batches sample (utterance, offset) pairs from the trainer RNG, so the
+    trajectory depends only on seeds.
     """
 
-    def __init__(self, items, chunk_frames=24, batch_chunks=8, val_fraction=0.05,
-                 seed=0):
+    def __init__(self, items, make_input, chunk_frames=24, batch_chunks=8,
+                 val_fraction=0.05, seed=0):
         if not items:
             raise InvalidArgumentError("dataset is empty")
         rng = derive_rng(seed, "dataset-split")
@@ -177,12 +177,25 @@ class ChunkDataset:
         val_idx = set(order[:n_val].tolist())
         self.train_items = [it for i, it in enumerate(items) if i not in val_idx]
         self.val_items = [it for i, it in enumerate(items) if i in val_idx]
+        self.make_input = make_input
         self.chunk_frames = chunk_frames
         self.batch_chunks = batch_chunks
         self.val_batches = self._cut_val()
 
-    def _window(self, item, start):
-        return edge_index(item[0].shape[0], start, np.arange(self.chunk_frames))
+    def chunk(self, item, start):
+        """(input, aux rows or None, labels) of the chunk at ``start``."""
+        frames, aux, labels = item
+        rows = edge_index(frames.shape[0], start, np.arange(self.chunk_frames))
+        return (self.make_input(frames, rows),
+                None if aux is None else aux[rows], labels[rows])
+
+    def check_labels(self, n_out, kind):
+        """The set of labels; raises unless all lie in 0..n_out-1."""
+        items = self.train_items + self.val_items
+        labels = set().union(*(np.unique(item[2]).tolist() for item in items))
+        if min(labels) < 0 or max(labels) >= n_out:
+            raise InvalidArgumentError(f"{kind} labels must lie within 0..{n_out - 1}")
+        return labels
 
     def _stack(self, chunks):
         xs = np.stack([c[0] for c in chunks])
@@ -197,7 +210,7 @@ class ChunkDataset:
         pending = []
         for item in self.val_items:
             for start in range(0, item[0].shape[0], self.chunk_frames):
-                pending.append(self._make_chunk(item, start))
+                pending.append(self.chunk(item, start))
                 if len(pending) == self.batch_chunks:
                     batches.append(self._stack(pending))
                     pending = []
@@ -210,37 +223,18 @@ class ChunkDataset:
         for _ in range(self.batch_chunks):
             item = self.train_items[rng.integers(len(self.train_items))]
             max_start = max(1, item[0].shape[0] - self.chunk_frames + 1)
-            chunks.append(self._make_chunk(item, int(rng.integers(max_start))))
+            chunks.append(self.chunk(item, int(rng.integers(max_start))))
         return self._stack(chunks)
-
-
-class SpeakerChunkDataset(ChunkDataset):
-    """Chunks of spliced (n_mels, splice) maps labeled by speaker.
-
-    Frames are stored compactly as (T, n_mels); each chunk's maps are the
-    rows ``_window(item, start)`` of ``to_input_tensor`` on the whole
-    utterance.
-    """
-
-    def __init__(self, items, config: CTDNNConfig, **kw):
-        self.config = config
-        super().__init__(items, **kw)
-
-    def _make_chunk(self, item, start):
-        frames, aux, label = item
-        idx = self._window(item, start)
-        x = _splice_maps(frames, idx, self.config)
-        a = aux[idx] if aux is not None else None
-        return x, a, np.full(self.chunk_frames, label, dtype=np.int64)
 
 
 def make_speaker_dataset(feats, labels_by_speaker, config: CTDNNConfig,
                          factors_by_utt=None, chunk_frames=24, batch_chunks=8,
-                         val_fraction=0.05, seed=0) -> SpeakerChunkDataset:
-    """Build a chunk dataset keyed by speaker labels.
+                         val_fraction=0.05, seed=0) -> ChunkDataset:
+    """Chunks of spliced (n_mels, splice) maps, each frame labeled by speaker.
 
     ``feats`` is an iterable of FeatureMatrix (n_mels wide, CMVN applied);
-    ``labels_by_speaker`` maps speaker_id -> contiguous class index.
+    ``labels_by_speaker`` maps speaker_id -> contiguous class index. A chunk's
+    maps are rows of ``to_input_tensor`` on the whole utterance.
     """
     items = []
     for feat in feats:
@@ -255,10 +249,11 @@ def make_speaker_dataset(feats, labels_by_speaker, config: CTDNNConfig,
         if factors_by_utt is not None:
             factors = np.asarray(factors_by_utt[feat.utterance_id], dtype=np.float32)
         items.append((feat.data.astype(np.float32), factors,
-                      labels_by_speaker[feat.speaker_id]))
-    return SpeakerChunkDataset(items, config, chunk_frames=chunk_frames,
-                               batch_chunks=batch_chunks,
-                               val_fraction=val_fraction, seed=seed)
+                      np.full(feat.n_frames, labels_by_speaker[feat.speaker_id],
+                              dtype=np.int64)))
+    return ChunkDataset(items, partial(_splice_maps, config=config),
+                        chunk_frames=chunk_frames, batch_chunks=batch_chunks,
+                        val_fraction=val_fraction, seed=seed)
 
 
 def contiguous_labels(speaker_ids):
@@ -268,12 +263,7 @@ def contiguous_labels(speaker_ids):
 
 def train_ctdnn(graph: NetworkGraph, dataset: ChunkDataset, state: TrainState):
     """Train and return the TrainResult; caller persists the checkpoint."""
-    n_out = graph.output_shape[1]
-    labels = {label for _, _, label in dataset.train_items + dataset.val_items}
-    if min(labels) < 0 or max(labels) >= n_out:
-        raise InvalidArgumentError(
-            f"speaker labels must lie within 0..{n_out - 1}"
-        )
+    labels = dataset.check_labels(graph.output_shape[1], "speaker")
     if labels != set(range(max(labels) + 1)):
         raise InvalidArgumentError("speaker label set has gaps")
     return train(graph, dataset, state)

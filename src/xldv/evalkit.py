@@ -32,14 +32,6 @@ class TrialList:
     def __len__(self):
         return len(self.trials)
 
-    @property
-    def n_target(self):
-        return sum(t.target for t in self.trials)
-
-    @property
-    def n_nontarget(self):
-        return len(self.trials) - self.n_target
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.trials:
@@ -56,19 +48,20 @@ class TrialList:
         return cls(condition, trials)
 
 
+def split_conditions(text):
+    """The comma-separated trial conditions in ``text``, blanks dropped."""
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
 def parse_condition(condition):
     """Returns (lang_enroll, lang_test, is_cross)."""
-    if "/" in condition:
-        a, b = condition.split("/")
-        return a, b, True
-    if "-" in condition:
-        a, b = condition.split("-")
-        if a != b:
-            raise InvalidArgumentError(
-                f"same-language condition {condition!r} must repeat one language"
-            )
-        return a, b, False
-    raise InvalidArgumentError(f"malformed condition {condition!r}")
+    cross = "/" in condition
+    langs = condition.split("/" if cross else "-")
+    if len(langs) != 2 or (langs[0] != langs[1]) != cross:
+        raise InvalidArgumentError(
+            f"malformed condition {condition!r}: A-A pairs one language, A/B two"
+        )
+    return langs[0], langs[1], cross
 
 
 def make_trials(manifest, condition) -> TrialList:

@@ -170,10 +170,6 @@ class TMatrix:
     # (t, UBM variances, _whitened_gram result) of the last build
     _gram_cache: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def rank(self):
-        return self.t.shape[1]
-
     def whitened_gram(self, ubm: UBM):
         """``_whitened_gram(ubm, self.t)``, built once per (T, UBM variances).
 

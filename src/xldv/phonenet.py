@@ -8,6 +8,7 @@ per frame, factor = sqrt(S_r) V_r^T h where h is the last hidden activation
 """
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def final_affine(graph: NetworkGraph) -> np.ndarray:
 
 def make_phone_dataset(feats, labels_by_utt, chunk_frames=32, batch_chunks=8,
                        val_fraction=0.05, seed=0):
-    """ChunkDataset over (frames, per-frame labels); labels ride in the chunk."""
+    """Chunks of frame rows, each labeled by its phone."""
     items = []
     for feat in feats:
         labels = np.asarray(labels_by_utt[feat.utterance_id], dtype=np.int64)
@@ -63,26 +64,13 @@ def make_phone_dataset(feats, labels_by_utt, chunk_frames=32, batch_chunks=8,
             raise InvalidArgumentError(
                 f"{feat.utterance_id}: {labels.shape[0]} labels for {feat.n_frames} frames"
             )
-        items.append((feat.data.astype(np.float32), labels, 0))
-    return _FrameLabelDataset(items, chunk_frames, batch_chunks, val_fraction, seed)
-
-
-class _FrameLabelDataset(ChunkDataset):
-    """ChunkDataset variant whose labels are per-frame, stored in the aux slot."""
-
-    def _make_chunk(self, item, start):
-        frames, labels, _ = item
-        idx = self._window(item, start)
-        return frames[idx], None, labels[idx]
+        items.append((feat.data.astype(np.float32), None, labels))
+    return ChunkDataset(items, operator.getitem, chunk_frames, batch_chunks,
+                        val_fraction, seed)
 
 
 def train_phone_classifier(graph: NetworkGraph, dataset, state: TrainState):
-    n_out = graph.output_shape[1]
-    all_labels = np.concatenate(
-        [item[1] for item in dataset.train_items + dataset.val_items]
-    )
-    if all_labels.min() < 0 or all_labels.max() >= n_out:
-        raise InvalidArgumentError(f"phone labels must lie within 0..{n_out - 1}")
+    dataset.check_labels(graph.output_shape[1], "phone")
     return train(graph, dataset, state)
 
 

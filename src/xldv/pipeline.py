@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet
+from . import BLAS_THREADS, __version__
+from . import archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet
 from .config import ExperimentConfig
 from .errors import DataError
 from .evalkit import METRICS, SYSTEMS
@@ -90,8 +91,9 @@ class RunManifest:
         previous = self.data["stages"].get(stage, {})
         self.data["tool_version"] = __version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        threads = int(BLAS_THREADS) if (BLAS_THREADS or "").isdigit() else BLAS_THREADS
         self.data["blas"] = {"name": blas["name"], "version": blas["version"],
-                             "threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
+                             "threads": threads}
         self.data["stages"][stage] = {
             "config_keys": config_keys,
             "inputs": inputs,
@@ -227,7 +229,7 @@ def backend_model(system):
 
 
 def conditions(cfg) -> list:
-    return [c.strip() for c in cfg["eval.conditions"].split(",") if c.strip()]
+    return evalkit.split_conditions(cfg["eval.conditions"])
 
 
 def condition_token(condition):
@@ -350,13 +352,9 @@ def stage_train_asr(ctx: Context):
     archive.archive_write(factor_records(), ctx.path(FACTORS))
 
 
-def _train_one_ctdnn(ctx: Context, aware: bool):
+def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
     cfg = ctx.config
-    manifest = _load_manifest(ctx)
-    feats = archive.archive_read_dict(ctx.path(FBANK))
-    train_recs = manifest.utterances("train")
     net_config = _ctdnn_config(cfg)
-    labels = ctdnn.contiguous_labels(manifest.train_speakers)
     factors_by_utt = None
     variant = CTDNN_VARIANTS[aware]
     seed = corpus.derive_rng(cfg["ctdnn.seed"], variant).integers(0, 2**31 - 1)
@@ -367,7 +365,7 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
     else:
         graph = ctdnn.build_phone_blind(net_config, seed=int(seed))
     data = ctdnn.make_speaker_dataset(
-        [feats[r.utterance_id] for r in train_recs], labels, net_config,
+        train_feats, labels, net_config,
         factors_by_utt=factors_by_utt, chunk_frames=cfg["ctdnn.chunk_frames"],
         batch_chunks=cfg["ctdnn.batch_chunks"],
         val_fraction=cfg["ctdnn.val_fraction"], seed=int(seed),
@@ -396,8 +394,13 @@ def _train_one_ctdnn(ctx: Context, aware: bool):
 
 
 def stage_train_ctdnn(ctx: Context):
-    _train_one_ctdnn(ctx, aware=False)
-    _train_one_ctdnn(ctx, aware=True)
+    manifest = _load_manifest(ctx)
+    feats = archive.archive_read_dict(ctx.path(FBANK))
+    train_feats = [feats[r.utterance_id] for r in manifest.utterances("train")]
+    labels = ctdnn.contiguous_labels(manifest.train_speakers)
+    del feats  # the eval utterances' features, held through both trainings otherwise
+    for aware in CTDNN_VARIANTS:
+        _train_one_ctdnn(ctx, train_feats, labels, aware)
 
 
 def _ubm_sample(ctx: Context):
@@ -521,7 +524,7 @@ def stage_backend_train(ctx: Context):
         emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "train")))
         mean = emb.vectors.mean(axis=0)
         normed = backend.center_lengthnorm(emb.vectors, mean)
-        label_of = {s: i for i, s in enumerate(sorted(set(emb.speaker_ids)))}
+        label_of = ctdnn.contiguous_labels(emb.speaker_ids)
         labels = np.array([label_of[s] for s in emb.speaker_ids])
         n_classes = labels.max() + 1
         k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)

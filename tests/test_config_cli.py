@@ -138,9 +138,28 @@ class TestCli:
     def test_manifest_records_blas(self, tiny_run):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         recorded = json.loads((tiny_run / "manifest.json").read_text())["blas"]
-        # importing xldv sets OPENBLAS_NUM_THREADS to 1, whatever it was before
+        # tests/conftest.py sets OPENBLAS_NUM_THREADS to 1 before numpy loads
         assert recorded == {"name": blas["name"], "version": blas["version"], "threads": 1}
         assert recorded["name"] and recorded["version"]
+
+    @pytest.mark.parametrize("numpy_first, env_threads, recorded", [
+        (True, None, None), (True, "2", 2), (False, "2", 1),
+    ], ids=["numpy-first-unset", "numpy-first-2", "xldv-first-2"])
+    def test_manifest_records_threads_the_blas_loaded_with(self, tmp_path, numpy_first,
+                                                           env_threads, recorded):
+        script = ("import numpy\n" if numpy_first else "") + (
+            "import sys\n"
+            "from xldv.pipeline import RunManifest\n"
+            "RunManifest(sys.argv[1]).record('synth', {}, {}, {}, 0.0, 'test')\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(xldv.__file__))
+        if env_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_threads
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                       check=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["blas"]["threads"] == recorded
 
     def test_second_run_is_noop(self, tiny_run, caplog):
         manifest_before = (tiny_run / "manifest.json").read_text()
@@ -235,6 +254,17 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("xldv: error: config:")
         assert "--deterministic" in lines[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "all"])
+    @pytest.mark.parametrize("conditions", ["A/B/C", "A-A-A", "A/A", "A-A,A-A", "C-C", ""])
+    def test_bad_conditions_exit_one_before_any_stage(self, tmp_path, capsys, command,
+                                                      conditions):
+        code = main([command, "--set", f"eval.conditions={conditions}",
+                     "--run-dir", str(tmp_path / "run"), "--quiet"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("xldv: error: config:")
         assert not (tmp_path / "run").exists()
 
     def test_synth_runs_in_empty_run_dir(self, tmp_path):

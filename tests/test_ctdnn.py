@@ -190,14 +190,29 @@ class TestSpeakerChunks:
         feats = [FeatureMatrix("u0", "s0", "L", frames),
                  FeatureMatrix("u1", "s1", "L", np.ones((3, 40)))]
         data = make_speaker_dataset(feats, {"s0": 0, "s1": 1}, SMALL, chunk_frames=24)
-        item = next(it for it in data.train_items + data.val_items if it[2] == 0)
+        item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
+        assert item[2].dtype == np.int64 and item[2].shape == (n_frames,)
         whole = to_input_tensor(feats[0], SMALL)[0].astype(np.float32)
         for start in (0, n_frames - 24, n_frames - 3, n_frames - 1, n_frames + 4):
-            x, aux, labels = data._make_chunk(item, start)
+            x, aux, labels = data.chunk(item, start)
             rows = [min(max(start + k, 0), n_frames - 1) for k in range(24)]
             assert x.dtype == np.float32 and aux is None
             assert x.tobytes() == whole[rows].tobytes()
+            assert labels.dtype == np.int64
             np.testing.assert_array_equal(labels, np.zeros(24))
+
+    def test_factor_rows_follow_frame_rows(self):
+        frames = np.arange(7 * 40, dtype=np.float32).reshape(7, 40)
+        factors = np.arange(7 * 5, dtype=np.float32).reshape(7, 5)
+        feats = [FeatureMatrix("u0", "s0", "L", frames),
+                 FeatureMatrix("u1", "s1", "L", np.ones((3, 40)))]
+        data = make_speaker_dataset(feats, {"s0": 0, "s1": 1}, SMALL,
+                                    factors_by_utt={"u0": factors, "u1": np.ones((3, 5))},
+                                    chunk_frames=4)
+        item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
+        _, aux, _ = data.chunk(item, 5)
+        assert aux.dtype == np.float32
+        np.testing.assert_array_equal(aux, factors[[5, 6, 6, 6]])
 
 
 class TestDVector:

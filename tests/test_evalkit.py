@@ -54,14 +54,15 @@ class TestMakeTrials:
     def test_two_speaker_counting(self):
         manifest = toy_manifest(n_spk=2, utts_per_lang=2)
         trials = make_trials(manifest, "A-A")
-        assert trials.n_target == 2  # C(2,2) per speaker * 2 speakers
-        assert trials.n_nontarget == 4  # C(4,2) - 2
+        n_target = sum(t.target for t in trials.trials)
+        assert n_target == 2  # C(2,2) per speaker * 2 speakers
+        assert len(trials) - n_target == 4  # C(4,2) - 2
 
     def test_target_formula_vs_enumeration(self):
         for n_spk, u in itertools.product((2, 3, 4), (2, 3)):
             manifest = toy_manifest(n_spk=n_spk, utts_per_lang=u)
             trials = make_trials(manifest, "A-A")
-            assert trials.n_target == n_spk * (u * (u - 1) // 2)
+            assert sum(t.target for t in trials.trials) == n_spk * (u * (u - 1) // 2)
             total = (n_spk * u) * (n_spk * u - 1) // 2
             assert len(trials) == total
             for t in trials.trials:
@@ -75,7 +76,7 @@ class TestMakeTrials:
         manifest = toy_manifest(n_spk=3, utts_per_lang=2)
         trials = make_trials(manifest, "A/B")
         assert len(trials) == (3 * 2) ** 2  # n_spk^2 * u^2
-        assert trials.n_target == 3 * 2 * 2
+        assert sum(t.target for t in trials.trials) == 3 * 2 * 2
         for t in trials.trials:
             assert t.enroll.split("-")[1] == "A"
             assert t.test.split("-")[1] == "B"
@@ -207,8 +208,9 @@ class TestComputeEer:
         emb = {r.utterance_id: rng.normal(size=4) for r in manifest.records}
         scores = score_trials(CosineScorer(), emb, trials)
         tar, non = scores.split()
-        assert len(tar) == trials.n_target
-        assert len(non) == trials.n_nontarget
+        n_target = sum(t.target for t in trials.trials)
+        assert len(tar) == n_target
+        assert len(non) == len(trials) - n_target
         res = compute_eer(*scores.split())
         assert 0.0 <= res.eer <= 1.0
 

@@ -146,6 +146,37 @@ class TestLinguisticFactor:
         assert load_checkpoint(path)[0]["balanced"] is True
 
 
+class TestPhoneChunks:
+    @pytest.mark.parametrize("n_frames", [5, 17, 40])
+    def test_chunk_is_edge_replicated_rows(self, n_frames):
+        rng = derive_rng(9, "phone-chunks", n_frames)
+        frames = rng.normal(size=(n_frames, 12))
+        labels = np.arange(n_frames) % 7
+        feats = [FeatureMatrix("u0", "s0", "L", frames),
+                 FeatureMatrix("u1", "s1", "L", np.ones((3, 12)))]
+        data = make_phone_dataset(feats, {"u0": labels, "u1": [0, 0, 0]},
+                                  chunk_frames=32)
+        item = next(it for it in data.train_items + data.val_items
+                    if it[0].shape[0] == n_frames)
+        assert item[1] is None
+        for start in (0, n_frames - 32, n_frames - 3, n_frames - 1, n_frames + 4):
+            x, aux, chunk_labels = data.chunk(item, start)
+            rows = [min(max(start + k, 0), n_frames - 1) for k in range(32)]
+            assert x.dtype == np.float32 and aux is None
+            assert x.tobytes() == frames[rows].astype(np.float32).tobytes()
+            assert chunk_labels.dtype == np.int64
+            np.testing.assert_array_equal(chunk_labels, labels[rows])
+
+    def test_label_outside_phone_set_rejected(self):
+        feats = [FeatureMatrix(f"u{i}", "s", "L", np.ones((4, 40))) for i in range(3)]
+        labels = {"u0": [0, 1, 2, 3], "u1": [0, 0, 0, 0], "u2": [9, 10, 0, 0]}
+        data = make_phone_dataset(feats, labels)
+        graph = build_phone_classifier(SMALL_NET, seed=1)
+        with pytest.raises(InvalidArgumentError, match="within 0..9"):
+            train_phone_classifier(graph, data, TrainState(learning_rate=0.1,
+                                                           max_epochs=0))
+
+
 @pytest.fixture(scope="module")
 def labeled_corpus(tmp_path_factory):
     config = CorpusConfig(
