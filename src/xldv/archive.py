@@ -1,4 +1,4 @@
-"""Binary serialization: feature archives and model checkpoints.
+"""Serialization: feature archives, model checkpoints, tab-separated text.
 
 Feature archive (``FARC``): magic ``FARC``, u16 version=1, then per record
 u16 id-length, UTF-8 id, u32 T, u32 D, T*D little-endian float32 row-major,
@@ -43,10 +43,13 @@ def _pack_id(feat: FeatureMatrix) -> bytes:
 
 
 def _unpack_id(raw: bytes, offset):
-    parts = raw.decode("utf-8").split("\t")
-    if len(parts) != 5:
-        raise FormatError("archive record id has wrong field count", offset=offset)
-    return parts[0], parts[1], parts[2], float(parts[3]), float(parts[4])
+    try:
+        parts = raw.decode("utf-8").split("\t")
+        if len(parts) != 5:
+            raise FormatError("archive record id has wrong field count", offset=offset)
+        return parts[0], parts[1], parts[2], float(parts[3]), float(parts[4])
+    except ValueError as exc:  # UnicodeDecodeError too: the CRC is checked later
+        raise FormatError(f"malformed archive record id: {exc}", offset=offset) from None
 
 
 def _record_bytes(feat: FeatureMatrix) -> bytes:
@@ -119,6 +122,23 @@ def archive_stream(path):
 def archive_read_dict(path):
     """Read an archive keyed by utterance id."""
     return {feat.utterance_id: feat for feat in archive_stream(path)}
+
+
+def read_columns(path, n_fields):
+    """The ``n_fields`` columns, as lists of strings, of a tab-separated text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text: {exc}") from None
+    # One split for the whole file: a "\n" field, which no row holds, ends each
+    # row, so each row has n_fields fields iff those fall every step fields.
+    step = n_fields + 1
+    *fields, rest = text.replace("\n", "\t\n\t").split("\t")
+    if rest or len(fields) != step * text.count("\n") or set(fields[n_fields::step]) - {"\n"}:
+        raise InvalidArgumentError(
+            f"{path}: a line without {n_fields} tab-separated fields and a newline")
+    return [fields[i::step] for i in range(n_fields)]
 
 
 def save_checkpoint(path, header: dict, tensors: dict):

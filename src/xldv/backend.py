@@ -160,20 +160,6 @@ class PLDAModel:
     phi_b: np.ndarray  # between-class covariance, PSD
     phi_w: np.ndarray  # within-class covariance, PD
     objective: list = field(default_factory=list)
-    # simultaneous diagonalization cache: V^T phi_w V = I, V^T phi_b V = diag(psi)
-    _v: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _psi: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def diagonalized(self):
-        if self._v is None:
-            psi, v = scipy.linalg.eigh(self.phi_b, self.phi_w, check_finite=False)
-            self._psi = np.ascontiguousarray(np.maximum(psi[::-1], 0.0))
-            self._v = np.ascontiguousarray(v[:, ::-1])
-        return self._v, self._psi
-
-    def transform(self, vectors):
-        v, _ = self.diagonalized()
-        return (np.atleast_2d(np.asarray(vectors, dtype=np.float64)) - self.mu) @ v
 
 
 def _floor_spd(mat, floor):
@@ -277,38 +263,14 @@ def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
     return model
 
 
-def _llr_terms(model: PLDAModel):
-    _, psi = model.diagonalized()
-    s = 1.0 + psi
-    c = psi
-    denom = s * s - c * c
-    k0 = float(np.sum(np.log(s) - 0.5 * np.log(denom)))
-    q = 0.5 * (1.0 / s - s / denom)
-    p = c / denom
-    return k0, q, p
-
-
-def plda_score_pairs(model: PLDAModel, enroll, test) -> np.ndarray:
-    """log p(same speaker) - log p(different speakers) of row-aligned pairs."""
-    ua = model.transform(enroll)
-    ub = model.transform(test)
-    if ua.shape != ub.shape:
-        raise InvalidArgumentError("enroll/test shapes differ")
-    k0, q, p = _llr_terms(model)
-    scores = k0 + (ua**2) @ q + (ub**2) @ q + ((ua * p) * ub).sum(axis=1)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite PLDA score")
-    return scores
-
-
 class CosineScorer:
-    """Cosine over (optionally projected) embeddings."""
+    """Cosine over (optionally LDA-projected) embeddings."""
 
     def __init__(self, lda: LDAProjection = None):
         self.lda = lda
 
-    def _prep(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def prepare(self, vectors):
+        x = np.asarray(vectors, dtype=np.float64)
         if self.lda is not None:
             x = lda_project(self.lda, x)
         norms = np.linalg.norm(x, axis=1)
@@ -317,12 +279,30 @@ class CosineScorer:
         return x / norms[:, None]
 
     def score_pairs(self, enroll, test):
-        return (self._prep(enroll) * self._prep(test)).sum(axis=1)
+        return (enroll * test).sum(axis=1)
 
 
 class PLDAScorer:
+    """Same/different-speaker log-likelihood ratio in the basis where
+    V^T Phi_w V = I and V^T Phi_b V = diag(psi) (Ioffe, ECCV 2006)."""
+
     def __init__(self, model: PLDAModel):
-        self.model = model
+        psi, v = scipy.linalg.eigh(model.phi_b, model.phi_w, check_finite=False)
+        psi = np.maximum(psi[::-1], 0.0)
+        self.mu = model.mu
+        self.v = np.ascontiguousarray(v[:, ::-1])
+        s = 1.0 + psi
+        denom = s * s - psi * psi
+        self.k0 = float(np.sum(np.log(s) - 0.5 * np.log(denom)))
+        self.q = 0.5 * (1.0 / s - s / denom)
+        self.p = psi / denom
+
+    def prepare(self, vectors):
+        return (np.asarray(vectors, dtype=np.float64) - self.mu) @ self.v
 
     def score_pairs(self, enroll, test):
-        return plda_score_pairs(self.model, enroll, test)
+        scores = (self.k0 + (enroll**2) @ self.q + (test**2) @ self.q
+                  + ((enroll * self.p) * test).sum(axis=1))
+        if not np.all(np.isfinite(scores)):
+            raise NumericError("non-finite PLDA score")
+        return scores

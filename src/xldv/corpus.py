@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .archive import read_columns
 from .errors import DataError, InvalidArgumentError
 from .frontend import FRAME_LENGTH, FRAME_SHIFT, SAMPLE_RATE, n_frames_for_samples
 
@@ -348,23 +349,20 @@ class CorpusManifest:
         manifest_path = os.path.join(root, "manifest.tsv")
         if not os.path.exists(manifest_path):
             raise DataError(f"no corpus manifest at {manifest_path}")
-        records = []
-        with open(manifest_path, encoding="utf-8") as fh:
-            for line in fh:
-                utt, spk, lang, rel, dur = line.rstrip("\n").split("\t")
-                records.append(UttRecord(utt, spk, lang, rel, float(dur)))
-        labels = {}
-        with open(os.path.join(root, "labels.tsv"), encoding="utf-8") as fh:
-            for line in fh:
-                utt, runs = line.rstrip("\n").split("\t")
-                labels[utt] = [
-                    (int(s), int(p)) for s, p in (r.split(":") for r in runs.split(","))
-                ]
-        train_speakers, eval_speakers = [], []
-        with open(os.path.join(root, "speakers.tsv"), encoding="utf-8") as fh:
-            for line in fh:
-                spk, split = line.rstrip("\n").split("\t")
-                (train_speakers if split == "train" else eval_speakers).append(spk)
+        utts, spks, langs, rels, durs = read_columns(manifest_path, 5)
+        labelled, runs = read_columns(os.path.join(root, "labels.tsv"), 2)
+        speakers, splits = read_columns(os.path.join(root, "speakers.tsv"), 2)
+        try:
+            records = [UttRecord(*row, float(dur))
+                       for *row, dur in zip(utts, spks, langs, rels, durs)]
+            labels = {
+                utt: [(int(s), int(p)) for s, p in (r.split(":") for r in run.split(","))]
+                for utt, run in zip(labelled, runs)
+            }
+        except ValueError as exc:
+            raise DataError(f"malformed corpus manifest in {root}: {exc}") from None
+        train_speakers = [spk for spk, split in zip(speakers, splits) if split == "train"]
+        eval_speakers = [spk for spk, split in zip(speakers, splits) if split != "train"]
         return cls(root, train_speakers, eval_speakers, records, labels)
 
 

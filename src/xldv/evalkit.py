@@ -7,10 +7,12 @@ pair exactly once. EER uses a threshold sweep at score midpoints with linear
 interpolation at the FAR/FRR crossing.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .archive import read_columns
 from .errors import InvalidArgumentError
 
 SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
@@ -18,34 +20,28 @@ METRICS = ("cosine", "lda", "plda")
 
 
 @dataclass
-class Trial:
-    enroll: str
-    test: str
-    target: bool
-
-
-@dataclass
 class TrialList:
+    """Trial i pairs utterance ids ``enroll[i]``, ``test[i]``; bool ``target[i]``: same speaker."""
+
     condition: str
-    trials: list
+    enroll: list
+    test: list
+    target: np.ndarray
 
     def __len__(self):
-        return len(self.trials)
+        return len(self.enroll)
 
     def save(self, path):
+        labels = np.where(self.target, "target", "nontarget").tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            for t in self.trials:
-                label = "target" if t.target else "nontarget"
-                fh.write(f"{t.enroll}\t{t.test}\t{label}\n")
+            fh.writelines(f"{e}\t{t}\t{y}\n" for e, t, y in zip(self.enroll, self.test, labels))
 
     @classmethod
     def load(cls, path, condition):
-        trials = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                enroll, test, label = line.rstrip("\n").split("\t")
-                trials.append(Trial(enroll, test, label == "target"))
-        return cls(condition, trials)
+        enroll, test, labels = read_columns(path, 3)
+        if not set(labels) <= {"target", "nontarget"}:
+            raise InvalidArgumentError(f"{path}: a trial label is not target/nontarget")
+        return cls(condition, enroll, test, np.array(labels, dtype=object) == "target")
 
 
 def split_conditions(text):
@@ -80,21 +76,11 @@ def make_trials(manifest, condition) -> TrialList:
                 raise InvalidArgumentError(
                     f"eval speaker {spk} has no utterances in language {lang}"
                 )
-    trials = []
-    if cross:
-        for enroll in sorted(utts[lang_a]):
-            for test in sorted(utts[lang_b]):
-                trials.append(
-                    Trial(enroll, test, speaker_of[enroll] == speaker_of[test])
-                )
-    else:
-        pool = sorted(utts[lang_a])
-        for i, enroll in enumerate(pool):
-            for test in pool[i + 1 :]:
-                trials.append(
-                    Trial(enroll, test, speaker_of[enroll] == speaker_of[test])
-                )
-    return TrialList(condition, trials)
+    pairs = (itertools.product(sorted(utts[lang_a]), sorted(utts[lang_b])) if cross
+             else itertools.combinations(sorted(utts[lang_a]), 2))
+    enroll, test = [list(column) for column in zip(*pairs)] or [[], []]
+    target = np.array([speaker_of[e] == speaker_of[t] for e, t in zip(enroll, test)], bool)
+    return TrialList(condition, enroll, test, target)
 
 
 @dataclass
@@ -103,47 +89,45 @@ class ScoreSet:
     scores: np.ndarray
 
     def save(self, path):
+        rows = zip(self.trial_list.enroll, self.trial_list.test, self.scores.tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            for t, s in zip(self.trial_list.trials, self.scores):
-                fh.write(f"{t.enroll}\t{t.test}\t{s:.8e}\n")
+            fh.writelines(f"{e}\t{t}\t{s:.8e}\n" for e, t, s in rows)
 
     @classmethod
     def load(cls, path, trial_list: TrialList):
-        scores = []
-        with open(path, encoding="utf-8") as fh:
-            for line, trial in zip(fh, trial_list.trials):
-                enroll, test, score = line.rstrip("\n").split("\t")
-                if enroll != trial.enroll or test != trial.test:
-                    raise InvalidArgumentError(f"{path}: scores misaligned with trials")
-                scores.append(float(score))
+        enroll, test, scores = read_columns(path, 3)
         if len(scores) != len(trial_list):
             raise InvalidArgumentError(f"{path}: score count != trial count")
-        return cls(trial_list, np.array(scores))
+        if enroll != trial_list.enroll or test != trial_list.test:
+            raise InvalidArgumentError(f"{path}: scores misaligned with trials")
+        try:
+            return cls(trial_list, np.array([float(s) for s in scores]))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from None
 
     def split(self):
-        mask = np.array([t.target for t in self.trial_list.trials])
-        return self.scores[mask], self.scores[~mask]
+        target = self.trial_list.target
+        return self.scores[target], self.scores[~target]
 
 
-def score_trials(scorer, embeddings_by_utt, trial_list: TrialList) -> ScoreSet:
+def score_trials(scorer, embeddings, trial_list: TrialList) -> ScoreSet:
     """One finite score per trial, order-preserving with the list.
 
-    ``scorer`` is any object with ``score_pairs(enroll, test)`` over
-    row-aligned embedding matrices.
-    """
-    for t in trial_list.trials:
-        for utt in (t.enroll, t.test):
-            if utt not in embeddings_by_utt:
-                raise InvalidArgumentError(f"no embedding for utterance {utt!r}")
-    if not trial_list.trials:
-        return ScoreSet(trial_list, np.zeros(0))
-    enroll = np.stack([embeddings_by_utt[t.enroll] for t in trial_list.trials])
-    test = np.stack([embeddings_by_utt[t.test] for t in trial_list.trials])
-    scores = np.asarray(scorer.score_pairs(enroll, test), dtype=np.float64)
+    ``scorer.prepare`` maps the ``EmbeddingSet``'s matrix, one row per utterance,
+    and ``scorer.score_pairs`` scores the rows the trials pick from it."""
+    row_of = {utt: i for i, utt in enumerate(embeddings.utterance_ids)}
+    try:
+        enroll = np.array([row_of[u] for u in trial_list.enroll], dtype=np.intp)
+        test = np.array([row_of[u] for u in trial_list.test], dtype=np.intp)
+    except KeyError as exc:
+        raise InvalidArgumentError(f"no embedding for utterance {exc.args[0]!r}") from None
+    prepared = scorer.prepare(embeddings.vectors)
+    scores = np.asarray(scorer.score_pairs(prepared[enroll], prepared[test]),
+                        dtype=np.float64)
     if not np.all(np.isfinite(scores)):
-        bad = trial_list.trials[int(np.argmax(~np.isfinite(scores)))]
+        bad = int(np.argmax(~np.isfinite(scores)))
         raise InvalidArgumentError(
-            f"non-finite score for trial {bad.enroll} vs {bad.test}"
+            f"non-finite score for trial {trial_list.enroll[bad]} vs {trial_list.test[bad]}"
         )
     return ScoreSet(trial_list, scores)
 

@@ -36,7 +36,6 @@ class Layer:
     """Base: subclasses define hyperparams, params, shapes, forward/backward."""
 
     kind = None
-    has_params = False
 
     def __init__(self, hyper, name):
         self.hyper = dict(hyper)
@@ -65,7 +64,6 @@ class Affine(Layer):
     """y = x W + b on the last axis; map inputs are flattened to (B,T,F*C)."""
 
     kind = "affine"
-    has_params = True
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] == "map":
@@ -108,7 +106,6 @@ class Conv2D(Layer):
     """
 
     kind = "conv2d"
-    has_params = True
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "map":
@@ -253,7 +250,6 @@ class TimeDelay(Layer):
     """Concat frames at t+offset for each offset (edge replication), then affine."""
 
     kind = "timedelay"
-    has_params = True
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "vec":

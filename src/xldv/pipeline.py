@@ -5,8 +5,9 @@ output artifacts (paths under the run directory, named once in the layout
 section below) and its body, in run order. A stage body reads configuration
 only as ``ctx.config[key]``; ``run_stage`` hands it a view that records each
 key read, and the manifest stores that ``{key: value}`` map beside the
-stage's input and output checksums. A stage is skipped when every recorded key still has its recorded
-value and all input/output checksums still match: a verifying-traces rebuilder
+stage's input and output checksums and the stage's code ``version``. A stage
+is skipped when its version is unchanged, every recorded key still has its
+recorded value and all input/output checksums still match: a verifying-traces rebuilder
 with dynamic dependencies (Mokhov, Mitchell & Peyton Jones, "Build Systems a
 la Carte", ICFP 2018). So re-running an unchanged experiment is a no-op,
 changing one config key re-runs the stages that read it plus the dependents
@@ -21,7 +22,9 @@ One ``run_all`` hashes each file at most once: stages share a digest memo,
 and a stage that runs replaces its outputs' entries.
 """
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import logging
@@ -61,6 +64,22 @@ def _digest(run_dir, rel, digests):
     return digests[rel]
 
 
+# OpenBLAS's openblas_get_corename in scipy-openblas, which numpy wheels bundle
+OPENBLAS_CORENAME = "scipy_openblas_get_corename64_"
+
+
+def blas_core():
+    """The CPU kernel numpy's bundled OpenBLAS selected (``SkylakeX``, ...), or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        corename = getattr(ctypes.CDLL(path), OPENBLAS_CORENAME, None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 class RunManifest:
     """Journal of completed stages: config keys read, checksums, timings."""
 
@@ -87,14 +106,15 @@ class RunManifest:
             fh.write("\n")
         os.replace(tmp, self.path)
 
-    def record(self, stage, config_keys, inputs, outputs, wall_clock, reason):
+    def record(self, stage, config_keys, inputs, outputs, wall_clock, reason, version=1):
         previous = self.data["stages"].get(stage, {})
         self.data["tool_version"] = __version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         threads = int(BLAS_THREADS) if (BLAS_THREADS or "").isdigit() else BLAS_THREADS
         self.data["blas"] = {"name": blas["name"], "version": blas["version"],
-                             "threads": threads}
+                             "threads": threads, "core": blas_core()}
         self.data["stages"][stage] = {
+            "version": version,
             "config_keys": config_keys,
             "inputs": inputs,
             "outputs": outputs,
@@ -108,8 +128,8 @@ class RunManifest:
         }
         self.save()
 
-    def stage_current(self, stage, config, input_hashes, run_dir, digests):
-        """Why ``stage`` has to run, or None when its record is still current.
+    def stage_current(self, stage, version, config, input_hashes, run_dir, digests):
+        """Why ``stage`` at code ``version`` has to run, or None when current.
 
         Output files are hashed through ``digests``, a rel -> sha256 memo.
         """
@@ -118,6 +138,8 @@ class RunManifest:
             return "no record"
         if "config_keys" not in rec:
             return "record has no config keys"
+        if rec.get("version", 1) != version:
+            return "code version changed"
         for key, value in sorted(rec["config_keys"].items()):
             if config.values.get(key) != value:
                 return f"config key {key} changed"
@@ -572,8 +594,7 @@ def stage_score(ctx: Context):
     for system in SYSTEMS:
         mean, lda, plda = load_backend(ctx.path(backend_model(system)))
         emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "eval")))
-        normed = backend.center_lengthnorm(emb.vectors, mean)
-        by_utt = dict(zip(emb.utterance_ids, normed))
+        emb.vectors = backend.center_lengthnorm(emb.vectors, mean)
         scorers = {
             "cosine": backend.CosineScorer(),
             "lda": backend.CosineScorer(lda=lda),
@@ -581,7 +602,7 @@ def stage_score(ctx: Context):
         }
         for cond, trials in trial_lists.items():
             for metric, scorer in scorers.items():
-                scores = evalkit.score_trials(scorer, by_utt, trials)
+                scores = evalkit.score_trials(scorer, emb, trials)
                 scores.save(ctx.path(score_file(system, metric, cond)))
 
 
@@ -607,14 +628,12 @@ def stage_eval(ctx: Context):
 
 
 def read_eer_table(path):
-    results = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            system, metric, cond, eer, thr, n_tar, n_non = line.rstrip("\n").split("\t")
-            results[(system, metric, cond)] = evalkit.EERResult(
-                float(eer), float(thr), int(n_tar), int(n_non)
-            )
-    return results
+    system, metric, cond, eer, thr, n_tar, n_non = archive.read_columns(path, 7)
+    try:
+        return {key: evalkit.EERResult(float(e), float(t), int(a), int(b))
+                for key, e, t, a, b in zip(zip(system, metric, cond), eer, thr, n_tar, n_non)}
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def stage_report(ctx: Context):
@@ -628,9 +647,10 @@ def stage_report(ctx: Context):
 
 # --- the stage table -------------------------------------------------------
 # Inputs and outputs are run-dir paths; a function of the config in their place
-# stands for the paths it returns (see ``stage_paths``).
+# stands for the paths it returns (see ``stage_paths``). A change that alters a
+# stage's output bytes bumps its code ``version``, so older run dirs re-run it.
 
-Stage = namedtuple("Stage", "name inputs outputs fn")
+Stage = namedtuple("Stage", "name inputs outputs fn version", defaults=(1,))
 
 _CTDNN_MODELS = (ctdnn_model(False), ctdnn_model(True))
 _EMBEDDINGS = tuple(embedding_file(s, split) for s in SYSTEMS for split in SPLITS)
@@ -686,7 +706,7 @@ def run_stage(ctx: Context, name, force=False, digests=None):
         )
     input_hashes = {rel: _digest(ctx.run_dir, rel, digests) for rel in inputs}
     reason = "forced" if force else ctx.manifest.stage_current(
-        name, ctx.config, input_hashes, ctx.run_dir, digests
+        name, stage.version, ctx.config, input_hashes, ctx.run_dir, digests
     )
     if reason is None:
         log.info("stage %s: up to date, skipping", name)
@@ -704,7 +724,8 @@ def run_stage(ctx: Context, name, force=False, digests=None):
             raise DataError(f"stage {name} did not produce {rel}")
         output_hashes[rel] = sha256_file(ctx.path(rel))
     digests.update(output_hashes)
-    ctx.manifest.record(name, config.read, input_hashes, output_hashes, wall, reason)
+    ctx.manifest.record(name, config.read, input_hashes, output_hashes, wall, reason,
+                        stage.version)
     log.info("stage %s: done in %.1fs", name, wall)
     return True
 

@@ -8,6 +8,7 @@ from xldv.archive import (
     archive_stream,
     archive_write,
     load_checkpoint,
+    read_columns,
     save_checkpoint,
 )
 from xldv.errors import FormatError, InvalidArgumentError
@@ -123,3 +124,33 @@ class TestCheckpointContainer:
         save_checkpoint(p1, {"b": 1, "a": 2}, tensors)
         save_checkpoint(p2, {"a": 2, "b": 1}, tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestReadColumns:
+    def test_columns_of_rows(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tb\t1\n\t\t\nc\td\t2\n")
+        assert read_columns(path, 3) == [["a", "", "c"], ["b", "", "d"], ["1", "", "2"]]
+        path.write_text("")
+        assert read_columns(path, 2) == [[], []]
+
+    @pytest.mark.parametrize("n_fields, text", [
+        (3, "a\tb\n"),
+        (3, "a\tb\tc\td\n"),
+        (2, "a\nb\tc\td\n"),  # 1 + 3 fields: the total is right, the rows are not
+        (3, "a\tb\tc\nd\ne\tf\tg\th\ti\nj\tk\tl\n"),  # 3 + 1 + 5 + 3
+        (3, "a\tb\tc\n\n"),
+        (3, "a\tb\tc\nd\te\tf"),  # no final newline
+    ], ids=["short", "long", "short-then-long", "compensating", "blank-line", "unterminated"])
+    def test_line_without_n_fields_rejected(self, tmp_path, n_fields, text):
+        path = tmp_path / "t.tsv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match="t.tsv"):
+            read_columns(path, n_fields)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\t\xff\n")
+        with pytest.raises(InvalidArgumentError, match="UTF-8"):
+            read_columns(path, 2)
+

@@ -8,11 +8,11 @@ from xldv.backend import (
     CosineScorer,
     EmbeddingSet,
     LDAProjection,
+    PLDAScorer,
     _plda_loglik,
     center_lengthnorm,
     cosine_score,
     lda_project,
-    plda_score_pairs,
     train_lda,
     train_plda,
 )
@@ -253,6 +253,11 @@ def gaussian_pdf(x, var):
     return np.exp(-0.5 * x * x / var) / np.sqrt(2 * np.pi * var)
 
 
+def plda_scores(model, enroll, test):
+    scorer = PLDAScorer(model)
+    return scorer.score_pairs(scorer.prepare(enroll), scorer.prepare(test))
+
+
 class TestPldaScore:
     def _model(self, phi_b=1.8, phi_w=0.7, d=1):
         model_x, labels = sample_plda_data(
@@ -266,42 +271,55 @@ class TestPldaScore:
         labels = np.repeat(np.arange(10), 10)
         model = train_plda(x, labels, n_iters=3)
         model.phi_b = np.zeros((3, 3))
-        model._v = None
         pairs = rng.normal(size=(20, 3))
-        scores = plda_score_pairs(model, pairs, rng.normal(size=(20, 3)))
+        scores = plda_scores(model, pairs, rng.normal(size=(20, 3)))
         np.testing.assert_allclose(scores, 0.0, atol=1e-10)
 
     def test_one_dimensional_closed_form_oracle(self):
-        # oracle: numeric integration over the shared latent y
+        # oracle: numeric integration over the shared latent y, in the
+        # embedding space itself: x = mu + y + e, y ~ N(0, phi_b), e ~ N(0, phi_w)
         model = self._model()
         mu = float(model.mu[0])
-        psi = float(model.diagonalized()[1][0])
-        # in the diagonalized basis u = v*(x-mu): latent ~ N(0,psi), noise ~ N(0,1)
-        v = float(model.diagonalized()[0][0, 0])
+        phi_b, phi_w = float(model.phi_b[0, 0]), float(model.phi_w[0, 0])
         for a, b in [(0.3, 0.5), (-1.2, 2.0), (0.0, 0.0), (2.4, -2.4)]:
-            ua, ub = v * (a - mu), v * (b - mu)
 
             def joint(y):
                 return (
-                    gaussian_pdf(y, psi)
-                    * gaussian_pdf(ua - y, 1.0)
-                    * gaussian_pdf(ub - y, 1.0)
+                    gaussian_pdf(y, phi_b)
+                    * gaussian_pdf(a - mu - y, phi_w)
+                    * gaussian_pdf(b - mu - y, phi_w)
                 )
 
-            same, _ = integrate.quad(joint, -12 * np.sqrt(psi), 12 * np.sqrt(psi),
+            same, _ = integrate.quad(joint, -12 * np.sqrt(phi_b), 12 * np.sqrt(phi_b),
                                      epsabs=1e-13, epsrel=1e-12)
-            diff = gaussian_pdf(ua, 1.0 + psi) * gaussian_pdf(ub, 1.0 + psi)
+            diff = (gaussian_pdf(a - mu, phi_b + phi_w)
+                    * gaussian_pdf(b - mu, phi_b + phi_w))
             expected = np.log(same) - np.log(diff)
             np.testing.assert_allclose(
-                plda_score_pairs(model, [[a]], [[b]])[0], expected, atol=1e-8
+                plda_scores(model, [[a]], [[b]])[0], expected, atol=1e-8
             )
+
+    def test_matches_joint_gaussian_oracle(self):
+        # same speaker: [a; b] ~ N([mu; mu], [[T, B], [B, T]]) with T = Phi_b + Phi_w
+        # and B = Phi_b; different speakers: a and b ~ N(mu, T) independently
+        phi_b = np.array([[1.5, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 0.3]])
+        phi_w = np.array([[0.5, 0.1, 0.0], [0.1, 0.8, -0.2], [0.0, -0.2, 0.6]])
+        model = train_plda(*sample_plda_data(phi_b, phi_w, 60, 5, seed=22), n_iters=4)
+        total = model.phi_b + model.phi_w
+        joint = stats.multivariate_normal(np.tile(model.mu, 2),
+                                          np.block([[total, model.phi_b], [model.phi_b, total]]))
+        alone = stats.multivariate_normal(model.mu, total)
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+        expected = joint.logpdf(np.hstack([a, b])) - alone.logpdf(a) - alone.logpdf(b)
+        np.testing.assert_allclose(plda_scores(model, a, b), expected, rtol=1e-9, atol=1e-9)
 
     def test_symmetry(self):
         model = self._model(d=3)
         rng = np.random.default_rng(17)
         for _ in range(10):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            ab, ba = plda_score_pairs(model, [a, b], [b, a])
+            ab, ba = plda_scores(model, [a, b], [b, a])
             assert abs(ab - ba) < 1e-10
 
     def test_ranking_invariant_to_affine_retraining(self):
@@ -317,8 +335,8 @@ class TestPldaScore:
         model2 = train_plda(x @ a_map.T + shift, labels, n_iters=8)
         enroll = rng.normal(size=(40, 2))
         test = rng.normal(size=(40, 2))
-        s1 = plda_score_pairs(model1, enroll, test)
-        s2 = plda_score_pairs(model2, enroll @ a_map.T + shift, test @ a_map.T + shift)
+        s1 = plda_scores(model1, enroll, test)
+        s2 = plda_scores(model2, enroll @ a_map.T + shift, test @ a_map.T + shift)
         assert np.array_equal(np.argsort(s1), np.argsort(s2))
 
 
@@ -328,7 +346,7 @@ class TestScorers:
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         scorer = CosineScorer()
         np.testing.assert_allclose(
-            scorer.score_pairs(a, b),
+            scorer.score_pairs(scorer.prepare(a), scorer.prepare(b)),
             [cosine_score(x, y) for x, y in zip(a, b)],
             atol=1e-12,
         )

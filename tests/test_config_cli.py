@@ -3,8 +3,10 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -138,9 +140,18 @@ class TestCli:
     def test_manifest_records_blas(self, tiny_run):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         recorded = json.loads((tiny_run / "manifest.json").read_text())["blas"]
+        core = recorded.pop("core")
         # tests/conftest.py sets OPENBLAS_NUM_THREADS to 1 before numpy loads
         assert recorded == {"name": blas["name"], "version": blas["version"], "threads": 1}
         assert recorded["name"] and recorded["version"]
+        assert core == pipeline.blas_core()
+        if blas["name"] == "scipy-openblas":
+            assert isinstance(core, str) and core
+
+    def test_manifest_blas_core_is_null_without_the_symbol(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "OPENBLAS_CORENAME", "no_such_symbol_")
+        pipeline.RunManifest(str(tmp_path)).record("synth", {}, {}, {}, 0.0, "test")
+        assert json.loads((tmp_path / "manifest.json").read_text())["blas"]["core"] is None
 
     @pytest.mark.parametrize("numpy_first, env_threads, recorded", [
         (True, None, None), (True, "2", 2), (False, "2", 1),
@@ -339,14 +350,15 @@ def stage_records(run_dir):
     return json.loads((run_dir / "manifest.json").read_text())["stages"]
 
 
-class TestReuse:
-    """Which stages a config change re-runs; each test works on a copy."""
+@pytest.fixture
+def run_copy(tiny_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(tiny_run, run_dir)
+    return run_dir
 
-    @pytest.fixture
-    def run_copy(self, tiny_run, tmp_path):
-        run_dir = tmp_path / "run"
-        shutil.copytree(tiny_run, run_dir)
-        return run_dir
+
+class TestReuse:
+    """Which stages a config or code change re-runs; each test works on a copy."""
 
     def test_immediate_rerun_runs_nothing(self, run_copy):
         assert pipeline.run_all(tiny_context(run_copy)) == []
@@ -381,6 +393,36 @@ class TestReuse:
         assert rec["reason"] == "record has no config keys"
         assert rec["run_seq"] == 1
         assert "config_hash" not in rec
+
+    @pytest.mark.parametrize("name, changes_output, ran", [
+        ("train-ubm", False, ["train-ubm"]),
+        ("eval", True, ["eval", "report"]),
+    ], ids=["same-bytes", "new-bytes"])
+    def test_version_bump_reruns_that_stage_and_changed_dependents(
+            self, run_copy, monkeypatch, name, changes_output, ran):
+        stage = pipeline._STAGE_BY_NAME[name]
+
+        def fn(ctx):
+            stage.fn(ctx)
+            if changes_output:  # repeat the EER table's last row
+                with open(ctx.path(pipeline.EER_TABLE), "r+", encoding="utf-8") as fh:
+                    fh.write(fh.readlines()[-1])
+
+        monkeypatch.setitem(pipeline._STAGE_BY_NAME, name,
+                            stage._replace(fn=fn, version=stage.version + 1))
+        assert pipeline.run_all(tiny_context(run_copy)) == ran
+        record = stage_records(run_copy)[name]
+        assert record["reason"] == "code version changed"
+        assert record["version"] == stage.version + 1
+        assert pipeline.run_all(tiny_context(run_copy)) == []
+
+    def test_record_without_version_counts_as_version_one(self, run_copy):
+        manifest = run_copy / "manifest.json"
+        data = json.loads(manifest.read_text())
+        for rec in data["stages"].values():
+            assert rec.pop("version") == 1
+        manifest.write_text(json.dumps(data))
+        assert pipeline.run_all(tiny_context(run_copy)) == []
 
     @pytest.mark.parametrize("extra", [[], ["backend.lda_dim=4"]],
                              ids=["no-op", "lda-dim-change"])
@@ -437,3 +479,41 @@ class TestReuse:
             read |= set(rec["config_keys"])
         # experiment.seed reaches the stages through the section seeds
         assert read == set(SCHEMA) - {"experiment.seed"}
+
+
+def bad_fbank_record(raw):
+    """A one-record archive whose id has a non-float frame shift but a valid CRC."""
+    ident = "u0\ts0\tA\tten\t25.0".encode()
+    body = (struct.pack("<H", len(ident)) + ident + struct.pack("<II", 1, 1)
+            + np.zeros(1, "<f4").tobytes())
+    return raw[:6] + body + struct.pack("<I", zlib.crc32(body))
+
+
+def replace_first_field(index, value):
+    def edit(raw):
+        lines = raw.decode().split("\n")
+        fields = lines[0].split("\t")
+        fields[index] = value
+        return "\n".join(["\t".join(fields)] + lines[1:]).encode()
+    return edit
+
+
+@pytest.mark.parametrize("rel, stage, corrupt", [
+    ("results/eer.tsv", "report", lambda raw: raw + b"ivector\tcosine\n"),
+    ("results/eer.tsv", "report", replace_first_field(3, "low")),
+    ("trials/A-A.tsv", "eval", lambda raw: raw + b"u0\tu1\n"),
+    ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw),
+    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(2, "n/a")),
+    ("corpus/manifest.tsv", "score", replace_first_field(4, "long")),
+    ("corpus/labels.tsv", "score", replace_first_field(1, "0:x")),
+    ("corpus/speakers.tsv", "score", lambda raw: raw + b"s0\ttrain\textra\n"),
+    ("feats/fbank.farc", "train-asr", bad_fbank_record),
+], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
+        "manifest-duration", "labels-run", "speakers-fields", "fbank-record-id"])
+def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt):
+    path = run_copy / rel
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert main([stage] + tiny_args(run_copy)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("xldv: error: data:")
+    assert len(err.splitlines()) == 1

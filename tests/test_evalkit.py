@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xldv.backend import CosineScorer
+from xldv.backend import CosineScorer, EmbeddingSet, cosine_score, lda_project, train_lda
 from xldv.corpus import CorpusConfig, CorpusManifest, UttRecord, build_corpus
 from xldv.errors import InvalidArgumentError
 from xldv.evalkit import (
@@ -28,6 +28,16 @@ def toy_manifest(n_spk=2, utts_per_lang=2, languages=("A", "B")):
                 utt = f"{spk}-{lang}-{j}"
                 records.append(UttRecord(utt, spk, lang, f"{utt}.wav", 2.0))
     return CorpusManifest("/nowhere", [], speakers, records, {})
+
+
+def trial_columns(trials):
+    return trials.enroll, trials.test, trials.target.tolist()
+
+
+def subset(trials, idx):
+    """The trials at positions ``idx``, in that order."""
+    return TrialList(trials.condition, [trials.enroll[i] for i in idx],
+                     [trials.test[i] for i in idx], trials.target[idx])
 
 
 def brute_force_eer(tar, non):
@@ -54,7 +64,7 @@ class TestMakeTrials:
     def test_two_speaker_counting(self):
         manifest = toy_manifest(n_spk=2, utts_per_lang=2)
         trials = make_trials(manifest, "A-A")
-        n_target = sum(t.target for t in trials.trials)
+        n_target = trials.target.sum()
         assert n_target == 2  # C(2,2) per speaker * 2 speakers
         assert len(trials) - n_target == 4  # C(4,2) - 2
 
@@ -62,11 +72,12 @@ class TestMakeTrials:
         for n_spk, u in itertools.product((2, 3, 4), (2, 3)):
             manifest = toy_manifest(n_spk=n_spk, utts_per_lang=u)
             trials = make_trials(manifest, "A-A")
-            assert sum(t.target for t in trials.trials) == n_spk * (u * (u - 1) // 2)
+            assert trials.target.sum() == n_spk * (u * (u - 1) // 2)
             total = (n_spk * u) * (n_spk * u - 1) // 2
-            assert len(trials) == total
-            for t in trials.trials:
-                assert t.enroll != t.test
+            assert len(trials) == len(trials.test) == len(trials.target) == total
+            for enroll, test, target in zip(*trial_columns(trials)):
+                assert enroll != test
+                assert target == (enroll.split("-")[0] == test.split("-")[0])
 
     def test_fullscale_target_count(self):
         n_spk, u = 181, 10
@@ -76,16 +87,16 @@ class TestMakeTrials:
         manifest = toy_manifest(n_spk=3, utts_per_lang=2)
         trials = make_trials(manifest, "A/B")
         assert len(trials) == (3 * 2) ** 2  # n_spk^2 * u^2
-        assert sum(t.target for t in trials.trials) == 3 * 2 * 2
-        for t in trials.trials:
-            assert t.enroll.split("-")[1] == "A"
-            assert t.test.split("-")[1] == "B"
+        assert trials.target.sum() == 3 * 2 * 2
+        for enroll, test in zip(trials.enroll, trials.test):
+            assert enroll.split("-")[1] == "A"
+            assert test.split("-")[1] == "B"
 
     def test_deterministic_regeneration(self):
         manifest = toy_manifest(n_spk=3, utts_per_lang=3)
         t1 = make_trials(manifest, "A/B")
         t2 = make_trials(manifest, "A/B")
-        assert t1 == t2
+        assert trial_columns(t1) == trial_columns(t2)
 
     def test_missing_language_coverage_names_speaker(self):
         manifest = toy_manifest(n_spk=2, utts_per_lang=1)
@@ -95,32 +106,97 @@ class TestMakeTrials:
             make_trials(manifest, "A/B")
 
     def test_trial_file_round_trip(self, tmp_path):
-        manifest = toy_manifest()
-        trials = make_trials(manifest, "B-B")
+        for condition in ("B-B", "A/B"):
+            trials = make_trials(toy_manifest(n_spk=3), condition)
+            path = tmp_path / "trials.tsv"
+            trials.save(path)
+            back = TrialList.load(path, condition)
+            assert back.condition == condition
+            assert back.target.dtype == bool
+            assert trial_columns(back) == trial_columns(trials)
+            labels = [line.split("\t")[2] for line in path.read_text().splitlines()]
+            assert labels == ["target" if y else "nontarget" for y in trials.target]
+
+    def test_empty_trial_file_round_trip(self, tmp_path):
+        trials = make_trials(toy_manifest(n_spk=1, utts_per_lang=1), "A-A")
+        assert len(trials) == 0
         path = tmp_path / "trials.tsv"
         trials.save(path)
-        assert TrialList.load(path, "B-B") == trials
+        assert path.read_bytes() == b""
+        assert trial_columns(TrialList.load(path, "A-A")) == ([], [], [])
+
+    @pytest.mark.parametrize("text", [
+        "u1\tu2\n", "u1\tu2\ttarget\textra\n", "u1\tu2\tmaybe\n",
+    ], ids=["two-fields", "four-fields", "bad-label"])
+    def test_malformed_trial_file_rejected(self, tmp_path, text):
+        path = tmp_path / "trials.tsv"
+        path.write_text("u0\tu1\tnontarget\n" + text)
+        with pytest.raises(InvalidArgumentError, match="trials.tsv"):
+            TrialList.load(path, "A-A")
 
 
 class TestScoreTrials:
     def _embeddings(self, manifest):
         rng = np.random.default_rng(0)
-        return {r.utterance_id: rng.normal(size=8) for r in manifest.records}
+        records = manifest.records
+        return EmbeddingSet([r.utterance_id for r in records],
+                            [r.speaker_id for r in records],
+                            [r.language_id for r in records],
+                            rng.normal(size=(len(records), 8)))
+
+    def _rows(self, emb, utts):
+        return [emb.vectors[emb.utterance_ids.index(u)] for u in utts]
 
     def test_single_trial(self):
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
-        trials = TrialList("A-A", make_trials(manifest, "A-A").trials[:1])
+        trials = subset(make_trials(manifest, "A-A"), [0])
         scores = score_trials(CosineScorer(), emb, trials)
         assert scores.scores.shape == (1,)
+
+    @pytest.mark.parametrize("condition", ["A-A", "A/B"])
+    def test_cosine_equals_scalar_cosine_per_pair(self, condition):
+        manifest = toy_manifest(n_spk=3, utts_per_lang=3)
+        emb = self._embeddings(manifest)
+        trials = make_trials(manifest, condition)
+        scores = score_trials(CosineScorer(), emb, trials).scores
+        expected = [cosine_score(a, b) for a, b in zip(self._rows(emb, trials.enroll),
+                                                       self._rows(emb, trials.test))]
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    def test_lda_cosine_equals_scalar_cosine_of_projected_rows(self):
+        manifest = toy_manifest(n_spk=4, utts_per_lang=3)
+        emb = self._embeddings(manifest)
+        lda = train_lda(emb.vectors, emb.speaker_ids, 3)
+        trials = make_trials(manifest, "A/B")
+        scores = score_trials(CosineScorer(lda=lda), emb, trials).scores
+        expected = [cosine_score(lda_project(lda, a), lda_project(lda, b))
+                    for a, b in zip(self._rows(emb, trials.enroll),
+                                    self._rows(emb, trials.test))]
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+    def test_prepare_sees_one_row_per_utterance(self):
+        manifest = toy_manifest(n_spk=3, utts_per_lang=3)
+        emb = self._embeddings(manifest)
+        trials = make_trials(manifest, "A/B")
+        prepared = []
+
+        class Recording(CosineScorer):
+            def prepare(self, vectors):
+                prepared.append(np.array(vectors))
+                return super().prepare(vectors)
+
+        scores = score_trials(Recording(), emb, trials).scores
+        assert len(prepared) == 1
+        np.testing.assert_array_equal(prepared[0], emb.vectors)
+        assert len(trials) == 81 > len(emb)
+        np.testing.assert_array_equal(scores, score_trials(CosineScorer(), emb, trials).scores)
 
     def test_symmetric_scorer_swap_invariance(self):
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
         trials = make_trials(manifest, "A-A")
-        swapped = TrialList(
-            "A-A", [type(t)(t.test, t.enroll, t.target) for t in trials.trials]
-        )
+        swapped = TrialList("A-A", trials.test, trials.enroll, trials.target)
         s1 = score_trials(CosineScorer(), emb, trials).scores
         s2 = score_trials(CosineScorer(), emb, swapped).scores
         np.testing.assert_allclose(s1, s2, atol=1e-12)
@@ -131,17 +207,56 @@ class TestScoreTrials:
         trials = make_trials(manifest, "A/B")
         full = score_trials(CosineScorer(), emb, trials).scores
         idx = np.random.default_rng(1).choice(len(trials), 10, replace=False)
-        sub = TrialList("A/B", [trials.trials[i] for i in idx])
         np.testing.assert_array_equal(
-            score_trials(CosineScorer(), emb, sub).scores, full[idx]
+            score_trials(CosineScorer(), emb, subset(trials, idx)).scores, full[idx]
         )
 
     def test_missing_embedding_names_utterance(self):
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
-        emb.pop("evl0-A-1")
+        keep = [i for i, u in enumerate(emb.utterance_ids) if u != "evl0-A-1"]
+        emb = EmbeddingSet([emb.utterance_ids[i] for i in keep],
+                           [emb.speaker_ids[i] for i in keep],
+                           [emb.language_ids[i] for i in keep], emb.vectors[keep])
         with pytest.raises(InvalidArgumentError, match="evl0-A-1"):
             score_trials(CosineScorer(), emb, make_trials(manifest, "A-A"))
+
+
+class TestScoreFiles:
+    def _score_set(self):
+        manifest = toy_manifest(n_spk=3, utts_per_lang=2)
+        trials = make_trials(manifest, "A/B")
+        rng = np.random.default_rng(7)
+        scores = rng.normal(size=len(trials)) * 10.0 ** rng.integers(-5, 6, len(trials))
+        return ScoreSet(trials, scores)
+
+    def test_score_file_round_trip(self, tmp_path):
+        score_set = self._score_set()
+        path = tmp_path / "scores.tsv"
+        score_set.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == (f"{score_set.trial_list.enroll[0]}\t"
+                            f"{score_set.trial_list.test[0]}\t{score_set.scores[0]:.8e}")
+        back = ScoreSet.load(path, score_set.trial_list)
+        assert back.trial_list is score_set.trial_list
+        np.testing.assert_array_equal(
+            back.scores, [float(f"{s:.8e}") for s in score_set.scores]
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:-1],
+        lambda lines: lines + lines[:1],
+        lambda lines: lines[1:2] + lines[:1] + lines[2:],
+        lambda lines: [lines[0].rsplit("\t", 1)[0]] + lines[1:],
+        lambda lines: [lines[0].rsplit("\t", 1)[0] + "\tn/a"] + lines[1:],
+    ], ids=["short", "long", "misaligned", "two-fields", "non-numeric"])
+    def test_malformed_score_file_rejected(self, tmp_path, edit):
+        score_set = self._score_set()
+        path = tmp_path / "scores.tsv"
+        score_set.save(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InvalidArgumentError, match="scores.tsv"):
+            ScoreSet.load(path, score_set.trial_list)
 
 
 class TestComputeEer:
@@ -204,11 +319,10 @@ class TestComputeEer:
     def test_score_set_split(self):
         manifest = toy_manifest()
         trials = make_trials(manifest, "A-A")
-        rng = np.random.default_rng(6)
-        emb = {r.utterance_id: rng.normal(size=4) for r in manifest.records}
-        scores = score_trials(CosineScorer(), emb, trials)
+        scores = ScoreSet(trials, np.random.default_rng(6).normal(size=len(trials)))
         tar, non = scores.split()
-        n_target = sum(t.target for t in trials.trials)
+        np.testing.assert_array_equal(tar, scores.scores[trials.target])
+        n_target = trials.target.sum()
         assert len(tar) == n_target
         assert len(non) == len(trials) - n_target
         res = compute_eer(*scores.split())
