@@ -13,7 +13,9 @@ ndim u32 dims, little-endian row-major payload; u32 CRC32 trailer over all
 bytes after the version field.
 """
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 
@@ -42,14 +44,14 @@ def _pack_id(feat: FeatureMatrix) -> bytes:
     return "\t".join(parts).encode("utf-8")
 
 
-def _unpack_id(raw: bytes, offset):
+def _unpack_id(raw: bytes, offset, path):
     try:
         parts = raw.decode("utf-8").split("\t")
         if len(parts) != 5:
-            raise FormatError("archive record id has wrong field count", offset=offset)
+            raise FormatError("archive record id has wrong field count", offset, path=path)
         return parts[0], parts[1], parts[2], float(parts[3]), float(parts[4])
     except ValueError as exc:  # UnicodeDecodeError too: the CRC is checked later
-        raise FormatError(f"malformed archive record id: {exc}", offset=offset) from None
+        raise FormatError(f"malformed archive record id: {exc}", offset, path=path) from None
 
 
 def _record_bytes(feat: FeatureMatrix) -> bytes:
@@ -64,10 +66,27 @@ def _record_bytes(feat: FeatureMatrix) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """``open(path, mode)`` for writing, that replaces ``path`` only when the block completes.
+
+    The block writes ``path + ".tmp"``, which an exception removes, so ``path``
+    holds either its old bytes or the complete new ones (or stays absent).
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def archive_write(feats, path):
     """Write an iterable of FeatureMatrix records; ids must be unique."""
     seen = set()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(FARC_MAGIC + struct.pack("<H", FARC_VERSION))
         for feat in feats:
             if feat.utterance_id in seen:
@@ -81,10 +100,10 @@ def archive_stream(path):
     with open(path, "rb") as fh:
         head = fh.read(6)
         if len(head) < 6 or head[:4] != FARC_MAGIC:
-            raise FormatError("not a feature archive (bad magic)", offset=0)
+            raise FormatError("not a feature archive (bad magic)", offset=0, path=path)
         (version,) = struct.unpack("<H", head[4:6])
         if version != FARC_VERSION:
-            raise FormatError(f"unsupported archive version {version}", offset=4)
+            raise FormatError(f"unsupported archive version {version}", offset=4, path=path)
         seen = set()
         while True:
             rec_start = fh.tell()
@@ -92,28 +111,28 @@ def archive_stream(path):
             if not raw_len:
                 return
             if len(raw_len) < 2:
-                raise FormatError("truncated record header", offset=rec_start)
+                raise FormatError("truncated record header", rec_start, path=path)
             (id_len,) = struct.unpack("<H", raw_len)
             ident = fh.read(id_len)
             if len(ident) < id_len:
-                raise FormatError("truncated record id", offset=rec_start)
-            utt_id, spk_id, lang_id, shift, length = _unpack_id(ident, rec_start)
+                raise FormatError("truncated record id", rec_start, path=path)
+            utt_id, spk_id, lang_id, shift, length = _unpack_id(ident, rec_start, path)
             dims = fh.read(8)
             if len(dims) < 8:
-                raise FormatError("truncated record dims", offset=rec_start, record=utt_id)
+                raise FormatError("truncated record dims", rec_start, utt_id, path)
             t, d = struct.unpack("<II", dims)
             payload = fh.read(4 * t * d)
             if len(payload) < 4 * t * d:
-                raise FormatError("truncated record payload", offset=rec_start, record=utt_id)
+                raise FormatError("truncated record payload", rec_start, utt_id, path)
             crc_raw = fh.read(4)
             if len(crc_raw) < 4:
-                raise FormatError("truncated record checksum", offset=rec_start, record=utt_id)
+                raise FormatError("truncated record checksum", rec_start, utt_id, path)
             (crc_stored,) = struct.unpack("<I", crc_raw)
             body = raw_len + ident + dims + payload
             if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-                raise FormatError("record checksum mismatch", offset=rec_start, record=utt_id)
+                raise FormatError("record checksum mismatch", rec_start, utt_id, path)
             if utt_id in seen:
-                raise FormatError("duplicate record id", offset=rec_start, record=utt_id)
+                raise FormatError("duplicate record id", rec_start, utt_id, path)
             seen.add(utt_id)
             data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
             yield FeatureMatrix(utt_id, spk_id, lang_id, data, shift, length)
@@ -156,7 +175,7 @@ def save_checkpoint(path, header: dict, tensors: dict):
         body += struct.pack("<BB", code, arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
         body += arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(NNCK_MAGIC + struct.pack("<H", NNCK_VERSION))
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
@@ -167,20 +186,20 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 10 or blob[:4] != NNCK_MAGIC:
-        raise FormatError("not a checkpoint container (bad magic)", offset=0)
+        raise FormatError("not a checkpoint container (bad magic)", offset=0, path=path)
     (version,) = struct.unpack("<H", blob[4:6])
     if version != NNCK_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+        raise FormatError(f"unsupported checkpoint version {version}", offset=4, path=path)
     body, crc_raw = blob[6:-4], blob[-4:]
     (crc_stored,) = struct.unpack("<I", crc_raw)
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise FormatError("checkpoint checksum mismatch", offset=len(blob) - 4)
+        raise FormatError("checkpoint checksum mismatch", offset=len(blob) - 4, path=path)
     pos = 0
 
     def take(n, what):
         nonlocal pos
         if pos + n > len(body):
-            raise FormatError(f"truncated checkpoint ({what})", offset=6 + pos)
+            raise FormatError(f"truncated checkpoint ({what})", 6 + pos, path=path)
         out = body[pos : pos + n]
         pos += n
         return out
@@ -194,7 +213,7 @@ def load_checkpoint(path):
         name = take(name_len, "tensor name").decode("utf-8")
         code, ndim = struct.unpack("<BB", take(2, "tensor dtype/ndim"))
         if code not in _DTYPE_CODES:
-            raise FormatError(f"unknown tensor dtype code {code}", offset=6 + pos, record=name)
+            raise FormatError(f"unknown tensor dtype code {code}", 6 + pos, name, path)
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape")) if ndim else ()
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         payload = take(count * _DTYPE_CODES[code].itemsize, "tensor payload")

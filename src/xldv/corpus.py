@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import read_columns
+from .archive import atomic_open, read_columns
 from .errors import DataError, InvalidArgumentError
 from .frontend import FRAME_LENGTH, FRAME_SHIFT, SAMPLE_RATE, n_frames_for_samples
+from .workers import map_ordered
 
 N_BANDS = 24
 BAND_LOW_HZ = 100.0
@@ -332,13 +333,13 @@ class CorpusManifest:
             f"{r.utterance_id}\t{r.speaker_id}\t{r.language_id}\t{r.rel_path}\t{r.duration_s:.3f}\n"
             for r in self.records
         ]
-        with open(os.path.join(self.root, "manifest.tsv"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(self.root, "manifest.tsv")) as fh:
             fh.writelines(lines)
-        with open(os.path.join(self.root, "labels.tsv"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(self.root, "labels.tsv")) as fh:
             for r in self.records:
                 runs = ",".join(f"{s}:{p}" for s, p in self.labels[r.utterance_id])
                 fh.write(f"{r.utterance_id}\t{runs}\n")
-        with open(os.path.join(self.root, "speakers.tsv"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(self.root, "speakers.tsv")) as fh:
             for spk in self.train_speakers:
                 fh.write(f"{spk}\ttrain\n")
             for spk in self.eval_speakers:
@@ -367,7 +368,7 @@ class CorpusManifest:
 
 
 def _write_wav(path, samples):
-    with wave.open(path, "wb") as fh:
+    with atomic_open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(SAMPLE_RATE)
@@ -438,7 +439,9 @@ def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
         lang: np.mean([p.mean_duration_ms for p in inv.phones]) / 1000.0
         for lang, inv in inventories.items()
     }
-    for spk, lang, utt_id in plan:
+
+    def synth_one(entry):
+        spk, lang, utt_id = entry
         profile = sample_speaker(seed, spk)
         inventory = inventories[lang]
         urng = derive_rng(seed, "utt", utt_id)
@@ -450,8 +453,11 @@ def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
         rel = os.path.join("wav", spk, f"{utt_id}.wav")
         os.makedirs(os.path.join(out_dir, "wav", spk), exist_ok=True)
         _write_wav(os.path.join(out_dir, rel), utt.samples)
-        manifest.records.append(UttRecord(utt_id, spk, lang, rel, utt.duration_s))
-        manifest.labels[utt_id] = label_runs(frame_labels(utt))
+        return UttRecord(utt_id, spk, lang, rel, utt.duration_s), label_runs(frame_labels(utt))
+
+    for rec, runs in map_ordered(synth_one, plan):
+        manifest.records.append(rec)
+        manifest.labels[rec.utterance_id] = runs
     manifest.save()
     return manifest
 

@@ -29,11 +29,12 @@ class FormatError(DataError):
     """A serialized file is malformed.
 
     ``offset`` is the byte offset where parsing failed; ``record`` names the
-    failing record when known.
+    failing record when known; ``path`` is the file. It pickles whole (a
+    worker process raises it in the parent), as every error here does.
     """
 
-    def __init__(self, message, offset=None, record=None):
-        detail = message
+    def __init__(self, message, offset=None, record=None, path=None):
+        detail = message if path is None else f"{path}: {message}"
         if record is not None:
             detail += f" (record {record!r})"
         if offset is not None:
@@ -41,6 +42,7 @@ class FormatError(DataError):
         super().__init__(detail)
         self.offset = offset
         self.record = record
+        self.path = path
 
 
 class NumericError(XldvError, ArithmeticError):

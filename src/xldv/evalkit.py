@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import read_columns
+from .archive import atomic_open, read_columns
 from .errors import InvalidArgumentError
 
 SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
@@ -33,7 +33,7 @@ class TrialList:
 
     def save(self, path):
         labels = np.where(self.target, "target", "nontarget").tolist()
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.writelines(f"{e}\t{t}\t{y}\n" for e, t, y in zip(self.enroll, self.test, labels))
 
     @classmethod
@@ -90,7 +90,7 @@ class ScoreSet:
 
     def save(self, path):
         rows = zip(self.trial_list.enroll, self.trial_list.test, self.scores.tolist())
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.writelines(f"{e}\t{t}\t{s:.8e}\n" for e, t, s in rows)
 
     @classmethod

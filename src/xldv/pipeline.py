@@ -14,12 +14,16 @@ changing one config key re-runs the stages that read it plus the dependents
 whose inputs actually changed, and deleting one stage's outputs regenerates
 only that stage (and dependents whose inputs actually changed). The reason a
 stage ran is logged and kept in its record, with a per-stage run counter,
-the wall time and ``max_rss_mb``: the process's ``ru_maxrss`` after the stage.
-That is a high-water mark of the whole process, so in one ``run_all`` a
-stage's own peak shows as the first record where the value rises. Neither
-takes part in ``stage_current``.
+the wall time, ``max_rss_mb`` (the process's ``ru_maxrss`` after the stage)
+and ``child_max_rss_mb`` (``ru_maxrss`` of its largest finished worker
+process). Both are high-water marks of the whole process, so in one
+``run_all`` a stage's own peak shows as the first record where a value
+rises. None of these takes part in ``stage_current``.
 One ``run_all`` hashes each file at most once: stages share a digest memo,
 and a stage that runs replaces its outputs' entries.
+Stages whose work splits into independent units (utterances, CT-DNN
+variants, systems) run them through ``workers.map_ordered``; the rest stay
+serial, because their EM sums would round differently in another order.
 """
 
 import ctypes
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import BLAS_THREADS, __version__
-from . import archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet
+from . import archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet, workers
 from .config import ExperimentConfig
 from .errors import DataError
 from .evalkit import METRICS, SYSTEMS
@@ -80,6 +84,11 @@ def blas_core():
     return None
 
 
+def _max_rss_mb(who):
+    # ru_maxrss is in KiB on Linux
+    return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+
+
 class RunManifest:
     """Journal of completed stages: config keys read, checksums, timings."""
 
@@ -100,11 +109,9 @@ class RunManifest:
             self.data = data
 
     def save(self):
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with archive.atomic_open(self.path) as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, self.path)
 
     def record(self, stage, config_keys, inputs, outputs, wall_clock, reason, version=1):
         previous = self.data["stages"].get(stage, {})
@@ -121,10 +128,8 @@ class RunManifest:
             "reason": reason,
             "run_seq": previous.get("run_seq", 0) + 1,
             "wall_clock_s": round(wall_clock, 3),
-            # ru_maxrss is in KiB on Linux
-            "max_rss_mb": round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
-            ),
+            "max_rss_mb": _max_rss_mb(resource.RUSAGE_SELF),
+            "child_max_rss_mb": _max_rss_mb(resource.RUSAGE_CHILDREN),
         }
         self.save()
 
@@ -301,7 +306,7 @@ def stage_synth(ctx: Context):
     for rec in manifest.records:
         digest.update(rec.utterance_id.encode())
         digest.update(sha256_file(manifest.wav_path(rec)).encode())
-    with open(ctx.path(WAV_DIGEST), "w", encoding="utf-8") as fh:
+    with archive.atomic_open(ctx.path(WAV_DIGEST)) as fh:
         fh.write(digest.hexdigest() + "\n")
 
 
@@ -309,18 +314,16 @@ def stage_feats(ctx: Context):
     manifest = _load_manifest(ctx)
     n_mels = ctx.config["frontend.n_mels"]
 
-    def fbank_records():
-        for rec in manifest.records:
-            utt = corpus.load_utterance(manifest, rec)
-            yield frontend.cmvn(frontend.fbank(utt, n_mels=n_mels))
+    def fbank_record(rec):
+        utt = corpus.load_utterance(manifest, rec)
+        return frontend.cmvn(frontend.fbank(utt, n_mels=n_mels))
 
-    def mfcc_records():
-        for rec in manifest.records:
-            utt = corpus.load_utterance(manifest, rec)
-            yield frontend.cmvn(frontend.add_deltas(frontend.mfcc(utt)))
+    def mfcc_record(rec):
+        utt = corpus.load_utterance(manifest, rec)
+        return frontend.cmvn(frontend.add_deltas(frontend.mfcc(utt)))
 
-    archive.archive_write(fbank_records(), ctx.path(FBANK))
-    archive.archive_write(mfcc_records(), ctx.path(MFCC))
+    for record, rel in ((fbank_record, FBANK), (mfcc_record, MFCC)):
+        archive.archive_write(workers.map_ordered(record, manifest.records), ctx.path(rel))
 
 
 def stage_train_asr(ctx: Context):
@@ -421,8 +424,8 @@ def stage_train_ctdnn(ctx: Context):
     train_feats = [feats[r.utterance_id] for r in manifest.utterances("train")]
     labels = ctdnn.contiguous_labels(manifest.train_speakers)
     del feats  # the eval utterances' features, held through both trainings otherwise
-    for aware in CTDNN_VARIANTS:
-        _train_one_ctdnn(ctx, train_feats, labels, aware)
+    workers.map_ordered(lambda aware: _train_one_ctdnn(ctx, train_feats, labels, aware),
+                        CTDNN_VARIANTS, ctx.config)
 
 
 def _ubm_sample(ctx: Context):
@@ -512,62 +515,69 @@ def stage_extract(ctx: Context):
         manifest.utterances("eval"),
     )))
     net_config = _ctdnn_config(cfg)
-    feats = archive.archive_read_dict(ctx.path(FBANK))
-    factors = archive.archive_read_dict(ctx.path(FACTORS))
-    for aware, variant in CTDNN_VARIANTS.items():
-        graph, _ = NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)))
-
-        def dvector(rec):
-            fac = factors[rec.utterance_id].data if aware else None
-            return ctdnn.dvector(ctdnn.extract_frame_features(
-                graph, feats[rec.utterance_id], net_config, factors=fac
-            ))
-
-        for split, recs in splits.items():
-            _embedding_set(recs, dvector).to_archive(
-                ctx.path(embedding_file(f"dvector-{variant}", split))
-            )
-    del feats, factors, graph
+    # checkpoints load here, once; each system's worker reads its own archives
+    graphs = {
+        f"dvector-{variant}": NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)))[0]
+        for aware, variant in CTDNN_VARIANTS.items()
+    }
     ubm = load_ubm(ctx.path(UBM_MODEL))
     tmat = load_tmatrix(ctx.path(TMATRIX_MODEL))
-    mfcc_feats = archive.archive_read_dict(ctx.path(MFCC))
 
-    def ivec(rec):
-        stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
-        return ivector.extract_ivector(ubm, tmat, stats)
+    def embed(system):
+        if system == "ivector":
+            mfcc_feats = archive.archive_read_dict(ctx.path(MFCC))
 
-    for split, recs in splits.items():
-        _embedding_set(recs, ivec).to_archive(ctx.path(embedding_file("ivector", split)))
+            def vector(rec):
+                stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
+                return ivector.extract_ivector(ubm, tmat, stats)
+        else:
+            feats = archive.archive_read_dict(ctx.path(FBANK))
+            factors = (archive.archive_read_dict(ctx.path(FACTORS))
+                       if system == "dvector-phone-aware" else None)
+
+            def vector(rec):
+                fac = factors[rec.utterance_id].data if factors is not None else None
+                return ctdnn.dvector(ctdnn.extract_frame_features(
+                    graphs[system], feats[rec.utterance_id], net_config, factors=fac
+                ))
+
+        for split, recs in splits.items():
+            _embedding_set(recs, vector).to_archive(ctx.path(embedding_file(system, split)))
+
+    workers.map_ordered(embed, SYSTEMS, cfg)
+
+
+def _train_backend(ctx: Context, system):
+    cfg = ctx.config
+    emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "train")))
+    mean = emb.vectors.mean(axis=0)
+    normed = backend.center_lengthnorm(emb.vectors, mean)
+    label_of = ctdnn.contiguous_labels(emb.speaker_ids)
+    labels = np.array([label_of[s] for s in emb.speaker_ids])
+    n_classes = labels.max() + 1
+    k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)
+    if k < cfg["backend.lda_dim"]:
+        log.info("%s: LDA dim clamped to %d", system, k)
+    lda = backend.train_lda(normed, labels, k)
+    plda = backend.train_plda(normed, labels, n_iters=cfg["backend.plda_iters"])
+    archive.save_checkpoint(
+        ctx.path(backend_model(system)),
+        {"kind": "backend", "system": system, "sections": ["LDAP", "PLDA"],
+         "plda_objective": plda.objective, "lda_dim": int(k)},
+        {
+            "MEAN.mean": mean,
+            "LDAP.mean": lda.mean,
+            "LDAP.matrix": lda.matrix,
+            "LDAP.eigenvalues": lda.eigenvalues,
+            "PLDA.mu": plda.mu,
+            "PLDA.phi_b": plda.phi_b,
+            "PLDA.phi_w": plda.phi_w,
+        },
+    )
 
 
 def stage_backend_train(ctx: Context):
-    cfg = ctx.config
-    for system in SYSTEMS:
-        emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "train")))
-        mean = emb.vectors.mean(axis=0)
-        normed = backend.center_lengthnorm(emb.vectors, mean)
-        label_of = ctdnn.contiguous_labels(emb.speaker_ids)
-        labels = np.array([label_of[s] for s in emb.speaker_ids])
-        n_classes = labels.max() + 1
-        k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)
-        if k < cfg["backend.lda_dim"]:
-            log.info("%s: LDA dim clamped to %d", system, k)
-        lda = backend.train_lda(normed, labels, k)
-        plda = backend.train_plda(normed, labels, n_iters=cfg["backend.plda_iters"])
-        archive.save_checkpoint(
-            ctx.path(backend_model(system)),
-            {"kind": "backend", "system": system, "sections": ["LDAP", "PLDA"],
-             "plda_objective": plda.objective, "lda_dim": int(k)},
-            {
-                "MEAN.mean": mean,
-                "LDAP.mean": lda.mean,
-                "LDAP.matrix": lda.matrix,
-                "LDAP.eigenvalues": lda.eigenvalues,
-                "PLDA.mu": plda.mu,
-                "PLDA.phi_b": plda.phi_b,
-                "PLDA.phi_w": plda.phi_w,
-            },
-        )
+    workers.map_ordered(lambda system: _train_backend(ctx, system), SYSTEMS, ctx.config)
 
 
 def load_backend(path):
@@ -623,7 +633,7 @@ def stage_eval(ctx: Context):
                     f"{system}\t{metric}\t{cond}\t{res.eer:.6f}\t"
                     f"{res.threshold:.8e}\t{res.n_target}\t{res.n_nontarget}\n"
                 )
-    with open(ctx.path(EER_TABLE), "w", encoding="utf-8") as fh:
+    with archive.atomic_open(ctx.path(EER_TABLE)) as fh:
         fh.writelines(lines)
 
 
@@ -639,9 +649,9 @@ def read_eer_table(path):
 def stage_report(ctx: Context):
     results = read_eer_table(ctx.path(EER_TABLE))
     tsv, text = evalkit.results_table(results, conditions(ctx.config))
-    with open(ctx.path(REPORT_TSV), "w", encoding="utf-8") as fh:
+    with archive.atomic_open(ctx.path(REPORT_TSV)) as fh:
         fh.write(tsv)
-    with open(ctx.path(REPORT_TXT), "w", encoding="utf-8") as fh:
+    with archive.atomic_open(ctx.path(REPORT_TXT)) as fh:
         fh.write(text)
 
 
@@ -746,6 +756,6 @@ def make_context(config: ExperimentConfig, run_dir=None) -> Context:
         )
     os.makedirs(run_dir, exist_ok=True)
     resolved = os.path.join(run_dir, "config.resolved.ini")
-    with open(resolved, "w", encoding="utf-8") as fh:
+    with archive.atomic_open(resolved) as fh:
         fh.write(config.canonical_text())
     return Context(config=config, run_dir=run_dir, manifest=RunManifest(run_dir))

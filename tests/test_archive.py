@@ -1,5 +1,8 @@
 """Feature archive and checkpoint container round trips and fault handling."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from xldv.archive import (
     archive_read_dict,
     archive_stream,
     archive_write,
+    atomic_open,
     load_checkpoint,
     read_columns,
     save_checkpoint,
@@ -63,6 +67,20 @@ class TestFeatureArchive:
         assert err.value.record == "utt2"
         assert err.value.offset is not None
 
+    def test_errors_name_the_file_and_pickle_whole(self, tmp_path):
+        path = tmp_path / "t.farc"
+        archive_write(random_feats(3, np.random.default_rng(2)), path)
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(FormatError) as err:
+            list(archive_stream(path))
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: truncated record payload (record 'utt2')")
+        # a worker process raises it in the parent through pickle
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is FormatError
+        assert (str(copy), copy.offset, copy.record, copy.path) == (
+            str(err.value), err.value.offset, "utt2", path)
+
     def test_corruption_detected_by_crc(self, tmp_path):
         feats = random_feats(2, np.random.default_rng(3))
         path = tmp_path / "c.farc"
@@ -115,7 +133,7 @@ class TestCheckpointContainer:
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: checkpoint checksum mismatch"):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
@@ -124,6 +142,27 @@ class TestCheckpointContainer:
         save_checkpoint(p1, {"b": 1, "a": 2}, tensors)
         save_checkpoint(p2, {"a": 2, "b": 1}, tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestAtomicOpen:
+    @pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["existing", "absent"])
+    def test_error_leaves_old_bytes_or_no_file(self, tmp_path, old):
+        path = tmp_path / "out.bin"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(RuntimeError), atomic_open(path, "wb") as fh:
+            fh.write(b"partial")
+            raise RuntimeError("writer failed midway")
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.bin"] if old else [])
+
+    def test_complete_block_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_open(path) as fh:
+            fh.write("new \u00e9\n")
+        assert path.read_bytes() == "new \u00e9\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestReadColumns:

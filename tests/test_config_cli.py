@@ -1,8 +1,13 @@
 """Configuration parsing/validation and the CLI pipeline on a tiny corpus."""
 
+import itertools
 import json
+import logging
+import multiprocessing
 import os
+import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -12,7 +17,7 @@ import numpy as np
 import pytest
 
 import xldv
-from xldv import archive, evalkit, pipeline
+from xldv import archive, evalkit, pipeline, workers
 from xldv.cli import main
 from xldv.config import (
     SCHEMA,
@@ -20,7 +25,7 @@ from xldv.config import (
     load_config,
     parse_config_text,
 )
-from xldv.errors import ConfigError
+from xldv.errors import ConfigError, DataError
 
 TINY_OVERRIDES = [
     "corpus.n_train_speakers=6",
@@ -187,6 +192,10 @@ class TestCli:
         rss = [stages[name]["max_rss_mb"] for name in pipeline.STAGE_NAMES]
         assert rss[0] > 0
         assert rss == sorted(rss)
+        # the largest worker so far; synth already ran its utterances in workers
+        child = [stages[name]["child_max_rss_mb"] for name in pipeline.STAGE_NAMES]
+        assert child[0] > 0
+        assert child == sorted(child)
         before = manifest.read_bytes()
         assert main(["all"] + tiny_args(tiny_run)) == 0
         assert manifest.read_bytes() == before
@@ -481,6 +490,101 @@ class TestReuse:
         assert read == set(SCHEMA) - {"experiment.seed"}
 
 
+def run_files(run_dir):
+    """rel -> bytes of every file in a run directory but ``manifest.json``."""
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+class TestWorkers:
+    """Pooled stages give a serial run's bytes, records and logs, and fail cleanly."""
+
+    def test_worker_count_changes_no_byte_key_or_log_line(self, tmp_path, monkeypatch,
+                                                          caplog):
+        caplog.set_level(logging.INFO)
+        runs = {}
+        for count in (1, 2):
+            monkeypatch.setattr(workers, "worker_count", lambda: count)
+            caplog.clear()
+            run_dir = tmp_path / f"workers{count}"
+            assert main(["all"] + tiny_args(run_dir)) == 0
+            # timings are the only part of a log line that may differ
+            lines = [(r.name, r.levelno, re.sub(r"\d+\.\d+s\b", "<t>", r.getMessage()))
+                     for r in caplog.records]
+            keys = {name: rec["config_keys"] for name, rec in stage_records(run_dir).items()}
+            runs[count] = run_files(run_dir), keys, lines
+        assert len(runs[1][0]) > 80
+        assert any("feature net: val frame accuracy" in line for _, _, line in runs[1][2])
+        assert runs[1] == runs[2]
+
+    def test_stderr_shows_each_worker_line_once(self, run_copy):
+        # workers must not write to the handlers they inherit, only the stage process
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xldv.__file__)))
+        args = [arg for arg in tiny_args(run_copy) if arg != "--quiet"]
+        out = subprocess.run([sys.executable, "-m", "xldv.cli", "backend-train", "--force"]
+                             + args, env=env, capture_output=True, text=True, check=True)
+        messages = [line.split(": ", 1)[1] for line in out.stderr.splitlines()]
+        floors = (["PLDA init: within-class covariance floored"]
+                  + ["PLDA M-step: within-class covariance floored"] * 3)
+        # the two d-vector systems floor, the i-vector one does not
+        assert messages[:-1] == ["stage backend-train: running (forced)"] + floors * 2
+        assert messages[-1].startswith("stage backend-train: done in ")
+
+    def test_data_error_in_a_worker_exits_two(self, run_copy, capsys):
+        # only the phone-aware CT-DNN's worker reads the factors archive
+        factors = run_copy / "feats" / "factors.farc"
+        factors.write_bytes(factors.read_bytes()[:-3])
+        assert main(["train-ctdnn", "--force"] + tiny_args(run_copy)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"xldv: error: data: {factors}: truncated record checksum")
+        assert len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_two_and_leaves_no_child(self, run_copy, capsys,
+                                                         monkeypatch):
+        real = pipeline._train_backend
+
+        def die_on_phone_aware(ctx, system):
+            if system == "dvector-phone-aware":
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(ctx, system)
+
+        monkeypatch.setattr(pipeline, "_train_backend", die_on_phone_aware)
+        assert main(["backend-train", "--force"] + tiny_args(run_copy)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("xldv: error: internal: a worker process died")
+        assert len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stage, rel", [
+        ("feats", "feats/fbank.farc"),  # written by the stage process
+        ("extract", "embeddings/ivec_train.farc"),  # written by a worker
+    ])
+    @pytest.mark.parametrize("delete", [False, True], ids=["old", "absent"])
+    def test_failed_write_leaves_old_bytes_or_no_file(self, run_copy, monkeypatch,
+                                                      stage, rel, delete):
+        before = run_files(run_copy)
+        if delete:
+            (run_copy / rel).unlink()
+        real = archive._record_bytes
+        written = itertools.count()
+
+        def fail_midway(feat):
+            if next(written) == 5:
+                raise DataError("device full")
+            return real(feat)
+
+        monkeypatch.setattr(archive, "_record_bytes", fail_midway)
+        assert main([stage, "--force"] + tiny_args(run_copy)) == 2
+        after = run_files(run_copy)
+        assert not [name for name in after if name.endswith(".tmp")]
+        assert all(after[name] == before[name] for name in after)
+        assert (rel in after) != delete
+        monkeypatch.undo()
+        assert main(["all"] + tiny_args(run_copy)) == 0
+        assert run_files(run_copy) == before
+
+
 def bad_fbank_record(raw):
     """A one-record archive whose id has a non-float frame shift but a valid CRC."""
     ident = "u0\ts0\tA\tten\t25.0".encode()
@@ -498,22 +602,25 @@ def replace_first_field(index, value):
     return edit
 
 
-@pytest.mark.parametrize("rel, stage, corrupt", [
-    ("results/eer.tsv", "report", lambda raw: raw + b"ivector\tcosine\n"),
-    ("results/eer.tsv", "report", replace_first_field(3, "low")),
-    ("trials/A-A.tsv", "eval", lambda raw: raw + b"u0\tu1\n"),
-    ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw),
-    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(2, "n/a")),
-    ("corpus/manifest.tsv", "score", replace_first_field(4, "long")),
-    ("corpus/labels.tsv", "score", replace_first_field(1, "0:x")),
-    ("corpus/speakers.tsv", "score", lambda raw: raw + b"s0\ttrain\textra\n"),
-    ("feats/fbank.farc", "train-asr", bad_fbank_record),
+@pytest.mark.parametrize("rel, stage, corrupt, named", [
+    ("results/eer.tsv", "report", lambda raw: raw + b"ivector\tcosine\n", "results/eer.tsv"),
+    ("results/eer.tsv", "report", replace_first_field(3, "low"), "results/eer.tsv"),
+    ("trials/A-A.tsv", "eval", lambda raw: raw + b"u0\tu1\n", "trials/A-A.tsv"),
+    ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw, "trials/A-A.tsv"),
+    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(2, "n/a"),
+     "scores/ivector_plda_A-A.tsv"),
+    ("corpus/manifest.tsv", "score", replace_first_field(4, "long"), "corpus"),
+    ("corpus/labels.tsv", "score", replace_first_field(1, "0:x"), "corpus"),
+    ("corpus/speakers.tsv", "score", lambda raw: raw + b"s0\ttrain\textra\n",
+     "corpus/speakers.tsv"),
+    ("feats/fbank.farc", "train-asr", bad_fbank_record, "feats/fbank.farc"),
 ], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
         "manifest-duration", "labels-run", "speakers-fields", "fbank-record-id"])
-def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt):
+def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, named):
     path = run_copy / rel
     path.write_bytes(corrupt(path.read_bytes()))
     assert main([stage] + tiny_args(run_copy)) == 2
     err = capsys.readouterr().err
     assert err.startswith("xldv: error: data:")
     assert len(err.splitlines()) == 1
+    assert f"{run_copy / named}: " in err

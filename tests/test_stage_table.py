@@ -5,13 +5,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import logging
 import os
 import pathlib
 
 import pytest
 
-from xldv import evalkit, pipeline
-from xldv.cli import build_parser
+from test_config_cli import TINY_OVERRIDES, tiny_args
+from xldv import evalkit, pipeline, workers
+from xldv.cli import build_parser, main
 from xldv.config import load_config
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
@@ -124,6 +126,36 @@ class TestBenchmarkContract:
         assert interventions
         for template in interventions:
             assert any(lit.startswith(template) for lit in literals), template
+
+    def test_pooled_backend_train_counts_each_intervention_once(self, tmp_path,
+                                                                monkeypatch, caplog):
+        # perfbench counts these lines with a root-logger handler in the stage
+        # process; 2 utterances per speaker make both LDA scatters singular
+        extra = ["backend.train_utts_per_speaker=2"]
+        assert main(["all"] + tiny_args(tmp_path, extra)) == 0
+        templates = constants("worker.py", ["LOG_COUNTERS"])["LOG_COUNTERS"]
+        seen = []
+
+        class Counter(logging.Handler):
+            def emit(self, record):
+                seen.append((record.msg, record.process))
+
+        counter = Counter(logging.INFO)
+        caplog.set_level(logging.INFO)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        logging.getLogger().addHandler(counter)
+        try:
+            ctx = pipeline.make_context(load_config(None, TINY_OVERRIDES + extra), tmp_path)
+            pipeline.run_stage(ctx, "backend-train", force=True)
+        finally:
+            logging.getLogger().removeHandler(counter)
+        counts = {}
+        for msg, process in seen:
+            key = next((key for t, key in templates.items() if msg.startswith(t)), None)
+            if key in ("plda_floors", "lda_ridges"):
+                assert process != os.getpid()  # emitted in a worker
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == {"plda_floors": 12, "lda_ridges": 3}  # as in a serial run
 
     def test_run_dir_files_the_worker_reads(self):
         conds = constants("worker.py", ["CONDITIONS"])["CONDITIONS"]
