@@ -1,10 +1,12 @@
 """Serialization: feature archives, model checkpoints, tab-separated text.
 
-Feature archive (``FARC``): magic ``FARC``, u16 version=1, then per record
-u16 id-length, UTF-8 id, u32 T, u32 D, T*D little-endian float32 row-major,
-u32 CRC32 of the record bytes preceding the checksum. The id field packs the
-record metadata tab-separated:
-``utterance_id TAB speaker_id TAB language_id TAB frame_shift_ms TAB frame_length_ms``.
+Feature archive (``FARC``): magic ``FARC``, u16 version=2, then per record
+u16 id-length, the UTF-8 utterance id, u32 T, u32 D, T*D little-endian float32
+row-major, u32 CRC32 of the record bytes preceding the checksum. A record
+holds only its utterance id: the corpus manifest is the one record of each
+utterance's speaker and language. Version 1 packed those (and the frame
+shift and length) into the id field; its archives are rejected as an
+unsupported version, never misread.
 
 Checkpoint container (``NNCK``): magic ``NNCK``, u16 version=1, u32 header
 length, UTF-8 JSON header (layer specs / model metadata), u32 tensor count,
@@ -25,7 +27,7 @@ from .errors import FormatError, InvalidArgumentError
 from .frontend import FeatureMatrix
 
 FARC_MAGIC = b"FARC"
-FARC_VERSION = 1
+FARC_VERSION = 2
 NNCK_MAGIC = b"NNCK"
 NNCK_VERSION = 1
 
@@ -33,29 +35,15 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
-def _pack_id(feat: FeatureMatrix) -> bytes:
-    parts = (
-        feat.utterance_id,
-        feat.speaker_id,
-        feat.language_id,
-        repr(float(feat.frame_shift_ms)),
-        repr(float(feat.frame_length_ms)),
-    )
-    return "\t".join(parts).encode("utf-8")
-
-
 def _unpack_id(raw: bytes, offset, path):
     try:
-        parts = raw.decode("utf-8").split("\t")
-        if len(parts) != 5:
-            raise FormatError("archive record id has wrong field count", offset, path=path)
-        return parts[0], parts[1], parts[2], float(parts[3]), float(parts[4])
-    except ValueError as exc:  # UnicodeDecodeError too: the CRC is checked later
-        raise FormatError(f"malformed archive record id: {exc}", offset, path=path) from None
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the CRC is checked later
+        raise FormatError(f"archive record id is not UTF-8: {exc}", offset, path=path) from None
 
 
 def _record_bytes(feat: FeatureMatrix) -> bytes:
-    ident = _pack_id(feat)
+    ident = feat.utterance_id.encode("utf-8")
     t, d = feat.data.shape
     body = (
         struct.pack("<H", len(ident))
@@ -116,7 +104,7 @@ def archive_stream(path):
             ident = fh.read(id_len)
             if len(ident) < id_len:
                 raise FormatError("truncated record id", rec_start, path=path)
-            utt_id, spk_id, lang_id, shift, length = _unpack_id(ident, rec_start, path)
+            utt_id = _unpack_id(ident, rec_start, path)
             dims = fh.read(8)
             if len(dims) < 8:
                 raise FormatError("truncated record dims", rec_start, utt_id, path)
@@ -135,7 +123,7 @@ def archive_stream(path):
                 raise FormatError("duplicate record id", rec_start, utt_id, path)
             seen.add(utt_id)
             data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
-            yield FeatureMatrix(utt_id, spk_id, lang_id, data, shift, length)
+            yield FeatureMatrix(utt_id, data)
 
 
 def archive_read_dict(path):

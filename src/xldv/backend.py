@@ -23,18 +23,18 @@ RIDGE = 1e-8
 
 @dataclass
 class EmbeddingSet:
-    """Parallel arrays of utterance metadata and row vectors."""
+    """Utterance ids and their embeddings, one row each.
+
+    The corpus manifest holds each utterance's speaker and language.
+    """
 
     utterance_ids: list
-    speaker_ids: list
-    language_ids: list
     vectors: np.ndarray  # (N, D)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        n = len(self.utterance_ids)
-        if self.vectors.shape[0] != n or len(self.speaker_ids) != n or len(self.language_ids) != n:
-            raise InvalidArgumentError("embedding metadata lengths disagree")
+        if self.vectors.shape[0] != len(self.utterance_ids):
+            raise InvalidArgumentError("embedding ids and rows disagree")
         if not np.all(np.isfinite(self.vectors)):
             raise InvalidArgumentError("embeddings contain non-finite values")
 
@@ -49,31 +49,22 @@ class EmbeddingSet:
     def from_archive(cls, path):
         from .archive import archive_stream
 
-        ids, spks, langs, rows = [], [], [], []
+        ids, rows = [], []
         for feat in archive_stream(path):
             if feat.n_frames != 1:
                 raise InvalidArgumentError(
                     f"embedding record {feat.utterance_id!r} has T={feat.n_frames}"
                 )
             ids.append(feat.utterance_id)
-            spks.append(feat.speaker_id)
-            langs.append(feat.language_id)
             rows.append(feat.data[0])
-        return cls(ids, spks, langs, np.array(rows))
+        return cls(ids, np.array(rows))
 
     def to_archive(self, path):
         from .archive import archive_write
         from .frontend import FeatureMatrix
 
-        archive_write(
-            (
-                FeatureMatrix(u, s, l, v[None, :])
-                for u, s, l, v in zip(
-                    self.utterance_ids, self.speaker_ids, self.language_ids, self.vectors
-                )
-            ),
-            path,
-        )
+        archive_write((FeatureMatrix(u, v[None, :])
+                       for u, v in zip(self.utterance_ids, self.vectors)), path)
 
 
 def cosine_score(a, b) -> float:

@@ -347,23 +347,36 @@ class CorpusManifest:
 
     @classmethod
     def load(cls, root):
-        manifest_path = os.path.join(root, "manifest.tsv")
+        """The manifest under ``root``; a ``DataError`` names the TSV at fault."""
+        manifest_path, labels_path, speakers_path = (
+            os.path.join(root, name) for name in ("manifest.tsv", "labels.tsv", "speakers.tsv"))
         if not os.path.exists(manifest_path):
             raise DataError(f"no corpus manifest at {manifest_path}")
         utts, spks, langs, rels, durs = read_columns(manifest_path, 5)
-        labelled, runs = read_columns(os.path.join(root, "labels.tsv"), 2)
-        speakers, splits = read_columns(os.path.join(root, "speakers.tsv"), 2)
+        labelled, runs = read_columns(labels_path, 2)
+        speakers, splits = read_columns(speakers_path, 2)
         try:
             records = [UttRecord(*row, float(dur))
                        for *row, dur in zip(utts, spks, langs, rels, durs)]
+        except ValueError as exc:
+            raise DataError(f"{manifest_path}: {exc}") from None
+        try:
             labels = {
                 utt: [(int(s), int(p)) for s, p in (r.split(":") for r in run.split(","))]
                 for utt, run in zip(labelled, runs)
             }
         except ValueError as exc:
-            raise DataError(f"malformed corpus manifest in {root}: {exc}") from None
+            raise DataError(f"{labels_path}: {exc}") from None
+        if sorted(labelled) != sorted(utts):
+            raise DataError(f"{labels_path}: not one row per utterance of manifest.tsv")
+        odd = sorted(set(splits) - {"train", "eval"})
+        if odd:
+            raise DataError(f"{speakers_path}: split {odd[0]!r} is neither train nor eval")
+        unlisted = sorted(set(spks) - set(speakers))
+        if unlisted:
+            raise DataError(f"{speakers_path}: no row for speaker {unlisted[0]!r} of manifest.tsv")
         train_speakers = [spk for spk, split in zip(speakers, splits) if split == "train"]
-        eval_speakers = [spk for spk, split in zip(speakers, splits) if split != "train"]
+        eval_speakers = [spk for spk, split in zip(speakers, splits) if split == "eval"]
         return cls(root, train_speakers, eval_speakers, records, labels)
 
 

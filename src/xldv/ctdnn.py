@@ -227,19 +227,17 @@ class ChunkDataset:
         return self._stack(chunks)
 
 
-def make_speaker_dataset(feats, labels_by_speaker, config: CTDNNConfig,
+def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig,
                          factors_by_utt=None, chunk_frames=24, batch_chunks=8,
                          val_fraction=0.05, seed=0) -> ChunkDataset:
     """Chunks of spliced (n_mels, splice) maps, each frame labeled by speaker.
 
     ``feats`` is an iterable of FeatureMatrix (n_mels wide, CMVN applied);
-    ``labels_by_speaker`` maps speaker_id -> contiguous class index. A chunk's
+    ``labels_by_utt`` maps utterance_id -> its speaker's class index. A chunk's
     maps are rows of ``to_input_tensor`` on the whole utterance.
     """
     items = []
     for feat in feats:
-        if feat.speaker_id not in labels_by_speaker:
-            raise InvalidArgumentError(f"no label for speaker {feat.speaker_id!r}")
         if feat.dim != config.n_mels:
             raise InvalidArgumentError(
                 f"{feat.utterance_id}: expected {config.n_mels}-dim features, "
@@ -249,7 +247,7 @@ def make_speaker_dataset(feats, labels_by_speaker, config: CTDNNConfig,
         if factors_by_utt is not None:
             factors = np.asarray(factors_by_utt[feat.utterance_id], dtype=np.float32)
         items.append((feat.data.astype(np.float32), factors,
-                      np.full(feat.n_frames, labels_by_speaker[feat.speaker_id],
+                      np.full(feat.n_frames, labels_by_utt[feat.utterance_id],
                               dtype=np.int64)))
     return ChunkDataset(items, partial(_splice_maps, config=config),
                         chunk_frames=chunk_frames, batch_chunks=batch_chunks,

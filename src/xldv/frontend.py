@@ -25,19 +25,16 @@ CMVN_VAR_FLOOR = 1e-10
 
 @dataclass
 class FeatureMatrix:
-    """T x D feature matrix with utterance metadata.
+    """T x D feature matrix of one utterance.
 
-    ``data`` is always float64, C-contiguous, with T >= 1 rows. The id fields
-    must not contain tab or newline characters (they are used as field
-    separators in archives and manifests).
+    ``data`` is always float64, C-contiguous, with T >= 1 rows. The id must
+    not contain tab or newline characters (the run directory's TSVs use them
+    as separators). The corpus manifest holds the utterance's speaker and
+    language.
     """
 
     utterance_id: str
-    speaker_id: str
-    language_id: str
     data: np.ndarray
-    frame_shift_ms: float = FRAME_SHIFT_MS
-    frame_length_ms: float = FRAME_LENGTH_MS
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -49,9 +46,8 @@ class FeatureMatrix:
             raise InvalidArgumentError(
                 f"feature matrix for {self.utterance_id!r} contains non-finite values"
             )
-        for name in (self.utterance_id, self.speaker_id, self.language_id):
-            if "\t" in name or "\n" in name:
-                raise InvalidArgumentError(f"id {name!r} contains tab/newline")
+        if "\t" in self.utterance_id or "\n" in self.utterance_id:
+            raise InvalidArgumentError(f"id {self.utterance_id!r} contains tab/newline")
 
     @property
     def n_frames(self):
@@ -123,10 +119,7 @@ def fbank(utterance, n_mels=40):
     power, _ = _power_spectrum(utterance)
     fb = mel_filterbank(n_mels)
     energies = np.maximum(power @ fb.T, LOG_FLOOR)
-    return FeatureMatrix(
-        utterance.utterance_id, utterance.speaker_id, utterance.language_id,
-        np.log(energies),
-    )
+    return FeatureMatrix(utterance.utterance_id, np.log(energies))
 
 
 N_MFCC_FILTERS = 23
@@ -144,10 +137,7 @@ def mfcc(utterance):
     logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
     cepstra = scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, 1 : N_CEPSTRA + 1]
     energy = np.log(np.maximum((frames**2).sum(axis=1), LOG_FLOOR))
-    return FeatureMatrix(
-        utterance.utterance_id, utterance.speaker_id, utterance.language_id,
-        np.hstack([energy[:, None], cepstra]),
-    )
+    return FeatureMatrix(utterance.utterance_id, np.hstack([energy[:, None], cepstra]))
 
 
 def edge_index(n_frames, idx, offsets):

@@ -8,8 +8,9 @@ a whole-matrix pass. The posterior itself is kept whole, so the M-step sums
 over all N frames exactly as before. The total-variability model
 M = m + T w (w ~ N(0, I)) is trained by EM over per-utterance sufficient
 statistics; both EM loops record their objective per iteration so callers can
-assert monotonicity. ``TMatrix`` caches its whitened form and per-component
-Gram, which training and extraction share.
+assert monotonicity. Training builds the whitened T and per-component Gram
+(``_whitened_gram``) once per EM iteration; extraction takes them from
+``whiten``, built once per (T, UBM).
 """
 
 import logging
@@ -167,24 +168,6 @@ class TMatrix:
     n_components: int
     dim: int
     objective: list = field(default_factory=list)
-    # (t, UBM variances, _whitened_gram result) of the last build
-    _gram_cache: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def whitened_gram(self, ubm: UBM):
-        """``_whitened_gram(ubm, self.t)``, built once per (T, UBM variances).
-
-        The cache is keyed on the ``t`` array object, so replace ``t`` rather
-        than editing it in place.
-        """
-        cache = self._gram_cache
-        if (
-            cache is None
-            or cache[0] is not self.t
-            or not np.array_equal(cache[1], ubm.variances)
-        ):
-            cache = (self.t, ubm.variances.copy(), _whitened_gram(ubm, self.t))
-            self._gram_cache = cache
-        return cache[2]
 
 
 def _whitened_gram(ubm: UBM, tmat: np.ndarray):
@@ -233,7 +216,7 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
     tmat = rng.normal(0.0, 1.0, (c * d, rank)) * np.sqrt(ubm.variances.reshape(-1, 1))
     result = TMatrix(t=tmat, n_components=c, dim=d)
     for _ in range(n_iters + 1):
-        t3, inv_std, gram = result.whitened_gram(ubm)
+        t3, inv_std, gram = _whitened_gram(ubm, result.t)
         obj = 0.0
         acc_a = np.zeros((c, rank, rank))
         acc_k = np.zeros((rank, c * d))
@@ -267,17 +250,20 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
     return result
 
 
-def extract_ivector(ubm: UBM, tmatrix: TMatrix, stats: SuffStats) -> np.ndarray:
-    """Posterior mean w = (I + T' S^-1 N T)^-1 T' S^-1 F.
+def whiten(ubm: UBM, tmatrix: TMatrix):
+    """The whitened T and per-component Gram that ``extract_ivector`` takes.
 
-    The whitened T and the per-component Gram come from the T-matrix's cache,
-    so they are built once per (T, UBM) rather than once per utterance
-    (Glembek et al., "Simplification and optimization of i-vector
-    extraction", ICASSP 2011).
+    Built once per (T, UBM) rather than once per utterance (Glembek et al.,
+    "Simplification and optimization of i-vector extraction", ICASSP 2011).
     """
     if tmatrix.n_components != ubm.n_components or tmatrix.dim != ubm.dim:
         raise InvalidArgumentError("T-matrix shape does not match the UBM")
-    t3, inv_std, gram = tmatrix.whitened_gram(ubm)
+    return _whitened_gram(ubm, tmatrix.t)
+
+
+def extract_ivector(whitened, stats: SuffStats) -> np.ndarray:
+    """Posterior mean w = (I + T' S^-1 N T)^-1 T' S^-1 F; ``whitened`` is ``whiten(ubm, T)``."""
+    t3, inv_std, gram = whitened
     precision, b = _posterior(t3, gram, inv_std, stats)
     if not np.allclose(precision, precision.T, atol=1e-8):
         raise NumericError("posterior precision is not symmetric")

@@ -369,10 +369,7 @@ def stage_train_asr(ctx: Context):
         for rec in manifest.records:
             feat = feats[rec.utterance_id]
             factors = phonenet.linguistic_factor(extractor, graph, feat)
-            yield frontend.FeatureMatrix(
-                rec.utterance_id, rec.speaker_id, rec.language_id,
-                factors.astype(np.float32),
-            )
+            yield frontend.FeatureMatrix(rec.utterance_id, factors.astype(np.float32))
 
     archive.archive_write(factor_records(), ctx.path(FACTORS))
 
@@ -421,8 +418,10 @@ def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
 def stage_train_ctdnn(ctx: Context):
     manifest = _load_manifest(ctx)
     feats = archive.archive_read_dict(ctx.path(FBANK))
-    train_feats = [feats[r.utterance_id] for r in manifest.utterances("train")]
-    labels = ctdnn.contiguous_labels(manifest.train_speakers)
+    train = manifest.utterances("train")
+    train_feats = [feats[r.utterance_id] for r in train]
+    label_of = ctdnn.contiguous_labels(manifest.train_speakers)
+    labels = {r.utterance_id: label_of[r.speaker_id] for r in train}
     del feats  # the eval utterances' features, held through both trainings otherwise
     workers.map_ordered(lambda aware: _train_one_ctdnn(ctx, train_feats, labels, aware),
                         CTDNN_VARIANTS, ctx.config)
@@ -501,10 +500,8 @@ def stage_train_tv(ctx: Context):
 
 def _embedding_set(records, vector_of):
     """``EmbeddingSet`` of ``vector_of(record)`` for each record, in order."""
-    return backend.EmbeddingSet(
-        [r.utterance_id for r in records], [r.speaker_id for r in records],
-        [r.language_id for r in records], np.array([vector_of(r) for r in records]),
-    )
+    return backend.EmbeddingSet([r.utterance_id for r in records],
+                                np.array([vector_of(r) for r in records]))
 
 
 def stage_extract(ctx: Context):
@@ -526,10 +523,11 @@ def stage_extract(ctx: Context):
     def embed(system):
         if system == "ivector":
             mfcc_feats = archive.archive_read_dict(ctx.path(MFCC))
+            whitened = ivector.whiten(ubm, tmat)
 
             def vector(rec):
                 stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
-                return ivector.extract_ivector(ubm, tmat, stats)
+                return ivector.extract_ivector(whitened, stats)
         else:
             feats = archive.archive_read_dict(ctx.path(FBANK))
             factors = (archive.archive_read_dict(ctx.path(FACTORS))
@@ -549,11 +547,17 @@ def stage_extract(ctx: Context):
 
 def _train_backend(ctx: Context, system):
     cfg = ctx.config
-    emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "train")))
+    path = ctx.path(embedding_file(system, "train"))
+    emb = backend.EmbeddingSet.from_archive(path)
+    speaker_of = {r.utterance_id: r.speaker_id for r in _load_manifest(ctx).records}
+    unlisted = [u for u in emb.utterance_ids if u not in speaker_of]
+    if unlisted:
+        raise DataError(f"{path}: utterance {unlisted[0]!r} is not in the corpus manifest")
+    speakers = [speaker_of[u] for u in emb.utterance_ids]
     mean = emb.vectors.mean(axis=0)
     normed = backend.center_lengthnorm(emb.vectors, mean)
-    label_of = ctdnn.contiguous_labels(emb.speaker_ids)
-    labels = np.array([label_of[s] for s in emb.speaker_ids])
+    label_of = ctdnn.contiguous_labels(speakers)
+    labels = np.array([label_of[s] for s in speakers])
     n_classes = labels.max() + 1
     k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)
     if k < cfg["backend.lda_dim"]:
@@ -668,16 +672,16 @@ _BACKENDS = tuple(backend_model(s) for s in SYSTEMS)
 
 STAGES = (
     Stage("synth", (), CORPUS_FILES, stage_synth),
-    Stage("feats", CORPUS_FILES, (FBANK, MFCC), stage_feats),
+    Stage("feats", CORPUS_FILES, (FBANK, MFCC), stage_feats, version=2),
     Stage("train-asr", CORPUS_FILES + (FBANK,), (ASR_MODEL, SVDF_MODEL, FACTORS),
-          stage_train_asr),
+          stage_train_asr, version=2),
     Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
           stage_train_ctdnn),
     Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm),
     Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv),
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
-          + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract),
-    Stage("backend-train", _EMBEDDINGS, _BACKENDS, stage_backend_train),
+          + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=2),
+    Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, (condition_files,),
           stage_score),
     Stage("eval", (condition_files,), (EER_TABLE,), stage_eval),

@@ -2,6 +2,8 @@
 
 import pickle
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ def random_feats(n, rng):
         t, d = int(rng.integers(1, 12)), int(rng.integers(1, 9))
         # float32-representable values so the on-disk f32 payload is exact
         data = rng.normal(size=(t, d)).astype(np.float32).astype(np.float64)
-        out.append(FeatureMatrix(f"utt{i}", f"spk{i % 3}", "A", data))
+        out.append(FeatureMatrix(f"utt{i}", data))
     return out
 
 
@@ -38,11 +40,25 @@ class TestFeatureArchive:
         assert len(back) == 3
         for a, b in zip(feats, back):
             assert a.utterance_id == b.utterance_id
-            assert a.speaker_id == b.speaker_id
-            assert a.language_id == b.language_id
-            assert a.frame_shift_ms == b.frame_shift_ms
-            assert a.frame_length_ms == b.frame_length_ms
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_record_holds_only_the_utterance_id(self, tmp_path):
+        path = tmp_path / "one.farc"
+        archive_write([FeatureMatrix("évl0-A-000", np.array([[1.5, -2.0]]))], path)
+        ident = "évl0-A-000".encode("utf-8")
+        body = (struct.pack("<H", len(ident)) + ident + struct.pack("<II", 1, 2)
+                + np.array([1.5, -2.0], "<f4").tobytes())
+        assert path.read_bytes() == (b"FARC" + struct.pack("<H", 2) + body
+                                     + struct.pack("<I", zlib.crc32(body)))
+
+    def test_non_utf8_id_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "bad-id.farc"
+        body = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1) + bytes(4)
+        path.write_bytes(b"FARC" + struct.pack("<H", 2) + body
+                         + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="record id is not UTF-8") as err:
+            list(archive_stream(path))
+        assert (err.value.path, err.value.offset) == (path, 6)
 
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "empty.farc"

@@ -354,13 +354,10 @@ class TestScorers:
     def test_embedding_set_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         emb = EmbeddingSet(
-            ["u1", "u2"], ["s1", "s2"], ["A", "B"],
-            rng.normal(size=(2, 6)).astype(np.float32).astype(np.float64),
+            ["u1", "u2"], rng.normal(size=(2, 6)).astype(np.float32).astype(np.float64),
         )
         path = tmp_path / "emb.farc"
         emb.to_archive(path)
         back = EmbeddingSet.from_archive(path)
         assert back.utterance_ids == emb.utterance_ids
-        assert back.speaker_ids == emb.speaker_ids
-        assert back.language_ids == emb.language_ids
         np.testing.assert_array_equal(back.vectors, emb.vectors)

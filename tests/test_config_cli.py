@@ -15,9 +15,10 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy
 
 import xldv
-from xldv import archive, evalkit, pipeline, workers
+from xldv import archive, evalkit, ivector, pipeline, workers
 from xldv.cli import main
 from xldv.config import (
     SCHEMA,
@@ -132,6 +133,22 @@ def tiny_run(tmp_path_factory):
     code = main(["all"] + tiny_args(run_dir))
     assert code == 0
     return run_dir
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_tiny.json")
+
+
+def golden_digests(run_dir):
+    """Each stage's code version and output sha256 values in a tiny run, and the
+    environment its bytes hold for: the manifest's ``blas`` entry, numpy and scipy."""
+    with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    return {
+        "environment": {"blas": manifest["blas"], "numpy": np.__version__,
+                        "scipy": scipy.__version__},
+        "stages": {name: {"version": rec["version"], "outputs": rec["outputs"]}
+                   for name, rec in manifest["stages"].items()},
+    }
 
 
 class TestCli:
@@ -341,6 +358,23 @@ class TestDeterminism:
         for rel in ("results/report.tsv", "results/report.txt", "results/eer.tsv"):
             assert (tiny_run / rel).read_bytes() == (other / rel).read_bytes(), rel
 
+    def test_outputs_change_only_with_a_version_bump(self, tiny_run):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        now = golden_digests(tiny_run)
+        mismatch = {key: [golden["environment"].get(key), value]
+                    for key, value in now["environment"].items()
+                    if golden["environment"].get(key) != value}
+        if mismatch:
+            pytest.skip(f"golden digests hold for another environment, [golden, here]: {mismatch}")
+        unbumped = [name for name, rec in now["stages"].items()
+                    if name in golden["stages"]
+                    and rec["version"] == golden["stages"][name]["version"]
+                    and rec["outputs"] != golden["stages"][name]["outputs"]]
+        assert unbumped == [], (
+            "outputs changed without a version bump in pipeline.STAGES; after the bump, "
+            "regenerate the digests with: PYTHONPATH=src python tests/test_config_cli.py")
+
     def test_different_seed_changes_results(self, tiny_run, tmp_path):
         other = tmp_path / "run3"
         code = main(["all"] + tiny_args(other, extra=["experiment.seed=777"]))
@@ -428,9 +462,14 @@ class TestReuse:
     def test_record_without_version_counts_as_version_one(self, run_copy):
         manifest = run_copy / "manifest.json"
         data = json.loads(manifest.read_text())
-        for rec in data["stages"].values():
-            assert rec.pop("version") == 1
+        for name, rec in data["stages"].items():
+            assert rec.pop("version") == pipeline._STAGE_BY_NAME[name].version
         manifest.write_text(json.dumps(data))
+        # stages still at version 1 stay current; bumped ones re-run, with the same bytes
+        bumped = [stage.name for stage in pipeline.STAGES if stage.version != 1]
+        assert pipeline.run_all(tiny_context(run_copy)) == bumped
+        records = stage_records(run_copy)
+        assert all(records[name]["reason"] == "code version changed" for name in bumped)
         assert pipeline.run_all(tiny_context(run_copy)) == []
 
     @pytest.mark.parametrize("extra", [[], ["backend.lda_dim=4"]],
@@ -481,6 +520,20 @@ class TestReuse:
         ]
         assert sorted((run_copy / "embeddings").iterdir()) == embeddings
         assert [path.read_bytes() for path in embeddings] == before
+
+    def test_extract_whitens_the_tmatrix_once(self, run_copy, tmp_path, monkeypatch):
+        # the i-vector worker builds it; a file counts the builds across processes
+        builds = tmp_path / "builds"
+        real = ivector._whitened_gram
+
+        def counting(*args):
+            with open(builds, "a", encoding="utf-8") as fh:
+                fh.write("built\n")
+            return real(*args)
+
+        monkeypatch.setattr(ivector, "_whitened_gram", counting)
+        pipeline.run_stage(tiny_context(run_copy), "extract", force=True)
+        assert builds.read_text() == "built\n"
 
     def test_every_key_but_master_seed_is_read(self, tiny_run):
         read = set()
@@ -585,12 +638,15 @@ class TestWorkers:
         assert run_files(run_copy) == before
 
 
-def bad_fbank_record(raw):
-    """A one-record archive whose id has a non-float frame shift but a valid CRC."""
-    ident = "u0\ts0\tA\tten\t25.0".encode()
-    body = (struct.pack("<H", len(ident)) + ident + struct.pack("<II", 1, 1)
-            + np.zeros(1, "<f4").tobytes())
-    return raw[:6] + body + struct.pack("<I", zlib.crc32(body))
+def first_record_id(ident):
+    """An edit that gives an archive's first record the id ``ident``, with a valid CRC."""
+    def edit(raw):
+        (n,) = struct.unpack_from("<H", raw, 6)
+        t, d = struct.unpack_from("<II", raw, 8 + n)
+        end = 8 + n + 8 + 4 * t * d
+        body = struct.pack("<H", len(ident)) + ident + raw[8 + n:end]
+        return raw[:6] + body + struct.pack("<I", zlib.crc32(body)) + raw[end + 4:]
+    return edit
 
 
 def replace_first_field(index, value):
@@ -609,13 +665,21 @@ def replace_first_field(index, value):
     ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw, "trials/A-A.tsv"),
     ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(2, "n/a"),
      "scores/ivector_plda_A-A.tsv"),
-    ("corpus/manifest.tsv", "score", replace_first_field(4, "long"), "corpus"),
-    ("corpus/labels.tsv", "score", replace_first_field(1, "0:x"), "corpus"),
+    ("corpus/manifest.tsv", "score", replace_first_field(4, "long"), "corpus/manifest.tsv"),
+    ("corpus/labels.tsv", "score", replace_first_field(1, "0:x"), "corpus/labels.tsv"),
+    ("corpus/labels.tsv", "train-asr", lambda raw: raw.split(b"\n", 1)[1],
+     "corpus/labels.tsv"),
     ("corpus/speakers.tsv", "score", lambda raw: raw + b"s0\ttrain\textra\n",
      "corpus/speakers.tsv"),
-    ("feats/fbank.farc", "train-asr", bad_fbank_record, "feats/fbank.farc"),
+    ("corpus/speakers.tsv", "score", replace_first_field(1, "test"), "corpus/speakers.tsv"),
+    ("feats/fbank.farc", "train-asr", first_record_id(b"\xffu0"), "feats/fbank.farc"),
+    ("feats/fbank.farc", "train-asr", lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
+     "feats/fbank.farc"),
+    ("embeddings/ivec_train.farc", "backend-train", first_record_id(b"ghost-E-000"),
+     "embeddings/ivec_train.farc"),
 ], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
-        "manifest-duration", "labels-run", "speakers-fields", "fbank-record-id"])
+        "manifest-duration", "labels-run", "labels-missing-row", "speakers-fields",
+        "speakers-split", "fbank-record-id", "fbank-version-one", "embedding-unlisted"])
 def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, named):
     path = run_copy / rel
     path.write_bytes(corrupt(path.read_bytes()))
@@ -624,3 +688,17 @@ def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, nam
     assert err.startswith("xldv: error: data:")
     assert len(err.splitlines()) == 1
     assert f"{run_copy / named}: " in err
+
+
+if __name__ == "__main__":
+    # Rewrites golden_tiny.json from a fresh tiny run, after a stage version bump.
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # a new process imports xldv before numpy, so BLAS runs one thread as in tests
+        src = os.path.dirname(os.path.dirname(xldv.__file__))
+        subprocess.run([sys.executable, "-m", "xldv.cli", "all"] + tiny_args(tmp),
+                       env=dict(os.environ, PYTHONPATH=src), check=True)
+        with open(GOLDEN, "w", encoding="utf-8") as fh:
+            json.dump(golden_digests(tmp), fh, indent=2, sort_keys=True)
+            fh.write("\n")

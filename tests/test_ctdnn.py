@@ -77,7 +77,7 @@ class TestReceptiveFieldProbe:
         base_feat = rng.normal(size=(t_total, 40))
 
         def features_for(data):
-            feat = FeatureMatrix("u", "s", "L", data)
+            feat = FeatureMatrix("u", data)
             return extract_frame_features(g, feat, SMALL)
 
         base = features_for(base_feat)
@@ -135,7 +135,7 @@ class TestPhoneAware:
     def test_factor_perturbation_changes_same_frame_output(self):
         g = build_phone_aware(SMALL, seed=4, dtype=np.float64)
         rng = derive_rng(2, "factor-probe")
-        feat = FeatureMatrix("u", "s", "L", rng.normal(size=(30, 40)))
+        feat = FeatureMatrix("u", rng.normal(size=(30, 40)))
         factors = rng.normal(size=(30, SMALL.factor_dim))
         base = extract_frame_features(g, feat, SMALL, factors=factors)
         bumped = factors.copy()
@@ -146,7 +146,7 @@ class TestPhoneAware:
 
     def test_missing_factors_rejected(self):
         g = build_phone_aware(SMALL, seed=4)
-        feat = FeatureMatrix("u", "s", "L", np.random.default_rng(0).normal(size=(10, 40)))
+        feat = FeatureMatrix("u", np.random.default_rng(0).normal(size=(10, 40)))
         with pytest.raises(InvalidArgumentError):
             extract_frame_features(g, feat, SMALL)
 
@@ -154,7 +154,7 @@ class TestPhoneAware:
 class TestExtraction:
     def test_rows_unit_norm(self):
         g = build_phone_blind(SMALL, seed=5)
-        feat = FeatureMatrix("u", "s", "L", np.random.default_rng(1).normal(size=(40, 40)))
+        feat = FeatureMatrix("u", np.random.default_rng(1).normal(size=(40, 40)))
         out = extract_frame_features(g, feat, SMALL)
         assert out.shape == (40, SMALL.feature_dim)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-5)
@@ -168,15 +168,15 @@ class TestExtraction:
         right = rng.normal(size=(8, 40))
         a = np.concatenate([left, window, right])
         b = np.concatenate([right, window, left])
-        fa = extract_frame_features(g, FeatureMatrix("a", "s", "L", a), SMALL)
-        fb = extract_frame_features(g, FeatureMatrix("b", "s", "L", b), SMALL)
+        fa = extract_frame_features(g, FeatureMatrix("a", a), SMALL)
+        fb = extract_frame_features(g, FeatureMatrix("b", b), SMALL)
         # window occupies rows 8..27; its center frame t satisfies t-10 >= 8
         # and t+9 <= 27, i.e. t = 18
         np.testing.assert_allclose(fa[18], fb[18], atol=1e-12)
 
     def test_wrong_dim_rejected(self):
         g = build_phone_blind(SMALL, seed=7)
-        feat = FeatureMatrix("u", "s", "L", np.ones((10, 41)))
+        feat = FeatureMatrix("u", np.ones((10, 41)))
         with pytest.raises(InvalidArgumentError):
             extract_frame_features(g, feat, SMALL)
 
@@ -187,9 +187,9 @@ class TestSpeakerChunks:
         # chunks near or past the end replicate edges like to_input_tensor
         rng = derive_rng(8, "chunks", n_frames)
         frames = rng.normal(size=(n_frames, 40)).astype(np.float32)
-        feats = [FeatureMatrix("u0", "s0", "L", frames),
-                 FeatureMatrix("u1", "s1", "L", np.ones((3, 40)))]
-        data = make_speaker_dataset(feats, {"s0": 0, "s1": 1}, SMALL, chunk_frames=24)
+        feats = [FeatureMatrix("u0", frames),
+                 FeatureMatrix("u1", np.ones((3, 40)))]
+        data = make_speaker_dataset(feats, {"u0": 0, "u1": 1}, SMALL, chunk_frames=24)
         item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
         assert item[2].dtype == np.int64 and item[2].shape == (n_frames,)
         whole = to_input_tensor(feats[0], SMALL)[0].astype(np.float32)
@@ -204,9 +204,9 @@ class TestSpeakerChunks:
     def test_factor_rows_follow_frame_rows(self):
         frames = np.arange(7 * 40, dtype=np.float32).reshape(7, 40)
         factors = np.arange(7 * 5, dtype=np.float32).reshape(7, 5)
-        feats = [FeatureMatrix("u0", "s0", "L", frames),
-                 FeatureMatrix("u1", "s1", "L", np.ones((3, 40)))]
-        data = make_speaker_dataset(feats, {"s0": 0, "s1": 1}, SMALL,
+        feats = [FeatureMatrix("u0", frames),
+                 FeatureMatrix("u1", np.ones((3, 40)))]
+        data = make_speaker_dataset(feats, {"u0": 0, "u1": 1}, SMALL,
                                     factors_by_utt={"u0": factors, "u1": np.ones((3, 5))},
                                     chunk_frames=4)
         item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
@@ -259,10 +259,15 @@ def micro_corpus(tmp_path_factory):
     return manifest, feats
 
 
+def labels_by_utt(manifest, label_of):
+    """Each training utterance's label: ``label_of`` its speaker."""
+    return {r.utterance_id: label_of[r.speaker_id] for r in manifest.utterances("train")}
+
+
 class TestTraining:
     def test_two_speaker_micro_corpus_high_accuracy(self, micro_corpus):
         manifest, feats = micro_corpus
-        labels = contiguous_labels(manifest.train_speakers)
+        labels = labels_by_utt(manifest, contiguous_labels(manifest.train_speakers))
         config = CTDNNConfig(
             n_speakers=2, conv1_channels=4, conv2_channels=8, bottleneck_dim=32,
             td_hidden=16, feature_dim=16,
@@ -277,7 +282,7 @@ class TestTraining:
 
     def test_zero_epochs_keeps_initialization(self, micro_corpus):
         manifest, feats = micro_corpus
-        labels = contiguous_labels(manifest.train_speakers)
+        labels = labels_by_utt(manifest, contiguous_labels(manifest.train_speakers))
         config = CTDNNConfig(
             n_speakers=2, conv1_channels=2, conv2_channels=2, bottleneck_dim=8,
             td_hidden=4, feature_dim=4,
@@ -296,7 +301,8 @@ class TestTraining:
             td_hidden=4, feature_dim=4,
         )
         graph = build_phone_blind(config, seed=9)
-        gappy = {spk: i * 2 for i, spk in enumerate(manifest.train_speakers)}
+        gappy = labels_by_utt(manifest, {spk: i * 2 for i, spk in
+                                         enumerate(manifest.train_speakers)})
         data = make_speaker_dataset(feats, gappy, config, seed=2)
         with pytest.raises(InvalidArgumentError, match="gap"):
             train_ctdnn(graph, data, TrainState(learning_rate=0.1, max_epochs=1))

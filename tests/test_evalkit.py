@@ -140,8 +140,6 @@ class TestScoreTrials:
         rng = np.random.default_rng(0)
         records = manifest.records
         return EmbeddingSet([r.utterance_id for r in records],
-                            [r.speaker_id for r in records],
-                            [r.language_id for r in records],
                             rng.normal(size=(len(records), 8)))
 
     def _rows(self, emb, utts):
@@ -167,7 +165,7 @@ class TestScoreTrials:
     def test_lda_cosine_equals_scalar_cosine_of_projected_rows(self):
         manifest = toy_manifest(n_spk=4, utts_per_lang=3)
         emb = self._embeddings(manifest)
-        lda = train_lda(emb.vectors, emb.speaker_ids, 3)
+        lda = train_lda(emb.vectors, [r.speaker_id for r in manifest.records], 3)
         trials = make_trials(manifest, "A/B")
         scores = score_trials(CosineScorer(lda=lda), emb, trials).scores
         expected = [cosine_score(lda_project(lda, a), lda_project(lda, b))
@@ -215,9 +213,7 @@ class TestScoreTrials:
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
         keep = [i for i, u in enumerate(emb.utterance_ids) if u != "evl0-A-1"]
-        emb = EmbeddingSet([emb.utterance_ids[i] for i in keep],
-                           [emb.speaker_ids[i] for i in keep],
-                           [emb.language_ids[i] for i in keep], emb.vectors[keep])
+        emb = EmbeddingSet([emb.utterance_ids[i] for i in keep], emb.vectors[keep])
         with pytest.raises(InvalidArgumentError, match="evl0-A-1"):
             score_trials(CosineScorer(), emb, make_trials(manifest, "A-A"))
 

@@ -98,7 +98,7 @@ class TestDeltas:
         assert out.data.shape == (feat.n_frames, 60)
 
     def test_constant_input_zero_deltas(self):
-        feat = FeatureMatrix("u", "s", "L", np.tile(np.arange(20.0), (30, 1)))
+        feat = FeatureMatrix("u", np.tile(np.arange(20.0), (30, 1)))
         out = add_deltas(feat)
         assert np.allclose(out.data[:, 20:], 0.0)
 
@@ -106,7 +106,7 @@ class TestDeltas:
         rng = np.random.default_rng(3)
         c = rng.normal(size=20)
         data = np.arange(40.0)[:, None] * c[None, :]
-        out = add_deltas(FeatureMatrix("u", "s", "L", data))
+        out = add_deltas(FeatureMatrix("u", data))
         # interior frames of a linear ramp have slope exactly c
         np.testing.assert_allclose(out.data[2:-2, 20:40], np.tile(c, (36, 1)), atol=1e-10)
         # oracle: the regression formula evaluated by brute force incl. edges
@@ -124,7 +124,7 @@ class TestDeltas:
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            add_deltas(FeatureMatrix("u", "s", "L", np.ones((5, 40))))
+            add_deltas(FeatureMatrix("u", np.ones((5, 40))))
 
 
 def clamp_oracle(n_frames, t, o):
@@ -175,19 +175,19 @@ class TestSplice:
 class TestCmvn:
     def test_zero_mean(self):
         rng = np.random.default_rng(1)
-        out = cmvn(FeatureMatrix("u", "s", "L", rng.normal(2.0, 3.0, (50, 40))))
+        out = cmvn(FeatureMatrix("u", rng.normal(2.0, 3.0, (50, 40))))
         assert np.abs(out.data.mean(axis=0)).max() < 1e-10
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        once = cmvn(FeatureMatrix("u", "s", "L", rng.normal(size=(40, 10))))
+        once = cmvn(FeatureMatrix("u", rng.normal(size=(40, 10))))
         twice = cmvn(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-10)
 
     def test_unit_variance_vs_two_pass_oracle(self):
         rng = np.random.default_rng(3)
         data = rng.normal(5.0, 0.3, (50, 40))
-        out = cmvn(FeatureMatrix("u", "s", "L", data))
+        out = cmvn(FeatureMatrix("u", data))
         # independent two-pass variance computation
         mean = np.array([sum(col) / len(col) for col in data.T])
         var = np.array(
@@ -199,12 +199,12 @@ class TestCmvn:
 
     def test_constant_dim_left_centered(self):
         data = np.column_stack([np.full(20, 7.0), np.random.default_rng(0).normal(size=20)])
-        out = cmvn(FeatureMatrix("u", "s", "L", data))
+        out = cmvn(FeatureMatrix("u", data))
         np.testing.assert_allclose(out.data[:, 0], 0.0, atol=1e-12)
 
     def test_single_frame_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            cmvn(FeatureMatrix("u", "s", "L", np.ones((1, 4))))
+            cmvn(FeatureMatrix("u", np.ones((1, 4))))
 
 
 def test_pipeline_features_on_synth_audio():

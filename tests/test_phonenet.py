@@ -120,14 +120,14 @@ class TestLinguisticFactor:
     def test_output_width_matches_rank(self):
         _, g = random_classifier(seed=9)
         ex = svd_decompose(g, rank=6)
-        feat = FeatureMatrix("u", "s", "L", np.random.default_rng(0).normal(size=(15, 40)))
+        feat = FeatureMatrix("u", np.random.default_rng(0).normal(size=(15, 40)))
         assert linguistic_factor(ex, g, feat).shape == (15, 6)
 
     def test_matches_direct_matrix_product_oracle(self):
         _, g = random_classifier(seed=10)
         ex = svd_decompose(g, rank=5)
         rng = np.random.default_rng(1)
-        feat = FeatureMatrix("u", "s", "L", rng.normal(size=(8, 40)))
+        feat = FeatureMatrix("u", rng.normal(size=(8, 40)))
         h = hidden_activations(g, feat)
         out = linguistic_factor(ex, g, feat)
         for t in range(8):
@@ -152,8 +152,8 @@ class TestPhoneChunks:
         rng = derive_rng(9, "phone-chunks", n_frames)
         frames = rng.normal(size=(n_frames, 12))
         labels = np.arange(n_frames) % 7
-        feats = [FeatureMatrix("u0", "s0", "L", frames),
-                 FeatureMatrix("u1", "s1", "L", np.ones((3, 12)))]
+        feats = [FeatureMatrix("u0", frames),
+                 FeatureMatrix("u1", np.ones((3, 12)))]
         data = make_phone_dataset(feats, {"u0": labels, "u1": [0, 0, 0]},
                                   chunk_frames=32)
         item = next(it for it in data.train_items + data.val_items
@@ -168,7 +168,7 @@ class TestPhoneChunks:
             np.testing.assert_array_equal(chunk_labels, labels[rows])
 
     def test_label_outside_phone_set_rejected(self):
-        feats = [FeatureMatrix(f"u{i}", "s", "L", np.ones((4, 40))) for i in range(3)]
+        feats = [FeatureMatrix(f"u{i}", np.ones((4, 40))) for i in range(3)]
         labels = {"u0": [0, 1, 2, 3], "u1": [0, 0, 0, 0], "u2": [9, 10, 0, 0]}
         data = make_phone_dataset(feats, labels)
         graph = build_phone_classifier(SMALL_NET, seed=1)
