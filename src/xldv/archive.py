@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError
+from .errors import DataError, FormatError, InvalidArgumentError
 from .frontend import FeatureMatrix
 
 FARC_MAGIC = b"FARC"
@@ -37,9 +37,12 @@ _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 def _unpack_id(raw: bytes, offset, path):
     try:
-        return raw.decode("utf-8")
+        utt_id = raw.decode("utf-8")
     except UnicodeDecodeError as exc:  # the CRC is checked later
         raise FormatError(f"archive record id is not UTF-8: {exc}", offset, path=path) from None
+    if "\t" in utt_id or "\n" in utt_id:  # the run directory's TSVs separate with them
+        raise FormatError("archive record id contains tab/newline", offset, utt_id, path)
+    return utt_id
 
 
 def _record_bytes(feat: FeatureMatrix) -> bytes:
@@ -83,8 +86,14 @@ def archive_write(feats, path):
             fh.write(_record_bytes(feat))
 
 
-def archive_stream(path):
-    """Yield FeatureMatrix records one at a time (streaming read)."""
+def archive_stream(path, utterance_ids=None):
+    """Yield FeatureMatrix records one at a time (streaming read).
+
+    With ``utterance_ids``, yield only their records, in archive order; after
+    the last record, the first of them the archive lacks is a DataError
+    naming the archive.
+    """
+    wanted = None if utterance_ids is None else dict.fromkeys(utterance_ids)
     with open(path, "rb") as fh:
         head = fh.read(6)
         if len(head) < 6 or head[:4] != FARC_MAGIC:
@@ -97,7 +106,7 @@ def archive_stream(path):
             rec_start = fh.tell()
             raw_len = fh.read(2)
             if not raw_len:
-                return
+                break
             if len(raw_len) < 2:
                 raise FormatError("truncated record header", rec_start, path=path)
             (id_len,) = struct.unpack("<H", raw_len)
@@ -122,13 +131,17 @@ def archive_stream(path):
             if utt_id in seen:
                 raise FormatError("duplicate record id", rec_start, utt_id, path)
             seen.add(utt_id)
-            data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
-            yield FeatureMatrix(utt_id, data)
+            if wanted is None or utt_id in wanted:
+                data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
+                yield FeatureMatrix(utt_id, data)
+    missing = [u for u in wanted or () if u not in seen]
+    if missing:
+        raise DataError(f"{path}: no record for utterance {missing[0]!r}")
 
 
-def archive_read_dict(path):
-    """Read an archive keyed by utterance id."""
-    return {feat.utterance_id: feat for feat in archive_stream(path)}
+def archive_read_dict(path, utterance_ids):
+    """The records of ``utterance_ids`` keyed by utterance id (see ``archive_stream``)."""
+    return {feat.utterance_id: feat for feat in archive_stream(path, utterance_ids)}
 
 
 def read_columns(path, n_fields):

@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per pipeline stage.
+"""Command-line entry point: one command per pipeline stage.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
 malformed artifacts), 3 numeric failure. Every failure prints a single
@@ -23,20 +23,17 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     parser = _Parser(prog="xldv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    commands = pipeline.STAGE_NAMES + ["all", "validate-config"]
-    for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE", help="override a config value")
-        p.add_argument("--run-dir", default=None,
-                       help="run directory (default: $XLDV_RUN_DIR or runs/<hash>)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override experiment.seed")
-        p.add_argument("--force", action="store_true",
-                       help="re-run stages even when up to date")
-        p.add_argument("-q", "--quiet", action="store_true")
+    parser.add_argument("command", choices=pipeline.STAGE_NAMES + ["all", "validate-config"],
+                        help="one stage, all stages in order, or validate-config")
+    parser.add_argument("--config", default=None, help="config file path")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE", help="override a config value")
+    parser.add_argument("--run-dir", default=None,
+                        help="run directory (default: $XLDV_RUN_DIR or runs/<hash>)")
+    parser.add_argument("--seed", type=int, default=None, help="override experiment.seed")
+    parser.add_argument("--force", action="store_true",
+                        help="re-run stages even when up to date")
+    parser.add_argument("-q", "--quiet", action="store_true")
     return parser
 
 
@@ -51,9 +48,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return 1
         logging.basicConfig(
             level=logging.WARNING if args.quiet else logging.INFO,
             format="%(asctime)s %(name)s: %(message)s", datefmt="%H:%M:%S",

@@ -9,9 +9,8 @@ explicit and the whole pipeline is reproducible from the resolved file.
 import hashlib
 from dataclasses import dataclass
 
-from .corpus import CorpusConfig, derive_rng
-from .errors import ConfigError, InvalidArgumentError
-from .evalkit import parse_condition, split_conditions
+from .corpus import derive_rng
+from .errors import ConfigError
 
 
 @dataclass
@@ -68,7 +67,6 @@ SCHEMA = {
     "backend.lda_dim": Field(int, 150, "LDA projection dim (clamped per system)"),
     "backend.plda_iters": Field(int, 10, "PLDA EM iterations"),
     "backend.train_utts_per_speaker": Field(int, 8, "train utts embedded per speaker"),
-    "eval.conditions": Field(str, "A-A,B-B,A/B", "comma-separated trial conditions"),
 }
 
 DERIVED_SEED_SECTIONS = ("corpus", "ctdnn", "asr", "ivector")
@@ -153,19 +151,6 @@ class ExperimentConfig:
                     "corpus.n_train_utts", "corpus.n_eval_utts", "corpus.n_phones"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        conds = split_conditions(self.values["eval.conditions"])
-        if not conds or len(set(conds)) < len(conds):
-            raise ConfigError("eval.conditions must name one or more conditions, each once")
-        for cond in conds:
-            try:
-                langs = parse_condition(cond)[:2]
-            except InvalidArgumentError as exc:
-                raise ConfigError(f"eval.conditions: {exc}") from exc
-            if not set(langs) <= set(CorpusConfig.eval_languages):
-                raise ConfigError(
-                    f"eval.conditions: {cond!r} names a language outside "
-                    f"{', '.join(CorpusConfig.eval_languages)}"
-                )
         return self
 
     def report(self):

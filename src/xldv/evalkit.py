@@ -17,13 +17,14 @@ from .errors import InvalidArgumentError
 
 SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
 METRICS = ("cosine", "lda", "plda")
+# trial condition -> (enroll language, test language)
+CONDITIONS = {"A-A": ("A", "A"), "B-B": ("B", "B"), "A/B": ("A", "B")}
 
 
 @dataclass
 class TrialList:
     """Trial i pairs utterance ids ``enroll[i]``, ``test[i]``; bool ``target[i]``: same speaker."""
 
-    condition: str
     enroll: list
     test: list
     target: np.ndarray
@@ -37,32 +38,16 @@ class TrialList:
             fh.writelines(f"{e}\t{t}\t{y}\n" for e, t, y in zip(self.enroll, self.test, labels))
 
     @classmethod
-    def load(cls, path, condition):
+    def load(cls, path):
         enroll, test, labels = read_columns(path, 3)
         if not set(labels) <= {"target", "nontarget"}:
             raise InvalidArgumentError(f"{path}: a trial label is not target/nontarget")
-        return cls(condition, enroll, test, np.array(labels, dtype=object) == "target")
-
-
-def split_conditions(text):
-    """The comma-separated trial conditions in ``text``, blanks dropped."""
-    return [c.strip() for c in text.split(",") if c.strip()]
-
-
-def parse_condition(condition):
-    """Returns (lang_enroll, lang_test, is_cross)."""
-    cross = "/" in condition
-    langs = condition.split("/" if cross else "-")
-    if len(langs) != 2 or (langs[0] != langs[1]) != cross:
-        raise InvalidArgumentError(
-            f"malformed condition {condition!r}: A-A pairs one language, A/B two"
-        )
-    return langs[0], langs[1], cross
+        return cls(enroll, test, np.array(labels, dtype=object) == "target")
 
 
 def make_trials(manifest, condition) -> TrialList:
-    """All-pairs trial list for one condition, deterministic in the manifest."""
-    lang_a, lang_b, cross = parse_condition(condition)
+    """All-pairs trial list for one of ``CONDITIONS``, deterministic in the manifest."""
+    lang_a, lang_b = CONDITIONS[condition]
     speaker_of = {}
     utts = {lang_a: [], lang_b: []}
     for rec in manifest.utterances("eval"):
@@ -76,11 +61,11 @@ def make_trials(manifest, condition) -> TrialList:
                 raise InvalidArgumentError(
                     f"eval speaker {spk} has no utterances in language {lang}"
                 )
-    pairs = (itertools.product(sorted(utts[lang_a]), sorted(utts[lang_b])) if cross
-             else itertools.combinations(sorted(utts[lang_a]), 2))
+    pairs = (itertools.product(sorted(utts[lang_a]), sorted(utts[lang_b]))
+             if lang_a != lang_b else itertools.combinations(sorted(utts[lang_a]), 2))
     enroll, test = [list(column) for column in zip(*pairs)] or [[], []]
     target = np.array([speaker_of[e] == speaker_of[t] for e, t in zip(enroll, test)], bool)
-    return TrialList(condition, enroll, test, target)
+    return TrialList(enroll, test, target)
 
 
 @dataclass
@@ -174,20 +159,20 @@ def compute_eer(target_scores, nontarget_scores) -> EERResult:
                      n_target=int(tar.size), n_nontarget=int(non.size))
 
 
-def results_table(results, conditions):
+def results_table(results):
     """Render the (system, metric, condition) -> EERResult grid.
 
     Returns (tsv, aligned_text). Rows are grouped by system then metric in
-    ``SYSTEMS`` and ``METRICS`` order; missing cells render as "-", and a row
-    with no cell is left out.
+    ``SYSTEMS`` and ``METRICS`` order, columns follow ``CONDITIONS``; missing
+    cells render as "-", and a row with no cell is left out.
     """
-    header = ["System", "Metric"] + [f"{c} EER%" for c in conditions]
+    header = ["System", "Metric"] + [f"{c} EER%" for c in CONDITIONS]
     rows = []
     for system in SYSTEMS:
         for metric in METRICS:
             cells = []
             any_present = False
-            for cond in conditions:
+            for cond in CONDITIONS:
                 res = results.get((system, metric, cond))
                 if res is None:
                     cells.append("-")

@@ -44,7 +44,7 @@ from . import BLAS_THREADS, __version__
 from . import archive, backend, corpus, ctdnn, evalkit, frontend, ivector, phonenet, workers
 from .config import ExperimentConfig
 from .errors import DataError
-from .evalkit import METRICS, SYSTEMS
+from .evalkit import CONDITIONS, METRICS, SYSTEMS
 from .nn import NetworkGraph, TrainState
 
 log = logging.getLogger(__name__)
@@ -255,27 +255,12 @@ def backend_model(system):
     return f"models/backend_{system}.nnck"
 
 
-def conditions(cfg) -> list:
-    return evalkit.split_conditions(cfg["eval.conditions"])
-
-
-def condition_token(condition):
-    return condition.replace("/", "x")
-
-
 def trial_file(cond):
-    return f"trials/{condition_token(cond)}.tsv"
+    return f"trials/{cond.replace('/', 'x')}.tsv"
 
 
 def score_file(system, metric, cond):
-    return f"scores/{system}_{metric}_{condition_token(cond)}.tsv"
-
-
-def condition_files(cfg):
-    """Score files, then trial lists, of the configured ``eval.conditions``."""
-    conds = conditions(cfg)
-    return ([score_file(s, m, c) for s in SYSTEMS for m in METRICS for c in conds]
-            + [trial_file(c) for c in conds])
+    return f"scores/{system}_{metric}_{cond.replace('/', 'x')}.tsv"
 
 
 def _load_manifest(ctx: Context) -> corpus.CorpusManifest:
@@ -329,7 +314,8 @@ def stage_feats(ctx: Context):
 def stage_train_asr(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    feats = archive.archive_read_dict(ctx.path(FBANK))
+    feats = archive.archive_read_dict(ctx.path(FBANK),
+                                      [r.utterance_id for r in manifest.records])
     train_feats = [feats[r.utterance_id] for r in manifest.utterances("train")]
     labels = {
         r.utterance_id: corpus.expand_labels(
@@ -375,13 +361,14 @@ def stage_train_asr(ctx: Context):
 
 
 def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
+    """``labels`` maps each training utterance id to its speaker label."""
     cfg = ctx.config
     net_config = _ctdnn_config(cfg)
     factors_by_utt = None
     variant = CTDNN_VARIANTS[aware]
     seed = corpus.derive_rng(cfg["ctdnn.seed"], variant).integers(0, 2**31 - 1)
     if aware:
-        factors = archive.archive_read_dict(ctx.path(FACTORS))
+        factors = archive.archive_read_dict(ctx.path(FACTORS), labels)
         factors_by_utt = {u: f.data for u, f in factors.items()}
         graph = ctdnn.build_phone_aware(net_config, seed=int(seed))
     else:
@@ -417,12 +404,11 @@ def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
 
 def stage_train_ctdnn(ctx: Context):
     manifest = _load_manifest(ctx)
-    feats = archive.archive_read_dict(ctx.path(FBANK))
     train = manifest.utterances("train")
-    train_feats = [feats[r.utterance_id] for r in train]
     label_of = ctdnn.contiguous_labels(manifest.train_speakers)
     labels = {r.utterance_id: label_of[r.speaker_id] for r in train}
-    del feats  # the eval utterances' features, held through both trainings otherwise
+    feats = archive.archive_read_dict(ctx.path(FBANK), labels)
+    train_feats = [feats[r.utterance_id] for r in train]
     workers.map_ordered(lambda aware: _train_one_ctdnn(ctx, train_feats, labels, aware),
                         CTDNN_VARIANTS, ctx.config)
 
@@ -434,11 +420,9 @@ def _ubm_sample(ctx: Context):
     they are not held through UBM training.
     """
     cfg = ctx.config
-    train_ids = {r.utterance_id for r in _load_manifest(ctx).utterances("train")}
-    frames = np.concatenate([
-        feat.data for feat in archive.archive_stream(ctx.path(MFCC))
-        if feat.utterance_id in train_ids
-    ])
+    train_ids = [r.utterance_id for r in _load_manifest(ctx).utterances("train")]
+    frames = np.concatenate(
+        [feat.data for feat in archive.archive_stream(ctx.path(MFCC), train_ids)])
     budget = cfg["ivector.ubm_frames"]
     if frames.shape[0] > budget:
         rng = corpus.derive_rng(cfg["ivector.seed"], "ubm-subsample")
@@ -481,11 +465,9 @@ def stage_train_tv(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
     ubm = load_ubm(ctx.path(UBM_MODEL))
-    train_ids = {r.utterance_id for r in manifest.utterances("train")}
-    stats = []
-    for feat in archive.archive_stream(ctx.path(MFCC)):
-        if feat.utterance_id in train_ids:
-            stats.append(ivector.accumulate_stats(ubm, feat))
+    train_ids = [r.utterance_id for r in manifest.utterances("train")]
+    stats = [ivector.accumulate_stats(ubm, feat)
+             for feat in archive.archive_stream(ctx.path(MFCC), train_ids)]
     tmat = ivector.train_tmatrix(
         ubm, stats, rank=cfg["ivector.dim"], n_iters=cfg["ivector.tv_iters"],
         seed=cfg["ivector.seed"],
@@ -511,6 +493,7 @@ def stage_extract(ctx: Context):
         _backend_subset(manifest, cfg["backend.train_utts_per_speaker"]),
         manifest.utterances("eval"),
     )))
+    used = [r.utterance_id for recs in splits.values() for r in recs]
     net_config = _ctdnn_config(cfg)
     # checkpoints load here, once; each system's worker reads its own archives
     graphs = {
@@ -522,15 +505,15 @@ def stage_extract(ctx: Context):
 
     def embed(system):
         if system == "ivector":
-            mfcc_feats = archive.archive_read_dict(ctx.path(MFCC))
+            mfcc_feats = archive.archive_read_dict(ctx.path(MFCC), used)
             whitened = ivector.whiten(ubm, tmat)
 
             def vector(rec):
                 stats = ivector.accumulate_stats(ubm, mfcc_feats[rec.utterance_id])
                 return ivector.extract_ivector(whitened, stats)
         else:
-            feats = archive.archive_read_dict(ctx.path(FBANK))
-            factors = (archive.archive_read_dict(ctx.path(FACTORS))
+            feats = archive.archive_read_dict(ctx.path(FBANK), used)
+            factors = (archive.archive_read_dict(ctx.path(FACTORS), used)
                        if system == "dvector-phone-aware" else None)
 
             def vector(rec):
@@ -598,10 +581,9 @@ def load_backend(path):
 
 
 def stage_score(ctx: Context):
-    cfg = ctx.config
     manifest = _load_manifest(ctx)
     trial_lists = {}
-    for cond in conditions(cfg):
+    for cond in CONDITIONS:
         trials = evalkit.make_trials(manifest, cond)
         trials.save(ctx.path(trial_file(cond)))
         trial_lists[cond] = trials
@@ -621,10 +603,8 @@ def stage_score(ctx: Context):
 
 
 def stage_eval(ctx: Context):
-    trial_lists = {
-        cond: evalkit.TrialList.load(ctx.path(trial_file(cond)), cond)
-        for cond in conditions(ctx.config)
-    }
+    trial_lists = {cond: evalkit.TrialList.load(ctx.path(trial_file(cond)))
+                   for cond in CONDITIONS}
     lines = []
     for system in SYSTEMS:
         for metric in METRICS:
@@ -652,7 +632,7 @@ def read_eer_table(path):
 
 def stage_report(ctx: Context):
     results = read_eer_table(ctx.path(EER_TABLE))
-    tsv, text = evalkit.results_table(results, conditions(ctx.config))
+    tsv, text = evalkit.results_table(results)
     with archive.atomic_open(ctx.path(REPORT_TSV)) as fh:
         fh.write(tsv)
     with archive.atomic_open(ctx.path(REPORT_TXT)) as fh:
@@ -660,15 +640,17 @@ def stage_report(ctx: Context):
 
 
 # --- the stage table -------------------------------------------------------
-# Inputs and outputs are run-dir paths; a function of the config in their place
-# stands for the paths it returns (see ``stage_paths``). A change that alters a
-# stage's output bytes bumps its code ``version``, so older run dirs re-run it.
+# Inputs and outputs are run-dir paths. A change that alters a stage's output
+# bytes bumps its code ``version``, so older run dirs re-run it.
 
 Stage = namedtuple("Stage", "name inputs outputs fn version", defaults=(1,))
 
 _CTDNN_MODELS = (ctdnn_model(False), ctdnn_model(True))
 _EMBEDDINGS = tuple(embedding_file(s, split) for s in SYSTEMS for split in SPLITS)
 _BACKENDS = tuple(backend_model(s) for s in SYSTEMS)
+# score files, then trial lists
+_SCORES = (tuple(score_file(s, m, c) for s in SYSTEMS for m in METRICS for c in CONDITIONS)
+           + tuple(trial_file(c) for c in CONDITIONS))
 
 STAGES = (
     Stage("synth", (), CORPUS_FILES, stage_synth),
@@ -682,21 +664,12 @@ STAGES = (
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=2),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train),
-    Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, (condition_files,),
-          stage_score),
-    Stage("eval", (condition_files,), (EER_TABLE,), stage_eval),
+    Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score),
+    Stage("eval", _SCORES, (EER_TABLE,), stage_eval),
     Stage("report", (EER_TABLE,), (REPORT_TSV, REPORT_TXT), stage_report),
 )
 STAGE_NAMES = [stage.name for stage in STAGES]
 _STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
-
-
-def stage_paths(paths, cfg):
-    """``paths`` with each function replaced by the paths it gives for ``cfg``."""
-    out = []
-    for rel in paths:
-        out.extend(rel(cfg) if callable(rel) else (rel,))
-    return out
 
 
 def run_stage(ctx: Context, name, force=False, digests=None):
@@ -711,14 +684,12 @@ def run_stage(ctx: Context, name, force=False, digests=None):
     stage = _STAGE_BY_NAME.get(name)
     if stage is None:
         raise DataError(f"unknown stage {name!r}")
-    inputs = stage_paths(stage.inputs, ctx.config)
-    outputs = stage_paths(stage.outputs, ctx.config)
-    missing = [rel for rel in inputs if not os.path.exists(ctx.path(rel))]
+    missing = [rel for rel in stage.inputs if not os.path.exists(ctx.path(rel))]
     if missing:
         raise DataError(
             f"stage {name} requires {missing[0]} (run earlier stages first)"
         )
-    input_hashes = {rel: _digest(ctx.run_dir, rel, digests) for rel in inputs}
+    input_hashes = {rel: _digest(ctx.run_dir, rel, digests) for rel in stage.inputs}
     reason = "forced" if force else ctx.manifest.stage_current(
         name, stage.version, ctx.config, input_hashes, ctx.run_dir, digests
     )
@@ -726,14 +697,14 @@ def run_stage(ctx: Context, name, force=False, digests=None):
         log.info("stage %s: up to date, skipping", name)
         return False
     log.info("stage %s: running (%s)", name, reason)
-    for rel in outputs:
+    for rel in stage.outputs:
         os.makedirs(os.path.dirname(ctx.path(rel)), exist_ok=True)
     config = RecordingConfig(ctx.config)
     t0 = time.perf_counter()
     stage.fn(dataclasses.replace(ctx, config=config))
     wall = time.perf_counter() - t0
     output_hashes = {}
-    for rel in outputs:
+    for rel in stage.outputs:
         if not os.path.exists(ctx.path(rel)):
             raise DataError(f"stage {name} did not produce {rel}")
         output_hashes[rel] = sha256_file(ctx.path(rel))

@@ -17,7 +17,7 @@ from xldv.archive import (
     read_columns,
     save_checkpoint,
 )
-from xldv.errors import FormatError, InvalidArgumentError
+from xldv.errors import DataError, FormatError, InvalidArgumentError
 from xldv.frontend import FeatureMatrix
 
 
@@ -59,6 +59,17 @@ class TestFeatureArchive:
         with pytest.raises(FormatError, match="record id is not UTF-8") as err:
             list(archive_stream(path))
         assert (err.value.path, err.value.offset) == (path, 6)
+
+    @pytest.mark.parametrize("ident", [b"u\t0", b"u0\n"], ids=["tab", "newline"])
+    def test_tab_or_newline_id_names_file_and_offset(self, tmp_path, ident):
+        path = tmp_path / "tab-id.farc"
+        body = struct.pack("<H", 3) + ident + struct.pack("<II", 1, 1) + bytes(4)
+        path.write_bytes(b"FARC" + struct.pack("<H", 2) + body
+                         + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="record id contains tab/newline") as err:
+            list(archive_stream(path))
+        assert (err.value.path, err.value.offset, err.value.record) == (
+            path, 6, ident.decode())
 
     def test_empty_archive(self, tmp_path):
         path = tmp_path / "empty.farc"
@@ -122,7 +133,20 @@ class TestFeatureArchive:
         feats = random_feats(4, np.random.default_rng(5))
         path = tmp_path / "d.farc"
         archive_write(feats, path)
-        assert set(archive_read_dict(path)) == {f.utterance_id for f in feats}
+        back = archive_read_dict(path, ["utt3", "utt1"])
+        assert list(back) == ["utt1", "utt3"]  # archive order, the others skipped
+        for feat in (feats[1], feats[3]):
+            assert back[feat.utterance_id].data.tobytes() == feat.data.tobytes()
+
+    def test_missing_id_names_the_archive_after_the_last_record(self, tmp_path):
+        path = tmp_path / "m.farc"
+        archive_write(random_feats(3, np.random.default_rng(6)), path)
+        stream = archive_stream(path, ["utt2", "ghost", "utt0", "phantom"])
+        assert [next(stream).utterance_id for _ in range(2)] == ["utt0", "utt2"]
+        with pytest.raises(DataError) as err:
+            next(stream)
+        assert type(err.value) is DataError
+        assert str(err.value) == f"{path}: no record for utterance 'ghost'"
 
 
 class TestCheckpointContainer:

@@ -297,11 +297,12 @@ class TestCli:
     @pytest.mark.parametrize("conditions", ["A/B/C", "A-A-A", "A/A", "A-A,A-A", "C-C", ""])
     def test_bad_conditions_exit_one_before_any_stage(self, tmp_path, capsys, command,
                                                       conditions):
+        # the trial conditions are fixed (evalkit.CONDITIONS); the retired key is unknown
         code = main([command, "--set", f"eval.conditions={conditions}",
                      "--run-dir", str(tmp_path / "run"), "--quiet"])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("xldv: error: config:")
+        assert lines == ["xldv: error: config: unknown key 'eval.conditions'"]
         assert not (tmp_path / "run").exists()
 
     def test_synth_runs_in_empty_run_dir(self, tmp_path):
@@ -420,9 +421,20 @@ class TestReuse:
         assert [path.read_bytes() for path in results] == before
 
     def test_conditions_change_reruns_only_scoring_stages(self, run_copy):
-        ran = pipeline.run_all(tiny_context(run_copy, ["eval.conditions=A-A,A/B"]))
-        assert ran == ["score", "eval", "report"]
-        assert stage_records(run_copy)["score"]["config_keys"]["eval.conditions"] == "A-A,A/B"
+        # a run dir from before the trial conditions were fixed recorded their key
+        manifest = run_copy / "manifest.json"
+        data = json.loads(manifest.read_text())
+        for name in ("score", "eval", "report"):
+            data["stages"][name]["config_keys"]["eval.conditions"] = "A-A,B-B,A/B"
+        manifest.write_text(json.dumps(data))
+        before = run_files(run_copy)
+        assert pipeline.run_all(tiny_context(run_copy)) == ["score", "eval", "report"]
+        records = stage_records(run_copy)
+        for name in ("score", "eval", "report"):
+            assert records[name]["reason"] == "config key eval.conditions changed"
+            assert "eval.conditions" not in records[name]["config_keys"]
+        assert run_files(run_copy) == before
+        assert pipeline.run_all(tiny_context(run_copy)) == []
 
     def test_legacy_record_is_rerun(self, run_copy):
         manifest = run_copy / "manifest.json"
@@ -494,13 +506,13 @@ class TestReuse:
         loaded = []
         real = evalkit.TrialList.load
 
-        def counting(path, condition):
-            loaded.append(condition)
-            return real(path, condition)
+        def counting(path):
+            loaded.append(os.path.relpath(path, run_copy))
+            return real(path)
 
         monkeypatch.setattr(evalkit.TrialList, "load", counting)
         pipeline.run_stage(tiny_context(run_copy), "eval", force=True)
-        assert loaded == ["A-A", "B-B", "A/B"]
+        assert loaded == ["trials/A-A.tsv", "trials/B-B.tsv", "trials/AxB.tsv"]
         assert eer.read_bytes() == before
 
     def test_extract_loads_each_checkpoint_once(self, run_copy, monkeypatch):
@@ -673,13 +685,15 @@ def replace_first_field(index, value):
      "corpus/speakers.tsv"),
     ("corpus/speakers.tsv", "score", replace_first_field(1, "test"), "corpus/speakers.tsv"),
     ("feats/fbank.farc", "train-asr", first_record_id(b"\xffu0"), "feats/fbank.farc"),
+    ("feats/fbank.farc", "train-asr", first_record_id(b"u\t0"), "feats/fbank.farc"),
     ("feats/fbank.farc", "train-asr", lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:],
      "feats/fbank.farc"),
     ("embeddings/ivec_train.farc", "backend-train", first_record_id(b"ghost-E-000"),
      "embeddings/ivec_train.farc"),
 ], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
         "manifest-duration", "labels-run", "labels-missing-row", "speakers-fields",
-        "speakers-split", "fbank-record-id", "fbank-version-one", "embedding-unlisted"])
+        "speakers-split", "fbank-record-id", "fbank-record-id-tab", "fbank-version-one",
+        "embedding-unlisted"])
 def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, named):
     path = run_copy / rel
     path.write_bytes(corrupt(path.read_bytes()))
@@ -688,6 +702,24 @@ def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, nam
     assert err.startswith("xldv: error: data:")
     assert len(err.splitlines()) == 1
     assert f"{run_copy / named}: " in err
+
+
+@pytest.mark.parametrize("rel, stages", [
+    ("feats/fbank.farc", ["train-asr", "train-ctdnn", "extract"]),
+    ("feats/mfcc.farc", ["train-ubm", "train-tv", "extract"]),
+    ("feats/factors.farc", ["train-ctdnn", "extract"]),
+], ids=["fbank", "mfcc", "factors"])
+def test_archive_without_a_listed_utterance_exits_two(run_copy, capsys, rel, stages):
+    path = run_copy / rel
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<H", raw, 6)
+    t, d = struct.unpack_from("<II", raw, 8 + n)
+    path.write_bytes(raw[:6] + raw[8 + n + 8 + 4 * t * d + 4:])  # drop the first record
+    first = raw[8:8 + n].decode()
+    for stage in stages:
+        assert main([stage] + tiny_args(run_copy)) == 2, stage
+        assert capsys.readouterr().err == (
+            f"xldv: error: data: {path}: no record for utterance {first!r}\n")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ def trial_columns(trials):
 
 def subset(trials, idx):
     """The trials at positions ``idx``, in that order."""
-    return TrialList(trials.condition, [trials.enroll[i] for i in idx],
+    return TrialList([trials.enroll[i] for i in idx],
                      [trials.test[i] for i in idx], trials.target[idx])
 
 
@@ -110,8 +110,7 @@ class TestMakeTrials:
             trials = make_trials(toy_manifest(n_spk=3), condition)
             path = tmp_path / "trials.tsv"
             trials.save(path)
-            back = TrialList.load(path, condition)
-            assert back.condition == condition
+            back = TrialList.load(path)
             assert back.target.dtype == bool
             assert trial_columns(back) == trial_columns(trials)
             labels = [line.split("\t")[2] for line in path.read_text().splitlines()]
@@ -123,7 +122,7 @@ class TestMakeTrials:
         path = tmp_path / "trials.tsv"
         trials.save(path)
         assert path.read_bytes() == b""
-        assert trial_columns(TrialList.load(path, "A-A")) == ([], [], [])
+        assert trial_columns(TrialList.load(path)) == ([], [], [])
 
     @pytest.mark.parametrize("text", [
         "u1\tu2\n", "u1\tu2\ttarget\textra\n", "u1\tu2\tmaybe\n",
@@ -132,7 +131,7 @@ class TestMakeTrials:
         path = tmp_path / "trials.tsv"
         path.write_text("u0\tu1\tnontarget\n" + text)
         with pytest.raises(InvalidArgumentError, match="trials.tsv"):
-            TrialList.load(path, "A-A")
+            TrialList.load(path)
 
 
 class TestScoreTrials:
@@ -194,7 +193,7 @@ class TestScoreTrials:
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
         trials = make_trials(manifest, "A-A")
-        swapped = TrialList("A-A", trials.test, trials.enroll, trials.target)
+        swapped = TrialList(trials.test, trials.enroll, trials.target)
         s1 = score_trials(CosineScorer(), emb, trials).scores
         s2 = score_trials(CosineScorer(), emb, swapped).scores
         np.testing.assert_allclose(s1, s2, atol=1e-12)
@@ -326,16 +325,14 @@ class TestComputeEer:
 
 
 class TestResultsTable:
-    CONDITIONS = ("A-A", "B-B", "A/B")
-
     def test_empty_grid_header_only(self):
-        tsv, text = results_table({}, self.CONDITIONS)
+        tsv, text = results_table({})
         assert tsv.splitlines() == ["System\tMetric\tA-A EER%\tB-B EER%\tA/B EER%"]
         assert len(text.splitlines()) == 1
 
     def test_single_cell(self):
         res = {("ivector", "plda", "A-A"): EERResult(0.0531, 0.2, 10, 10)}
-        tsv, _ = results_table(res, self.CONDITIONS)
+        tsv, _ = results_table(res)
         lines = tsv.splitlines()
         assert len(lines) == 2
         assert lines[1] == "ivector\tplda\t5.31\t-\t-"
@@ -347,10 +344,10 @@ class TestResultsTable:
         value = 0.01
         for s in systems:
             for m in metrics:
-                for c in self.CONDITIONS:
+                for c in ("A-A", "B-B", "A/B"):
                     res[(s, m, c)] = EERResult(value, 0.0, 5, 5)
                     value += 0.01
-        tsv, text = results_table(res, self.CONDITIONS)
+        tsv, text = results_table(res)
         expected = (
             "System\tMetric\tA-A EER%\tB-B EER%\tA/B EER%\n"
             "ivector\tcosine\t1.00\t2.00\t3.00\n"

@@ -1,6 +1,5 @@
 """The stage table, and the names the benchmark in ``perfbench/`` relies on."""
 
-import argparse
 import ast
 import importlib
 import importlib.util
@@ -8,8 +7,6 @@ import inspect
 import logging
 import os
 import pathlib
-
-import pytest
 
 from test_config_cli import TINY_OVERRIDES, tiny_args
 from xldv import evalkit, pipeline, workers
@@ -19,44 +16,29 @@ from xldv.config import load_config
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
 
-def table(overrides=()):
-    """[(name, inputs, outputs)] with the config-dependent paths expanded."""
-    cfg = load_config(None, list(overrides))
-    return [(stage.name, pipeline.stage_paths(stage.inputs, cfg),
-             pipeline.stage_paths(stage.outputs, cfg)) for stage in pipeline.STAGES]
-
-
-CONFIGS = [(), ("eval.conditions=A/B,A-A",)]
-
-
 class TestTable:
-    @pytest.mark.parametrize("overrides", CONFIGS, ids=["default", "two-conditions"])
-    def test_each_input_is_an_output_of_an_earlier_stage(self, overrides):
+    def test_inputs_and_outputs_are_path_tuples(self):
+        for stage in pipeline.STAGES:
+            for paths in (stage.inputs, stage.outputs):
+                assert type(paths) is tuple, stage.name
+                assert all(isinstance(rel, str) for rel in paths), stage.name
+
+    def test_each_input_is_an_output_of_an_earlier_stage(self):
         made = set()
-        for name, inputs, outputs in table(overrides):
-            assert set(inputs) <= made, (name, sorted(set(inputs) - made))
-            made.update(outputs)
+        for stage in pipeline.STAGES:
+            assert set(stage.inputs) <= made, (stage.name, sorted(set(stage.inputs) - made))
+            made.update(stage.outputs)
 
-    @pytest.mark.parametrize("overrides", CONFIGS, ids=["default", "two-conditions"])
-    def test_no_file_is_the_output_of_two_stages(self, overrides):
+    def test_no_file_is_the_output_of_two_stages(self):
         owner = {}
-        for name, _, outputs in table(overrides):
-            assert len(set(outputs)) == len(outputs), name
-            for rel in outputs:
-                assert owner.setdefault(rel, name) == name, rel
-
-    def test_condition_files_follow_the_config(self):
-        stages = {name: (inputs, outputs) for name, inputs, outputs in table(CONFIGS[1])}
-        score_out = stages["score"][1]
-        assert stages["eval"][0] == score_out
-        assert len(score_out) == 3 * 3 * 2 + 2
-        assert score_out[0] == "scores/ivector_cosine_AxB.tsv"
-        assert score_out[-2:] == ["trials/AxB.tsv", "trials/A-A.tsv"]
+        for stage in pipeline.STAGES:
+            assert len(set(stage.outputs)) == len(stage.outputs), stage.name
+            for rel in stage.outputs:
+                assert owner.setdefault(rel, stage.name) == stage.name, rel
 
     def test_cli_subcommands_are_the_table_names_in_order(self):
-        sub, = [a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == pipeline.STAGE_NAMES + ["all", "validate-config"]
+        command, = [a for a in build_parser()._actions if a.dest == "command"]
+        assert command.choices == pipeline.STAGE_NAMES + ["all", "validate-config"]
 
 
 def constants(filename, names):
@@ -102,7 +84,7 @@ class TestBenchmarkContract:
         worker = constants("worker.py", ["SYSTEMS", "METRICS", "CONDITIONS"])
         assert worker["SYSTEMS"] == evalkit.SYSTEMS
         assert worker["METRICS"] == evalkit.METRICS
-        assert list(worker["CONDITIONS"]) == pipeline.conditions(load_config())
+        assert worker["CONDITIONS"] == tuple(evalkit.CONDITIONS)
 
     def test_run_stage_signature_and_log_templates(self):
         params = list(inspect.signature(pipeline.run_stage).parameters)
@@ -158,10 +140,9 @@ class TestBenchmarkContract:
         assert counts == {"plda_floors": 12, "lda_ridges": 3}  # as in a serial run
 
     def test_run_dir_files_the_worker_reads(self):
-        conds = constants("worker.py", ["CONDITIONS"])["CONDITIONS"]
         assert pipeline.EER_TABLE == "results/eer.tsv"
         assert pipeline.REPORT_TXT == "results/report.txt"
         for system in evalkit.SYSTEMS:
             assert pipeline.backend_model(system) == f"models/backend_{system}.nnck"
-        for cond in conds:
+        for cond in evalkit.CONDITIONS:
             assert pipeline.trial_file(cond) == f"trials/{cond.replace('/', 'x')}.tsv"
