@@ -140,8 +140,8 @@ class ExperimentConfig:
 
     def validate(self):
         """Cross-key checks; raises ConfigError on contradictions."""
-        if self.values["corpus.min_duration_s"] > self.values["corpus.max_duration_s"]:
-            raise ConfigError("corpus.min_duration_s exceeds corpus.max_duration_s")
+        if not 0 < self.values["corpus.min_duration_s"] <= self.values["corpus.max_duration_s"]:
+            raise ConfigError("need 0 < corpus.min_duration_s <= corpus.max_duration_s")
         hidden = self.values["asr.td_hidden"] // 2
         if self.values["asr.svd_rank"] > min(hidden, self.values["corpus.n_phones"]):
             raise ConfigError(

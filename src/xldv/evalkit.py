@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import atomic_open, read_columns
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericError
 
 SYSTEMS = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
 METRICS = ("cosine", "lda", "plda")
@@ -70,25 +70,28 @@ def make_trials(manifest, condition) -> TrialList:
 
 @dataclass
 class ScoreSet:
+    """``scores[i]`` scores trial i of ``trial_list``, the one holder of trial ids;
+    on disk, one ``%.8e`` line per trial, in trial-list order."""
+
     trial_list: TrialList
     scores: np.ndarray
 
     def save(self, path):
-        rows = zip(self.trial_list.enroll, self.trial_list.test, self.scores.tolist())
         with atomic_open(path) as fh:
-            fh.writelines(f"{e}\t{t}\t{s:.8e}\n" for e, t, s in rows)
+            fh.writelines(f"{s:.8e}\n" for s in self.scores.tolist())
 
     @classmethod
     def load(cls, path, trial_list: TrialList):
-        enroll, test, scores = read_columns(path, 3)
-        if len(scores) != len(trial_list):
+        (column,) = read_columns(path, 1)
+        if len(column) != len(trial_list):
             raise InvalidArgumentError(f"{path}: score count != trial count")
-        if enroll != trial_list.enroll or test != trial_list.test:
-            raise InvalidArgumentError(f"{path}: scores misaligned with trials")
         try:
-            return cls(trial_list, np.array([float(s) for s in scores]))
+            scores = np.array(column, dtype=np.float64)
         except ValueError as exc:
             raise InvalidArgumentError(f"{path}: {exc}") from None
+        if not np.all(np.isfinite(scores)):
+            raise InvalidArgumentError(f"{path}: a score is not finite")
+        return cls(trial_list, scores)
 
     def split(self):
         target = self.trial_list.target
@@ -111,7 +114,7 @@ def score_trials(scorer, embeddings, trial_list: TrialList) -> ScoreSet:
                         dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         bad = int(np.argmax(~np.isfinite(scores)))
-        raise InvalidArgumentError(
+        raise NumericError(
             f"non-finite score for trial {trial_list.enroll[bad]} vs {trial_list.test[bad]}"
         )
     return ScoreSet(trial_list, scores)

@@ -129,23 +129,3 @@ def linguistic_factor(extractor: LinguisticFactorExtractor, graph: NetworkGraph,
     """Per-frame factor, (T, r): sqrt(S_r) V_r^T h."""
     h = hidden_activations(graph, feat)
     return h @ extractor.v_r * np.sqrt(extractor.s_r)
-
-
-def save_extractor(path, extractor: LinguisticFactorExtractor):
-    from . import archive
-
-    archive.save_checkpoint(
-        path,
-        {"kind": "svd-factor", "section": "SVDF", "rank": extractor.rank,
-         "balanced": True},
-        {"SVDF.V_r": extractor.v_r, "SVDF.S_r": extractor.s_r},
-    )
-
-
-def load_extractor(path) -> LinguisticFactorExtractor:
-    from . import archive
-
-    header, tensors = archive.load_checkpoint(path)
-    return LinguisticFactorExtractor(
-        v_r=tensors["SVDF.V_r"], s_r=tensors["SVDF.S_r"], rank=header["rank"]
-    )

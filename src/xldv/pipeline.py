@@ -230,7 +230,6 @@ FBANK = "feats/fbank.farc"
 MFCC = "feats/mfcc.farc"
 FACTORS = "feats/factors.farc"
 ASR_MODEL = "models/asr.nnck"
-SVDF_MODEL = "models/svdf.nnck"
 UBM_MODEL = "models/ubm.nnck"
 TMATRIX_MODEL = "models/tmatrix.nnck"
 EER_TABLE = "results/eer.tsv"
@@ -349,7 +348,6 @@ def stage_train_asr(ctx: Context):
         },
     )
     extractor = phonenet.svd_decompose(graph, rank=cfg["asr.svd_rank"])
-    phonenet.save_extractor(ctx.path(SVDF_MODEL), extractor)
 
     def factor_records():
         for rec in manifest.records:
@@ -655,8 +653,8 @@ _SCORES = (tuple(score_file(s, m, c) for s in SYSTEMS for m in METRICS for c in 
 STAGES = (
     Stage("synth", (), CORPUS_FILES, stage_synth),
     Stage("feats", CORPUS_FILES, (FBANK, MFCC), stage_feats, version=2),
-    Stage("train-asr", CORPUS_FILES + (FBANK,), (ASR_MODEL, SVDF_MODEL, FACTORS),
-          stage_train_asr, version=2),
+    Stage("train-asr", CORPUS_FILES + (FBANK,), (ASR_MODEL, FACTORS), stage_train_asr,
+          version=3),
     Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
           stage_train_ctdnn),
     Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm),
@@ -664,7 +662,8 @@ STAGES = (
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=2),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train),
-    Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score),
+    Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
+          version=2),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),
     Stage("report", (EER_TABLE,), (REPORT_TSV, REPORT_TXT), stage_report),
 )

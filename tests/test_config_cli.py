@@ -254,10 +254,13 @@ class TestCli:
         assert "scores/" in err and err.startswith("xldv: error: data:")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
-        code = main(["synth", "--set", "corpus.not_a_key=1",
-                     "--run-dir", str(tmp_path / "x"), "--quiet"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("xldv: error: config:")
+        for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0"):
+            code = main(["synth", "--set", override,
+                         "--run-dir", str(tmp_path / "x"), "--quiet"])
+            assert code == 1, override
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("xldv: error: config:"), override
+            assert not (tmp_path / "x").exists(), override
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_file_exits_one(self, tmp_path, capsys, kind):
@@ -675,8 +678,12 @@ def replace_first_field(index, value):
     ("results/eer.tsv", "report", replace_first_field(3, "low"), "results/eer.tsv"),
     ("trials/A-A.tsv", "eval", lambda raw: raw + b"u0\tu1\n", "trials/A-A.tsv"),
     ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw, "trials/A-A.tsv"),
-    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(2, "n/a"),
+    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(0, "n/a"),
      "scores/ivector_plda_A-A.tsv"),
+    ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(0, "nan"),
+     "scores/ivector_plda_A-A.tsv"),
+    ("scores/ivector_lda_A-A.tsv", "eval", replace_first_field(0, "-inf"),
+     "scores/ivector_lda_A-A.tsv"),
     ("corpus/manifest.tsv", "score", replace_first_field(4, "long"), "corpus/manifest.tsv"),
     ("corpus/labels.tsv", "score", replace_first_field(1, "0:x"), "corpus/labels.tsv"),
     ("corpus/labels.tsv", "train-asr", lambda raw: raw.split(b"\n", 1)[1],
@@ -691,9 +698,9 @@ def replace_first_field(index, value):
     ("embeddings/ivec_train.farc", "backend-train", first_record_id(b"ghost-E-000"),
      "embeddings/ivec_train.farc"),
 ], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
-        "manifest-duration", "labels-run", "labels-missing-row", "speakers-fields",
-        "speakers-split", "fbank-record-id", "fbank-record-id-tab", "fbank-version-one",
-        "embedding-unlisted"])
+        "score-nan", "score-inf", "manifest-duration", "labels-run", "labels-missing-row",
+        "speakers-fields", "speakers-split", "fbank-record-id", "fbank-record-id-tab",
+        "fbank-version-one", "embedding-unlisted"])
 def test_malformed_artifact_exits_two(run_copy, capsys, rel, stage, corrupt, named):
     path = run_copy / rel
     path.write_bytes(corrupt(path.read_bytes()))

@@ -7,7 +7,7 @@ import pytest
 
 from xldv.backend import CosineScorer, EmbeddingSet, cosine_score, lda_project, train_lda
 from xldv.corpus import CorpusConfig, CorpusManifest, UttRecord, build_corpus
-from xldv.errors import InvalidArgumentError
+from xldv.errors import InvalidArgumentError, NumericError
 from xldv.evalkit import (
     EERResult,
     ScoreSet,
@@ -208,6 +208,21 @@ class TestScoreTrials:
             score_trials(CosineScorer(), emb, subset(trials, idx)).scores, full[idx]
         )
 
+    def test_non_finite_score_names_the_trial(self):
+        manifest = toy_manifest()
+        emb = self._embeddings(manifest)
+        trials = make_trials(manifest, "A/B")
+
+        class OneInf(CosineScorer):
+            def score_pairs(self, enroll, test):
+                scores = super().score_pairs(enroll, test)
+                scores[3] = np.inf
+                return scores
+
+        with pytest.raises(NumericError,
+                           match=f"trial {trials.enroll[3]} vs {trials.test[3]}$"):
+            score_trials(OneInf(), emb, trials)
+
     def test_missing_embedding_names_utterance(self):
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
@@ -229,9 +244,7 @@ class TestScoreFiles:
         score_set = self._score_set()
         path = tmp_path / "scores.tsv"
         score_set.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == (f"{score_set.trial_list.enroll[0]}\t"
-                            f"{score_set.trial_list.test[0]}\t{score_set.scores[0]:.8e}")
+        assert path.read_text().splitlines() == [f"{s:.8e}" for s in score_set.scores]
         back = ScoreSet.load(path, score_set.trial_list)
         assert back.trial_list is score_set.trial_list
         np.testing.assert_array_equal(
@@ -241,10 +254,10 @@ class TestScoreFiles:
     @pytest.mark.parametrize("edit", [
         lambda lines: lines[:-1],
         lambda lines: lines + lines[:1],
-        lambda lines: lines[1:2] + lines[:1] + lines[2:],
-        lambda lines: [lines[0].rsplit("\t", 1)[0]] + lines[1:],
-        lambda lines: [lines[0].rsplit("\t", 1)[0] + "\tn/a"] + lines[1:],
-    ], ids=["short", "long", "misaligned", "two-fields", "non-numeric"])
+        lambda lines: ["n/a"] + lines[1:],
+        lambda lines: lines[:1] + ["nan"] + lines[2:],
+        lambda lines: lines[:-1] + ["-inf"],
+    ], ids=["short", "long", "non-numeric", "nan", "inf"])
     def test_malformed_score_file_rejected(self, tmp_path, edit):
         score_set = self._score_set()
         path = tmp_path / "scores.tsv"

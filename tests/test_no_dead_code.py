@@ -21,7 +21,6 @@ ALLOWED = {
     "backend.cosine_score": "scalar oracle for CosineScorer.score_pairs",
     "corpus.envelope_distance": "scalar definition that _envelope_distances vectorises",
     "phonenet.reconstruct_low_rank": "Eckart-Young oracle for svd_decompose",
-    "phonenet.load_extractor": "reader of models/svdf.nnck, the format save_extractor writes",
 }
 
 

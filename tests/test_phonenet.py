@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from xldv.archive import load_checkpoint
 from xldv.corpus import (
     CorpusConfig,
     build_corpus,
@@ -21,10 +20,8 @@ from xldv.phonenet import (
     final_affine,
     hidden_activations,
     linguistic_factor,
-    load_extractor,
     make_phone_dataset,
     reconstruct_low_rank,
-    save_extractor,
     svd_decompose,
     train_phone_classifier,
 )
@@ -133,17 +130,6 @@ class TestLinguisticFactor:
         for t in range(8):
             expected = np.diag(np.sqrt(ex.s_r)) @ ex.v_r.T @ h[t]
             np.testing.assert_allclose(out[t], expected, atol=1e-10)
-
-    def test_extractor_round_trip(self, tmp_path):
-        _, g = random_classifier(seed=12)
-        ex = svd_decompose(g, rank=7)
-        path = tmp_path / "svdf.nnck"
-        save_extractor(path, ex)
-        back = load_extractor(path)
-        np.testing.assert_array_equal(back.v_r, ex.v_r)
-        np.testing.assert_array_equal(back.s_r, ex.s_r)
-        assert back.rank == 7
-        assert load_checkpoint(path)[0]["balanced"] is True
 
 
 class TestPhoneChunks:

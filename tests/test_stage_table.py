@@ -29,6 +29,18 @@ class TestTable:
             assert set(stage.inputs) <= made, (stage.name, sorted(set(stage.inputs) - made))
             made.update(stage.outputs)
 
+    def test_every_output_is_read_later_or_kept(self):
+        kept = {
+            pipeline.REPORT_TSV: "the product",
+            pipeline.REPORT_TXT: "the product",
+            pipeline.ASR_MODEL: "the phone classifier of record",
+        }
+        read = set()
+        for stage in reversed(pipeline.STAGES):
+            unread = set(stage.outputs) - read - set(kept)
+            assert not unread, (stage.name, sorted(unread))
+            read.update(stage.inputs)
+
     def test_no_file_is_the_output_of_two_stages(self):
         owner = {}
         for stage in pipeline.STAGES:
