@@ -10,7 +10,13 @@ M = m + T w (w ~ N(0, I)) is trained by EM over per-utterance sufficient
 statistics; both EM loops record their objective per iteration so callers can
 assert monotonicity. Training builds the whitened T and per-component Gram
 (``_whitened_gram``) once per EM iteration; extraction takes them from
-``whiten``, built once per (T, UBM).
+``whiten``, built once per (T, UBM). The T-matrix E-step (``_posteriors``)
+runs over blocks of ``TV_BLOCK_UTTS`` utterances, stacked one block at a
+time: the block's posterior precisions are one GEMM of its zeroth-order
+statistics with the Gram, each precision gets one Cholesky factorization, and
+the M-step statistics are two GEMMs per block, summed in block order. The pass
+after the last M-step computes only the objective. Extraction runs the same
+kernel on a block of one utterance.
 """
 
 import logging
@@ -28,6 +34,7 @@ VAR_FLOOR_FRACTION = 1e-4
 EMPTY_COMPONENT_OCCUPANCY = 1e-8
 RIDGE = 1e-8
 E_STEP_ROWS = 2048  # frames per E-step block
+TV_BLOCK_UTTS = 64  # utterances per T-matrix E-step block
 
 
 @dataclass
@@ -175,24 +182,62 @@ def _whitened_gram(ubm: UBM, tmat: np.ndarray):
     c, d = ubm.n_components, ubm.dim
     inv_std = 1.0 / np.sqrt(ubm.variances)  # (C, D)
     t3 = tmat.reshape(c, d, -1) * inv_std[:, :, None]
-    gram = np.einsum("cdr,cds->crs", t3, t3)
+    gram = np.matmul(t3.transpose(0, 2, 1), t3)
     return t3, inv_std, gram
 
 
-def _posterior(t3, gram, inv_std, stats: SuffStats):
-    """Posterior mean/precision of w for one utterance's statistics."""
-    r = t3.shape[2]
-    precision = np.eye(r) + np.tensordot(stats.n, gram, axes=(0, 0))
-    b = np.einsum("cdr,cd->r", t3, stats.f * inv_std)
-    return precision, b
+def _posteriors(whitened, block, what, acc=None):
+    """Posterior of w for each utterance of ``block``, a list of SuffStats.
+
+    Returns b = T' S^-1 F (B, R), the means w = L^-1 b (B, R) and log det L
+    (B,), where L = I + sum_c N_c gram_c; one Cholesky factor of each L gives
+    both. With ``acc = (acc_a, acc_k)`` it also adds the block's M-step
+    statistics, sum_u N_u E[w w'] (C, R, R) and sum_u w F' (R, C*D).
+    """
+    t3, inv_std, gram = whitened
+    c, d, r = t3.shape
+    n = np.array([s.n for s in block])
+    fw = np.array([(s.f * inv_std).reshape(-1) for s in block])
+    precision = (n @ gram.reshape(c, r * r)).reshape(-1, r, r)
+    precision.reshape(-1, r * r)[:, :: r + 1] += 1.0
+    b = fw @ t3.reshape(c * d, r)
+    w = np.empty_like(b)
+    logdet = np.empty(len(block))
+    eww = None if acc is None else np.empty_like(precision)
+    for i, p in enumerate(precision):
+        try:
+            factor = scipy.linalg.cho_factor(p, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"{what}: posterior precision is not PD: {exc}") from exc
+        w[i] = scipy.linalg.cho_solve(factor, b[i], check_finite=False)
+        logdet[i] = 2.0 * np.log(np.diag(factor[0])).sum()
+        if acc is not None:
+            eww[i] = scipy.linalg.cho_solve(factor, np.eye(r), check_finite=False)
+            eww[i] += np.outer(w[i], w[i])
+    if acc is not None:
+        acc_a, acc_k = acc
+        acc_a += (n.T @ eww.reshape(len(block), -1)).reshape(c, r, r)
+        acc_k += w.T @ fw
+    return b, w, logdet
 
 
-def _solve_spd(a, b, what):
-    try:
-        c, lower = scipy.linalg.cho_factor(a, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"{what}: posterior precision is not PD: {exc}") from exc
-    return scipy.linalg.cho_solve((c, lower), b, check_finite=False)
+def _m_step(ubm: UBM, acc_a, acc_k):
+    """The T-matrix that maximises the EM bound, one R x R solve per component."""
+    c, d = ubm.n_components, ubm.dim
+    rank = acc_a.shape[1]
+    t_new = np.empty((c, d, rank))
+    for ci in range(c):
+        a = acc_a[ci]
+        rhs = acc_k[:, ci * d : (ci + 1) * d]
+        try:
+            sol = scipy.linalg.solve(a, rhs, assume_a="pos", check_finite=False)
+        except np.linalg.LinAlgError:
+            log.info("t-matrix M-step: ridge added to component %d", ci)
+            sol = scipy.linalg.solve(
+                a + RIDGE * np.trace(a) / rank * np.eye(rank), rhs
+            )
+        t_new[ci] = sol.T
+    return (t_new * np.sqrt(ubm.variances)[:, :, None]).reshape(c * d, rank)
 
 
 def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
@@ -215,38 +260,21 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
     rng = derive_rng(seed, "tmatrix-init")
     tmat = rng.normal(0.0, 1.0, (c * d, rank)) * np.sqrt(ubm.variances.reshape(-1, 1))
     result = TMatrix(t=tmat, n_components=c, dim=d)
-    for _ in range(n_iters + 1):
-        t3, inv_std, gram = _whitened_gram(ubm, result.t)
+    for it in range(n_iters + 1):
+        whitened = _whitened_gram(ubm, result.t)
+        # the pass after the last M-step only scores the final T
+        acc = (np.zeros((c, rank, rank)), np.zeros((rank, c * d))) if it < n_iters else None
         obj = 0.0
-        acc_a = np.zeros((c, rank, rank))
-        acc_k = np.zeros((rank, c * d))
-        for stats in stats_list:
-            precision, b = _posterior(t3, gram, inv_std, stats)
-            w = _solve_spd(precision, b, "t-matrix E-step")
-            sign, logdet = np.linalg.slogdet(precision)
-            if sign <= 0:
-                raise NumericError("t-matrix posterior precision lost definiteness")
-            obj += -0.5 * logdet + 0.5 * float(b @ w)
-            cov = np.linalg.inv(precision)
-            eww = cov + np.outer(w, w)
-            acc_a += stats.n[:, None, None] * eww
-            acc_k += np.outer(w, (stats.f * inv_std).reshape(-1))
+        for start in range(0, len(stats_list), TV_BLOCK_UTTS):
+            b, w, logdet = _posteriors(
+                whitened, stats_list[start : start + TV_BLOCK_UTTS], "t-matrix E-step", acc
+            )
+            obj += 0.5 * (float(np.sum(b * w)) - float(logdet.sum()))
         result.objective.append(obj)
-        if len(result.objective) == n_iters + 1:
+        if acc is None:
             break
-        t_new = np.empty((c, d, rank))
-        for ci in range(c):
-            a = acc_a[ci]
-            rhs = acc_k[:, ci * d : (ci + 1) * d]
-            try:
-                sol = scipy.linalg.solve(a, rhs, assume_a="pos", check_finite=False)
-            except np.linalg.LinAlgError:
-                log.info("t-matrix M-step: ridge added to component %d", ci)
-                sol = scipy.linalg.solve(
-                    a + RIDGE * np.trace(a) / rank * np.eye(rank), rhs
-                )
-            t_new[ci] = sol.T
-        result.t = (t_new * np.sqrt(ubm.variances)[:, :, None]).reshape(c * d, rank)
+        result.t = _m_step(ubm, *acc)
+        del whitened, acc  # freed before the next E-step allocates its own
     return result
 
 
@@ -263,11 +291,7 @@ def whiten(ubm: UBM, tmatrix: TMatrix):
 
 def extract_ivector(whitened, stats: SuffStats) -> np.ndarray:
     """Posterior mean w = (I + T' S^-1 N T)^-1 T' S^-1 F; ``whitened`` is ``whiten(ubm, T)``."""
-    t3, inv_std, gram = whitened
-    precision, b = _posterior(t3, gram, inv_std, stats)
-    if not np.allclose(precision, precision.T, atol=1e-8):
-        raise NumericError("posterior precision is not symmetric")
-    w = _solve_spd(precision, b, "i-vector extraction")
+    w = _posteriors(whitened, [stats], "i-vector extraction")[1][0]
     if not np.all(np.isfinite(w)):
         bad = int(np.argmax(~np.isfinite(w)))
         raise NumericError(f"non-finite i-vector component {bad}")

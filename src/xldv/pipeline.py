@@ -658,9 +658,10 @@ STAGES = (
     Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
           stage_train_ctdnn),
     Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm),
-    Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv),
+    Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv,
+          version=2),
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
-          + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=2),
+          + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=3),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
           version=2),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xldv import ivector
-from xldv.errors import InvalidArgumentError
+from xldv.errors import InvalidArgumentError, NumericError
 from xldv.ivector import (
     SuffStats,
     TMatrix,
@@ -232,7 +232,8 @@ class TestTrainTmatrix:
         t3, inv_std, gram = ivector._whitened_gram(ubm, tmat.t)
         expected = 0.0
         for s in stats:
-            precision, b = ivector._posterior(t3, gram, inv_std, s)
+            precision = np.eye(2) + np.tensordot(s.n, gram, axes=(0, 0))
+            b = np.einsum("cdr,cd->r", t3, s.f * inv_std)
             expected += -0.5 * np.linalg.slogdet(precision)[1]
             expected += 0.5 * float(b @ np.linalg.solve(precision, b))
         np.testing.assert_allclose(tmat.objective[-1], expected, rtol=1e-12)
@@ -246,6 +247,67 @@ class TestTrainTmatrix:
         tmat = train_tmatrix(ubm, stats, rank=2, n_iters=3, seed=13)
         for s in stats:
             np.testing.assert_allclose(extract_ivector(whiten(ubm, tmat), s), 0.0, atol=1e-12)
+
+    @staticmethod
+    def _first_principles_objective(ubm, t, stats):
+        """Sum over utterances of -0.5 logdet(L) + 0.5 b' L^-1 b, per component."""
+        d, r = ubm.dim, t.shape[1]
+        t_c = [t[ci * d : (ci + 1) * d] / np.sqrt(ubm.variances[ci])[:, None]
+               for ci in range(ubm.n_components)]
+        total = 0.0
+        for s in stats:
+            precision = np.eye(r) + sum(n_c * tc.T @ tc for n_c, tc in zip(s.n, t_c))
+            b = sum(tc.T @ (f_c / np.sqrt(v_c))
+                    for tc, f_c, v_c in zip(t_c, s.f, ubm.variances))
+            total += -0.5 * np.linalg.slogdet(precision)[1]
+            total += 0.5 * float(b @ np.linalg.solve(precision, b))
+        return total
+
+    def test_block_objective_matches_per_utterance_sum(self):
+        # two full blocks and a partial one
+        rng = np.random.default_rng(20)
+        c, d = 4, 3
+        ubm = UBM(
+            weights=np.full(c, 1.0 / c),
+            means=rng.normal(scale=6.0, size=(c, d)),
+            variances=rng.uniform(0.5, 2.0, (c, d)),
+        )
+        t_true = rng.normal(size=(c * d, 3))
+        stats = synthetic_stats_from_model(ubm, t_true, 2 * ivector.TV_BLOCK_UTTS + 3, 30,
+                                           seed=21)
+        for n_iters in (0, 4):
+            tmat = train_tmatrix(ubm, stats, rank=3, n_iters=n_iters, seed=22)
+            assert len(tmat.objective) == n_iters + 1
+            np.testing.assert_allclose(
+                tmat.objective[-1], self._first_principles_objective(ubm, tmat.t, stats),
+                rtol=1e-12,
+            )
+        assert monotone(tmat.objective, rel=0.0)
+
+    def test_peak_memory_bounded_by_block(self):
+        # 4 blocks; a stack of the whole corpus's N and whitened F would add
+        # about 6 more (C, R, R) arrays at this shape
+        c, d, r = 64, 7, 16
+        rng = np.random.default_rng(23)
+        ubm = UBM(
+            weights=np.full(c, 1.0 / c),
+            means=np.zeros((c, d)),
+            variances=rng.uniform(0.5, 2.0, (c, d)),
+        )
+        stats = [SuffStats(n=rng.uniform(1.0, 20.0, c), f=rng.normal(size=(c, d)),
+                           n_frames=20)
+                 for _ in range(4 * ivector.TV_BLOCK_UTTS)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_tmatrix(ubm, stats, rank=r, n_iters=2, seed=24)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the Gram, acc_a, the two block buffers and the block's acc_a product
+        # are one (C, R, R) array each here (B = C); the block's stacked
+        # statistics are two
+        assert peak <= 11 * c * r * r * 8
 
     def test_needs_enough_utterances(self):
         ubm = self._ubm()
@@ -298,6 +360,17 @@ class TestExtractIvector:
         w2 = extract_ivector(whitened, SuffStats(n=n, f=2.5 * f, n_frames=8))
         np.testing.assert_allclose(w2, 2.5 * w1, atol=1e-10)
 
+    def test_non_pd_precision_is_a_numeric_error(self):
+        # 1 + t^2 n / var < 0 for a large negative occupancy, whatever T is
+        ubm, tmat = self._setup()
+        stats = SuffStats(n=np.array([-1e6]), f=np.ones((1, 1)), n_frames=10)
+        with pytest.raises(NumericError,
+                           match="^i-vector extraction: posterior precision is not PD"):
+            extract_ivector(whiten(ubm, tmat), stats)
+        with pytest.raises(NumericError,
+                           match="^t-matrix E-step: posterior precision is not PD"):
+            train_tmatrix(ubm, [stats], rank=1, n_iters=1)
+
     def test_tmatrix_of_another_ubm_shape_rejected(self):
         ubm, tmat = self._setup()
         other = TMatrix(t=np.ones((2, 1)), n_components=2, dim=1)
@@ -327,9 +400,8 @@ class TestWhitenedGramCache:
     def _reference(ubm, tmat, stats):
         inv_std = 1.0 / np.sqrt(ubm.variances)
         t3 = tmat.t.reshape(ubm.n_components, ubm.dim, -1) * inv_std[:, :, None]
-        gram = np.einsum("cdr,cds->crs", t3, t3)
-        precision, b = ivector._posterior(t3, gram, inv_std, stats)
-        return ivector._solve_spd(precision, b, "oracle")
+        gram = np.matmul(t3.transpose(0, 2, 1), t3)
+        return ivector._posteriors((t3, inv_std, gram), [stats], "oracle")[1][0]
 
     def test_cached_extraction_bitwise_equals_uncached_reference(self):
         ubm, tmat, stats = self._model()
