@@ -38,10 +38,8 @@ def build_parser():
 
 
 def _load(args) -> config_mod.ExperimentConfig:
-    cfg = config_mod.load_config(args.config, args.overrides)
-    if args.seed is not None:
-        cfg.set("experiment.seed", args.seed)
-    return cfg.validate()
+    seed = [] if args.seed is None else [f"experiment.seed={args.seed}"]
+    return config_mod.load_config(args.config, args.overrides + seed)
 
 
 def main(argv=None):

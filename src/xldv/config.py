@@ -4,12 +4,19 @@ Every key is declared in the schema with a type and default; unknown keys and
 type errors are rejected with line numbers. Section seeds default to values
 derived from ``experiment.seed`` so that, after loading, every seed is
 explicit and the whole pipeline is reproducible from the resolved file.
+
+Only settings that runs or planned studies vary are keys. A fixed setting is a
+constant of the module that uses it: ``frontend.N_MELS``, ``ctdnn.SPLICE``
+and ``PNORM_GROUP``, ``corpus.ENVELOPE_FLOOR``, ``nn.training.MOMENTUM`` and
+the phone net's ``N_STAGES``, ``CHUNK_FRAMES``, ``BATCH_CHUNKS`` and
+``LEARNING_RATE``.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 from .corpus import derive_rng
+from .ctdnn import PNORM_GROUP
 from .errors import ConfigError
 
 
@@ -31,33 +38,23 @@ SCHEMA = {
     "corpus.min_duration_s": Field(float, 2.0, "minimum utterance duration"),
     "corpus.max_duration_s": Field(float, 3.0, "maximum utterance duration"),
     "corpus.language_emphasis_db": Field(float, 6.0, "language-level band emphasis"),
-    "corpus.envelope_floor": Field(float, 0.5, "phone template distance floor"),
-    "frontend.n_mels": Field(int, 40, "filterbank size for the feature nets"),
-    "frontend.splice_left": Field(int, 4, "left splice context"),
-    "frontend.splice_right": Field(int, 4, "right splice context"),
     "ctdnn.seed": Field(int, -1, "feature-net seed (-1: derived)"),
     "ctdnn.conv1_channels": Field(int, 32, "first conv feature maps"),
     "ctdnn.conv2_channels": Field(int, 64, "second conv feature maps"),
     "ctdnn.bottleneck_dim": Field(int, 512, "CN/TD junction width"),
     "ctdnn.td_hidden": Field(int, 256, "time-delay affine width (pre-pnorm)"),
-    "ctdnn.pnorm_group": Field(int, 2, "pnorm group size"),
     "ctdnn.feature_dim": Field(int, 400, "speaker feature width"),
     "ctdnn.epochs": Field(int, 5, "training epochs"),
     "ctdnn.batches_per_epoch": Field(int, 900, "minibatches per epoch"),
     "ctdnn.chunk_frames": Field(int, 24, "frames per training chunk"),
     "ctdnn.batch_chunks": Field(int, 16, "chunks per minibatch"),
     "ctdnn.learning_rate": Field(float, 0.1, "initial SGD learning rate"),
-    "ctdnn.momentum": Field(float, 0.9, "SGD momentum"),
     "ctdnn.val_fraction": Field(float, 0.025, "held-out utterance fraction"),
     "asr.seed": Field(int, -1, "phone-net seed (-1: derived)"),
     "asr.td_hidden": Field(int, 256, "phone-net time-delay width"),
-    "asr.n_stages": Field(int, 2, "time-delay stages"),
     "asr.svd_rank": Field(int, 40, "linguistic factor rank"),
     "asr.epochs": Field(int, 3, "training epochs"),
     "asr.batches_per_epoch": Field(int, 300, "minibatches per epoch"),
-    "asr.chunk_frames": Field(int, 32, "frames per training chunk"),
-    "asr.batch_chunks": Field(int, 8, "chunks per minibatch"),
-    "asr.learning_rate": Field(float, 0.01, "initial SGD learning rate"),
     "ivector.seed": Field(int, -1, "UBM/T-matrix seed (-1: derived)"),
     "ivector.n_components": Field(int, 64, "UBM Gaussian components"),
     "ivector.dim": Field(int, 100, "i-vector dimension"),
@@ -139,18 +136,30 @@ class ExperimentConfig:
         return out
 
     def validate(self):
-        """Cross-key checks; raises ConfigError on contradictions."""
-        if not 0 < self.values["corpus.min_duration_s"] <= self.values["corpus.max_duration_s"]:
+        """Cross-key checks; raises ConfigError on a config no stage could run."""
+        v = self.values
+        if not 0 < v["corpus.min_duration_s"] <= v["corpus.max_duration_s"]:
             raise ConfigError("need 0 < corpus.min_duration_s <= corpus.max_duration_s")
-        hidden = self.values["asr.td_hidden"] // 2
-        if self.values["asr.svd_rank"] > min(hidden, self.values["corpus.n_phones"]):
+        for key in ("corpus.n_eval_speakers", "corpus.n_train_utts", "corpus.n_eval_utts",
+                    "corpus.n_phones"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if v["corpus.n_train_speakers"] < 2:
+            raise ConfigError("corpus.n_train_speakers must be >= 2")
+        for key in ("ctdnn.td_hidden", "asr.td_hidden"):
+            if v[key] < 1 or v[key] % PNORM_GROUP:
+                raise ConfigError(f"{key} must be a positive multiple of the p-norm group "
+                                  f"size {PNORM_GROUP}")
+        if v["asr.svd_rank"] > min(v["asr.td_hidden"] // PNORM_GROUP, v["corpus.n_phones"]):
             raise ConfigError(
                 "asr.svd_rank exceeds min(phone-net hidden width, corpus.n_phones)"
             )
-        for key in ("corpus.n_train_speakers", "corpus.n_eval_speakers",
-                    "corpus.n_train_utts", "corpus.n_eval_utts", "corpus.n_phones"):
-            if self.values[key] < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        n_train = v["corpus.n_train_speakers"] * v["corpus.n_train_utts"]
+        if v["ivector.dim"] > n_train:
+            raise ConfigError(f"ivector.dim exceeds the {n_train} training utterances "
+                              "the T-matrix EM learns from")
+        if v["ivector.ubm_frames"] < 2 * v["ivector.n_components"]:
+            raise ConfigError("ivector.ubm_frames must be >= 2 * ivector.n_components")
         return self
 
     def report(self):

@@ -26,7 +26,9 @@ BAND_HIGH_HZ = 3700.0
 MIN_DURATION_MS = 80.0
 MAX_DURATION_MS = 160.0
 VOICED_PROB = 0.75
-ENVELOPE_FLOOR = 0.5
+ENVELOPE_FLOOR = 0.5  # least envelope distance between any two phone templates
+TRAIN_LANGUAGE = "E"
+EVAL_LANGUAGES = ("A", "B")
 HARMONIC_MAX_HZ = 3700.0
 FADE_SAMPLES = 32
 PITCH_RANGE_HZ = (70.0, 300.0)
@@ -123,12 +125,12 @@ def _smooth_curve(rng, scale, n=N_BANDS, window=5):
 
 
 def make_inventory(seed, language_id, n_phones, emphasis_db=6.0,
-                   distance_floor=ENVELOPE_FLOOR, avoid_inventories=()) -> PhoneInventory:
+                   avoid_inventories=()) -> PhoneInventory:
     """Create ``n_phones`` mutually distinct templates for one language.
 
     Templates are rejection-sampled so every within-inventory pair (and every
     pair against ``avoid_inventories``, used for cross-language disjointness)
-    keeps an envelope distance above ``distance_floor``. A language-wide
+    keeps an envelope distance above ``ENVELOPE_FLOOR``. A language-wide
     smooth band emphasis (up to +-emphasis_db) shifts the aggregate spectrum
     of the whole language, which is what makes enroll/test language mismatch
     a real distribution shift.
@@ -147,13 +149,13 @@ def make_inventory(seed, language_id, n_phones, emphasis_db=6.0,
         attempts += 1
         if attempts > 200 * n_phones:
             raise InvalidArgumentError(
-                f"cannot place {n_phones} phones above distance floor {distance_floor}"
+                f"cannot place {n_phones} phones above distance floor {ENVELOPE_FLOOR}"
             )
         log_gain = _smooth_curve(rng, 2.5)
         log_gain -= log_gain.mean()
         envelope = np.exp(log_gain) * 10.0 ** (emphasis / 20.0)
         centred = _centred_log_gain(envelope)
-        if np.all(_envelope_distances(centred, taken) >= distance_floor):
+        if np.all(_envelope_distances(centred, taken) >= ENVELOPE_FLOOR):
             phones.append(
                 PhonePrototype(
                     envelope=envelope,
@@ -287,10 +289,7 @@ class CorpusConfig:
     n_phones: int = 48
     min_duration_s: float = 2.0
     max_duration_s: float = 3.0
-    train_language: str = "E"
-    eval_languages: tuple = ("A", "B")
     language_emphasis_db: float = 6.0
-    envelope_floor: float = ENVELOPE_FLOOR
 
     def validate(self):
         for name in ("n_train_speakers", "n_train_utts", "n_eval_speakers",
@@ -413,21 +412,20 @@ def check_inventory_separation(inventories, floor):
 def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
     """Synthesize the full train/eval corpus under ``out_dir``.
 
-    Train speakers get utterances in the training language only; every eval
-    speaker gets the configured number of utterances in each eval language.
+    Train speakers get utterances in ``TRAIN_LANGUAGE`` only; every eval
+    speaker gets the configured number of utterances in each of
+    ``EVAL_LANGUAGES``.
     Byte-identical on rebuild with the same (config, seed).
     """
     config.validate()
-    languages = [config.train_language, *config.eval_languages]
     inventories = {}
-    for lang in languages:
+    for lang in (TRAIN_LANGUAGE, *EVAL_LANGUAGES):
         inventories[lang] = make_inventory(
             seed, lang, config.n_phones,
             emphasis_db=config.language_emphasis_db,
-            distance_floor=config.envelope_floor,
             avoid_inventories=list(inventories.values()),
         )
-    check_inventory_separation(list(inventories.values()), config.envelope_floor)
+    check_inventory_separation(list(inventories.values()), ENVELOPE_FLOOR)
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -441,9 +439,9 @@ def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
     plan = []
     for spk in train_speakers:
         for j in range(config.n_train_utts):
-            plan.append((spk, config.train_language, f"{spk}-{config.train_language}-{j:03d}"))
+            plan.append((spk, TRAIN_LANGUAGE, f"{spk}-{TRAIN_LANGUAGE}-{j:03d}"))
     for spk in eval_speakers:
-        for lang in config.eval_languages:
+        for lang in EVAL_LANGUAGES:
             for j in range(config.n_eval_utts):
                 plan.append((spk, lang, f"{spk}-{lang}-{j:03d}"))
 

@@ -1,14 +1,17 @@
 """Deep speaker-feature learner: convolutional front + time-delay back.
 
-The network reads spliced log-mel features laid out as a (freq=40, chan=9)
-map per frame: two convolution+maxpool stages learn local spectral patterns,
-a 512-unit bottleneck bridges into two time-delay+pnorm stages that widen the
-temporal context, and a 400-unit feature layer is length-normalized to give
-the per-frame speaker feature. Utterance embeddings (d-vectors) average the
-frame features. The phone-aware variant concatenates a per-frame linguistic
-factor to the bottleneck output, right before the first time-delay layer.
+The network reads ``frontend.N_MELS`` = 40 log-mel bands spliced +-``SPLICE``
+= 4 frames, laid out as a (freq=40, chan=9) map per frame: two
+convolution+maxpool stages learn local spectral patterns, a 512-unit
+bottleneck bridges into two time-delay+pnorm stages (groups of
+``PNORM_GROUP`` = 2) that widen the temporal context, and a 400-unit feature
+layer is length-normalized to give the per-frame speaker feature. Utterance
+embeddings (d-vectors) average the frame features. The phone-aware variant
+concatenates a per-frame linguistic factor to the bottleneck output, right
+before the first time-delay layer. The input geometry and the p-norm group
+are constants, not config keys; the layer widths are ``CTDNNConfig`` fields.
 
-Default temporal geometry (output frame t reads input frames t-10..t+9, a
+The temporal geometry is fixed (output frame t reads input frames t-10..t+9, a
 20-frame window): splice +-4, conv taps {-2..1}, conv taps {-1..1}, then
 time-delay offsets {-1, 2} and {-2, 1}. The mirrored second stage makes the
 composite time-delay reach {-3, 0, +3}, so frame t's feature depends on frame
@@ -17,35 +20,32 @@ t's own bottleneck output (and linguistic factor).
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from .corpus import derive_rng
 from .errors import DegenerateInputError, InvalidArgumentError
-from .frontend import FeatureMatrix, edge_index
+from .frontend import N_MELS, FeatureMatrix, edge_index
 from .nn import LayerSpec, NetworkGraph, TrainState, train
 
 log = logging.getLogger(__name__)
+
+SPLICE = 4  # input frames of context on each side of the centre frame
+PNORM_GROUP = 2
 
 
 @dataclass
 class CTDNNConfig:
     n_speakers: int
-    n_mels: int = 40
-    splice_left: int = 4
-    splice_right: int = 4
     conv1_channels: int = 32
     conv2_channels: int = 64
     bottleneck_dim: int = 512
     td_hidden: int = 256
-    pnorm_group: int = 2
     feature_dim: int = 400
     factor_dim: int = 40  # phone-aware only
-
-    @property
-    def splice_width(self):
-        return self.splice_left + self.splice_right + 1
+    n_mels: ClassVar[int] = N_MELS
+    splice_width: ClassVar[int] = 2 * SPLICE + 1
 
     def validate(self):
         if self.n_speakers < 2:
@@ -65,9 +65,9 @@ def _specs(config: CTDNNConfig):
         LayerSpec("maxpool", window_f=2),
         LayerSpec("affine", dim=config.bottleneck_dim),
         LayerSpec("timedelay", offsets=[-1, 2], dim=config.td_hidden),
-        LayerSpec("pnorm", group=config.pnorm_group),
+        LayerSpec("pnorm", group=PNORM_GROUP),
         LayerSpec("timedelay", offsets=[-2, 1], dim=config.td_hidden),
-        LayerSpec("pnorm", group=config.pnorm_group),
+        LayerSpec("pnorm", group=PNORM_GROUP),
         LayerSpec("affine", dim=config.feature_dim),
         LayerSpec("lengthnorm"),
         LayerSpec("affine", dim=config.n_speakers),
@@ -89,7 +89,7 @@ def _build(config: CTDNNConfig, seed, dtype, aux=None) -> NetworkGraph:
         ("map", config.n_mels, config.splice_width),
         seed=seed,
         dtype=dtype,
-        input_context=(-config.splice_left, config.splice_right),
+        input_context=(-SPLICE, SPLICE),
         aux=aux,
     )
 
@@ -108,9 +108,9 @@ def build_phone_aware(config: CTDNNConfig, seed=0, dtype=np.float32) -> NetworkG
     return _build(config, seed, dtype, aux={"layer": 5, "dim": config.factor_dim})
 
 
-def _splice_maps(frames, rows, config: CTDNNConfig) -> np.ndarray:
+def _splice_maps(frames, rows) -> np.ndarray:
     """(len(rows), n_mels, splice) maps centred on ``rows`` of (T, n_mels) frames."""
-    offsets = range(-config.splice_left, config.splice_right + 1)
+    offsets = range(-SPLICE, SPLICE + 1)
     return frames[edge_index(frames.shape[0], rows, offsets)].transpose(0, 2, 1)
 
 
@@ -120,7 +120,7 @@ def to_input_tensor(feat: FeatureMatrix, config: CTDNNConfig) -> np.ndarray:
         raise InvalidArgumentError(
             f"feature dim {feat.dim} does not match n_mels {config.n_mels}"
         )
-    return _splice_maps(feat.data, np.arange(feat.n_frames), config)[None]
+    return _splice_maps(feat.data, np.arange(feat.n_frames))[None]
 
 
 def extract_frame_features(graph: NetworkGraph, feat: FeatureMatrix,
@@ -249,7 +249,7 @@ def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig,
         items.append((feat.data.astype(np.float32), factors,
                       np.full(feat.n_frames, labels_by_utt[feat.utterance_id],
                               dtype=np.int64)))
-    return ChunkDataset(items, partial(_splice_maps, config=config),
+    return ChunkDataset(items, _splice_maps,
                         chunk_frames=chunk_frames, batch_chunks=batch_chunks,
                         val_fraction=val_fraction, seed=seed)
 

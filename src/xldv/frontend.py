@@ -19,6 +19,7 @@ FRAME_SHIFT_MS = 10.0
 FRAME_LENGTH = int(SAMPLE_RATE * FRAME_LENGTH_MS / 1000)  # 200 samples
 FRAME_SHIFT = int(SAMPLE_RATE * FRAME_SHIFT_MS / 1000)  # 80 samples
 N_FFT = 256
+N_MELS = 40  # log-mel bands the feature nets read
 LOG_FLOOR = 1e-10
 CMVN_VAR_FLOOR = 1e-10
 
@@ -112,12 +113,10 @@ def _power_spectrum(utterance):
     return (spec.real**2 + spec.imag**2), frames
 
 
-def fbank(utterance, n_mels=40):
-    """Log mel filterbank features, D = n_mels."""
-    if n_mels < 1:
-        raise InvalidArgumentError("n_mels must be >= 1")
+def fbank(utterance):
+    """Log mel filterbank features, D = N_MELS."""
     power, _ = _power_spectrum(utterance)
-    fb = mel_filterbank(n_mels)
+    fb = mel_filterbank(N_MELS)
     energies = np.maximum(power @ fb.T, LOG_FLOOR)
     return FeatureMatrix(utterance.utterance_id, np.log(energies))
 

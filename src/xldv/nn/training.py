@@ -15,6 +15,7 @@ log = logging.getLogger(__name__)
 
 MIN_REL_IMPROVEMENT = 0.01
 PATIENCE = 3
+MOMENTUM = 0.9
 
 
 @dataclass
@@ -22,7 +23,6 @@ class TrainState:
     """Trainer hyperparameters and mutable progress counters."""
 
     learning_rate: float
-    momentum: float = 0.9
     max_epochs: int = 10
     batches_per_epoch: int = 100
     seed: int = 0
@@ -79,9 +79,10 @@ def train(graph, data, state: TrainState) -> TrainResult:
 
     ``data`` provides ``train_batch(rng) -> (x, aux, labels)`` and a
     ``val_batches`` list in the same layout (labels flattened over
-    batch*time). The learning rate halves whenever validation loss fails to
-    improve by at least ``MIN_REL_IMPROVEMENT`` relatively; training stops
-    after ``max_epochs`` or ``PATIENCE`` consecutive non-improvements.
+    batch*time). Every step uses momentum ``MOMENTUM``. The learning rate
+    halves whenever validation loss fails to improve by at least
+    ``MIN_REL_IMPROVEMENT`` relatively; training stops after ``max_epochs``
+    or ``PATIENCE`` consecutive non-improvements.
     """
     rng = derive_rng(state.seed, "train")
     velocity = [dict() for _ in graph.layers]
@@ -103,7 +104,7 @@ def train(graph, data, state: TrainState) -> TrainResult:
                     f"first non-finite value at layer {where}"
                 )
             grads, _ = graph.backward(dflat.reshape(logits.shape))
-            sgd_step(graph, grads, velocity, lr, state.momentum)
+            sgd_step(graph, grads, velocity, lr, MOMENTUM)
             train_loss += loss
         train_loss /= max(state.batches_per_epoch, 1)
         val_loss, val_acc = _evaluate(graph, data.val_batches)

@@ -4,7 +4,9 @@ The classifier is a small stack of time-delay layers (with pnorm
 nonlinearities) over log-mel input, ending in an affine map onto the phone
 set. A rank-r SVD of that final affine transform gives the factor extractor:
 per frame, factor = sqrt(S_r) V_r^T h where h is the last hidden activation
-(the balanced square-root split of S_r).
+(the balanced square-root split of S_r). Its depth (``N_STAGES``), training
+chunks (``CHUNK_FRAMES`` x ``BATCH_CHUNKS``) and initial ``LEARNING_RATE``
+are constants; ``PhoneNetConfig`` holds the widths a run may set.
 """
 
 import logging
@@ -14,19 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .frontend import FeatureMatrix
+from .frontend import N_MELS, FeatureMatrix
 from .nn import LayerSpec, NetworkGraph, TrainState, train
-from .ctdnn import ChunkDataset
+from .ctdnn import PNORM_GROUP, ChunkDataset
 
 log = logging.getLogger(__name__)
+
+N_STAGES = 2  # time-delay + pnorm stages
+CHUNK_FRAMES = 32
+BATCH_CHUNKS = 8
+LEARNING_RATE = 0.01
 
 
 @dataclass
 class PhoneNetConfig:
     n_phones: int
-    n_mels: int = 40
     td_hidden: int = 256
-    n_stages: int = 2
 
     def validate(self):
         if self.n_phones < 1:
@@ -36,12 +41,12 @@ class PhoneNetConfig:
 def build_phone_classifier(config: PhoneNetConfig, seed=0, dtype=np.float32) -> NetworkGraph:
     config.validate()
     specs = []
-    for _ in range(config.n_stages):
+    for _ in range(N_STAGES):
         specs.append(LayerSpec("timedelay", offsets=[-2, 0, 2], dim=config.td_hidden))
-        specs.append(LayerSpec("pnorm", group=2))
+        specs.append(LayerSpec("pnorm", group=PNORM_GROUP))
     specs.append(LayerSpec("affine", dim=config.n_phones))
     specs.append(LayerSpec("softmax-xent"))
-    return NetworkGraph(specs, ("vec", config.n_mels), seed=seed, dtype=dtype)
+    return NetworkGraph(specs, ("vec", N_MELS), seed=seed, dtype=dtype)
 
 
 def hidden_layer_index(graph: NetworkGraph) -> int:
@@ -54,8 +59,7 @@ def final_affine(graph: NetworkGraph) -> np.ndarray:
     return graph.layers[-2].params["W"].T.astype(np.float64)
 
 
-def make_phone_dataset(feats, labels_by_utt, chunk_frames=32, batch_chunks=8,
-                       val_fraction=0.05, seed=0):
+def make_phone_dataset(feats, labels_by_utt, val_fraction=0.05, seed=0):
     """Chunks of frame rows, each labeled by its phone."""
     items = []
     for feat in feats:
@@ -65,7 +69,7 @@ def make_phone_dataset(feats, labels_by_utt, chunk_frames=32, batch_chunks=8,
                 f"{feat.utterance_id}: {labels.shape[0]} labels for {feat.n_frames} frames"
             )
         items.append((feat.data.astype(np.float32), None, labels))
-    return ChunkDataset(items, operator.getitem, chunk_frames, batch_chunks,
+    return ChunkDataset(items, operator.getitem, CHUNK_FRAMES, BATCH_CHUNKS,
                         val_fraction, seed)
 
 

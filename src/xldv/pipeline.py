@@ -198,21 +198,16 @@ def _corpus_config(cfg: ExperimentConfig) -> corpus.CorpusConfig:
         min_duration_s=cfg["corpus.min_duration_s"],
         max_duration_s=cfg["corpus.max_duration_s"],
         language_emphasis_db=cfg["corpus.language_emphasis_db"],
-        envelope_floor=cfg["corpus.envelope_floor"],
     )
 
 
 def _ctdnn_config(cfg: ExperimentConfig) -> ctdnn.CTDNNConfig:
     return ctdnn.CTDNNConfig(
         n_speakers=cfg["corpus.n_train_speakers"],
-        n_mels=cfg["frontend.n_mels"],
-        splice_left=cfg["frontend.splice_left"],
-        splice_right=cfg["frontend.splice_right"],
         conv1_channels=cfg["ctdnn.conv1_channels"],
         conv2_channels=cfg["ctdnn.conv2_channels"],
         bottleneck_dim=cfg["ctdnn.bottleneck_dim"],
         td_hidden=cfg["ctdnn.td_hidden"],
-        pnorm_group=cfg["ctdnn.pnorm_group"],
         feature_dim=cfg["ctdnn.feature_dim"],
         factor_dim=cfg["asr.svd_rank"],
     )
@@ -296,11 +291,10 @@ def stage_synth(ctx: Context):
 
 def stage_feats(ctx: Context):
     manifest = _load_manifest(ctx)
-    n_mels = ctx.config["frontend.n_mels"]
 
     def fbank_record(rec):
         utt = corpus.load_utterance(manifest, rec)
-        return frontend.cmvn(frontend.fbank(utt, n_mels=n_mels))
+        return frontend.cmvn(frontend.fbank(utt))
 
     def mfcc_record(rec):
         utt = corpus.load_utterance(manifest, rec)
@@ -323,18 +317,12 @@ def stage_train_asr(ctx: Context):
         for r in manifest.utterances("train")
     }
     net_config = phonenet.PhoneNetConfig(
-        n_phones=cfg["corpus.n_phones"],
-        n_mels=cfg["frontend.n_mels"],
-        td_hidden=cfg["asr.td_hidden"],
-        n_stages=cfg["asr.n_stages"],
+        n_phones=cfg["corpus.n_phones"], td_hidden=cfg["asr.td_hidden"],
     )
     graph = phonenet.build_phone_classifier(net_config, seed=cfg["asr.seed"])
-    data = phonenet.make_phone_dataset(
-        train_feats, labels, chunk_frames=cfg["asr.chunk_frames"],
-        batch_chunks=cfg["asr.batch_chunks"], seed=cfg["asr.seed"],
-    )
+    data = phonenet.make_phone_dataset(train_feats, labels, seed=cfg["asr.seed"])
     state = TrainState(
-        learning_rate=cfg["asr.learning_rate"], max_epochs=cfg["asr.epochs"],
+        learning_rate=phonenet.LEARNING_RATE, max_epochs=cfg["asr.epochs"],
         batches_per_epoch=cfg["asr.batches_per_epoch"], seed=cfg["asr.seed"],
     )
     result = phonenet.train_phone_classifier(graph, data, state)
@@ -378,8 +366,8 @@ def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
         val_fraction=cfg["ctdnn.val_fraction"], seed=int(seed),
     )
     state = TrainState(
-        learning_rate=cfg["ctdnn.learning_rate"], momentum=cfg["ctdnn.momentum"],
-        max_epochs=cfg["ctdnn.epochs"], batches_per_epoch=cfg["ctdnn.batches_per_epoch"],
+        learning_rate=cfg["ctdnn.learning_rate"], max_epochs=cfg["ctdnn.epochs"],
+        batches_per_epoch=cfg["ctdnn.batches_per_epoch"],
         seed=int(seed),
     )
     result = ctdnn.train_ctdnn(graph, data, state)
@@ -391,8 +379,8 @@ def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
             "variant": variant,
             "input_signature": {
                 "feature": "fbank+cmvn",
-                "n_mels": cfg["frontend.n_mels"],
-                "splice": [cfg["frontend.splice_left"], cfg["frontend.splice_right"]],
+                "n_mels": frontend.N_MELS,
+                "splice": [ctdnn.SPLICE, ctdnn.SPLICE],
             },
             "val_accuracy": result.val_accuracy,
             "val_loss": result.val_loss,

@@ -57,6 +57,32 @@ TINY_OVERRIDES = [
     "backend.train_utts_per_speaker=4",
 ]
 
+# Keys that were retired because every run left them at their default; each
+# value is now a module constant. A run dir made while they existed recorded
+# them, with these values, in the stages listed in RETIRED_READERS.
+RETIRED_KEYS = {
+    "corpus.envelope_floor": 0.5,
+    "frontend.n_mels": 40,
+    "frontend.splice_left": 4,
+    "frontend.splice_right": 4,
+    "ctdnn.pnorm_group": 2,
+    "ctdnn.momentum": 0.9,
+    "asr.n_stages": 2,
+    "asr.chunk_frames": 32,
+    "asr.batch_chunks": 8,
+    "asr.learning_rate": 0.01,
+}
+_CTDNN_SHAPE_KEYS = ("frontend.n_mels", "frontend.splice_left", "frontend.splice_right",
+                "ctdnn.pnorm_group")
+RETIRED_READERS = {
+    "synth": ("corpus.envelope_floor",),
+    "feats": ("frontend.n_mels",),
+    "train-asr": ("frontend.n_mels", "asr.n_stages", "asr.chunk_frames", "asr.batch_chunks",
+                  "asr.learning_rate"),
+    "train-ctdnn": _CTDNN_SHAPE_KEYS + ("ctdnn.momentum",),
+    "extract": _CTDNN_SHAPE_KEYS,
+}
+
 
 def tiny_args(run_dir, extra=()):
     args = []
@@ -254,12 +280,18 @@ class TestCli:
         assert "scores/" in err and err.startswith("xldv: error: data:")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
-        for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0"):
-            code = main(["synth", "--set", override,
-                         "--run-dir", str(tmp_path / "x"), "--quiet"])
+        # each on top of the tiny config; the last five once failed as data errors
+        # mid-run: a p-norm group of 2 cannot split an odd width, the speaker nets
+        # need two classes, the T-matrix EM needs ivector.dim (8 here) training
+        # utterances (24 here) and the UBM 2 frames per component (4 here)
+        for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0",
+                         "ctdnn.td_hidden=7", "asr.td_hidden=15", "corpus.n_train_speakers=1",
+                         "ivector.dim=30", "ivector.ubm_frames=5"):
+            code = main(["all"] + tiny_args(tmp_path / "x", [override]))
             assert code == 1, override
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("xldv: error: config:"), override
+            assert override.split("=")[0] in lines[0], override
             assert not (tmp_path / "x").exists(), override
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
@@ -276,16 +308,15 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("ctdnn.factor_injection", "bottleneck"),
         ("experiment.deterministic", "true"),
-    ], ids=["ctdnn.factor_injection", "experiment.deterministic"])
+        *RETIRED_KEYS.items(),
+    ], ids=["ctdnn.factor_injection", "experiment.deterministic", *RETIRED_KEYS])
     def test_removed_key_exits_one(self, tmp_path, capsys, key, value):
         path = tmp_path / "old.ini"
         path.write_text(f"corpus.n_train_utts = 9\n{key} = {value}\n")
         code = main(["validate-config", "--config", str(path), "--quiet"])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("xldv: error: config: line 2:")
-        assert key in lines[0]
+        assert lines == [f"xldv: error: config: line 2: unknown key {key!r}"]
 
     def test_removed_deterministic_flag_exits_one(self, tmp_path, capsys):
         code = main(["all", "--deterministic"] + tiny_args(tmp_path / "run"))
@@ -327,10 +358,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "corpus.n_train_utts = 9" in out
 
-    def test_seed_flag_overrides_master(self, capsys):
-        assert main(["validate-config", "--seed", "999"]) == 0
+    def test_seed_flag_overrides_master(self, capsys, monkeypatch):
+        validated = []
+        real = ExperimentConfig.validate
+
+        def counting(cfg):
+            validated.append(cfg.values["experiment.seed"])
+            return real(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counting)
+        assert main(["validate-config", "--set", "experiment.seed=5", "--seed", "999"]) == 0
         out = capsys.readouterr().out
         assert "experiment.seed = 999" in out
+        assert validated == [999]
+
+    def test_resolved_config_reloads_to_the_same_hash(self, tiny_run):
+        resolved = tiny_run / "config.resolved.ini"
+        cfg = load_config(resolved)
+        assert cfg.hash() == load_config(None, TINY_OVERRIDES).hash()
+        assert cfg.canonical_text() == resolved.read_text()
 
 
 class TestDeterminism:
@@ -436,6 +482,21 @@ class TestReuse:
         for name in ("score", "eval", "report"):
             assert records[name]["reason"] == "config key eval.conditions changed"
             assert "eval.conditions" not in records[name]["config_keys"]
+        assert run_files(run_copy) == before
+        assert pipeline.run_all(tiny_context(run_copy)) == []
+
+    def test_retired_keys_rerun_the_stages_that_recorded_them(self, run_copy):
+        manifest = run_copy / "manifest.json"
+        data = json.loads(manifest.read_text())
+        for name, keys in RETIRED_READERS.items():
+            data["stages"][name]["config_keys"].update({k: RETIRED_KEYS[k] for k in keys})
+        manifest.write_text(json.dumps(data))
+        before = run_files(run_copy)
+        assert pipeline.run_all(tiny_context(run_copy)) == list(RETIRED_READERS)
+        records = stage_records(run_copy)
+        for name, keys in RETIRED_READERS.items():
+            assert records[name]["reason"] == f"config key {min(keys)} changed"
+            assert not set(RETIRED_KEYS) & set(records[name]["config_keys"])
         assert run_files(run_copy) == before
         assert pipeline.run_all(tiny_context(run_copy)) == []
 

@@ -140,8 +140,7 @@ class TestPhoneChunks:
         labels = np.arange(n_frames) % 7
         feats = [FeatureMatrix("u0", frames),
                  FeatureMatrix("u1", np.ones((3, 12)))]
-        data = make_phone_dataset(feats, {"u0": labels, "u1": [0, 0, 0]},
-                                  chunk_frames=32)
+        data = make_phone_dataset(feats, {"u0": labels, "u1": [0, 0, 0]})
         item = next(it for it in data.train_items + data.val_items
                     if it[0].shape[0] == n_frames)
         assert item[1] is None
