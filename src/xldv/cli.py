@@ -1,8 +1,10 @@
 """Command-line entry point: one command per pipeline stage.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error (missing or
-malformed artifacts), 3 numeric failure. Every failure prints a single
-machine-parseable line to stderr: ``xldv: error: <category>: <message>``.
+Every failure prints one line to stderr, ``xldv: error: <category>:
+<message>``, and exits 1 for ``config`` (a ConfigError: bad command line,
+config file or value), 2 for ``data`` (DataError, InvalidArgumentError:
+missing or malformed artifacts), 3 for ``numeric`` (NumericError) and 2 for
+``internal`` (any other XldvError: DegenerateInputError, StateError).
 """
 
 import argparse

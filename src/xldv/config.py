@@ -1,7 +1,10 @@
 """Flat INI-style experiment configuration: ``section.key = value`` lines.
 
-Every key is declared in the schema with a type and default; unknown keys and
-type errors are rejected with line numbers. Section seeds default to values
+Every key is declared in the schema with a type and default; unknown keys,
+type errors and non-finite floats are rejected with line numbers. ``SCHEMA``
+also owns each key's range: a ``Field``'s ``low`` is the least value any
+stage can run with, and ``ExperimentConfig.validate`` is the one place that
+checks it, before any stage runs. Section seeds default to values
 derived from ``experiment.seed`` so that, after loading, every seed is
 explicit and the whole pipeline is reproducible from the resolved file.
 
@@ -13,6 +16,7 @@ the phone net's ``N_STAGES``, ``CHUNK_FRAMES``, ``BATCH_CHUNKS`` and
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .corpus import derive_rng
@@ -22,48 +26,51 @@ from .errors import ConfigError
 
 @dataclass
 class Field:
+    """One key: its type, default, help text and, if it has one, its least value."""
+
     type: type
     default: object
     help: str
+    low: int | None = None
 
 
 SCHEMA = {
     "experiment.seed": Field(int, 12345, "master seed; derived section seeds follow it"),
     "corpus.seed": Field(int, -1, "corpus seed (-1: derive from experiment.seed)"),
-    "corpus.n_train_speakers": Field(int, 200, "training-language speakers"),
-    "corpus.n_train_utts": Field(int, 20, "utterances per training speaker"),
-    "corpus.n_eval_speakers": Field(int, 40, "eval speakers (each in both languages)"),
-    "corpus.n_eval_utts": Field(int, 10, "utterances per eval speaker per language"),
-    "corpus.n_phones": Field(int, 48, "phone templates per language"),
+    "corpus.n_train_speakers": Field(int, 200, "training-language speakers", 2),
+    "corpus.n_train_utts": Field(int, 20, "utterances per training speaker", 2),
+    "corpus.n_eval_speakers": Field(int, 40, "eval speakers (each in both languages)", 2),
+    "corpus.n_eval_utts": Field(int, 10, "utterances per eval speaker per language", 2),
+    "corpus.n_phones": Field(int, 48, "phone templates per language", 1),
     "corpus.min_duration_s": Field(float, 2.0, "minimum utterance duration"),
     "corpus.max_duration_s": Field(float, 3.0, "maximum utterance duration"),
     "corpus.language_emphasis_db": Field(float, 6.0, "language-level band emphasis"),
     "ctdnn.seed": Field(int, -1, "feature-net seed (-1: derived)"),
-    "ctdnn.conv1_channels": Field(int, 32, "first conv feature maps"),
-    "ctdnn.conv2_channels": Field(int, 64, "second conv feature maps"),
-    "ctdnn.bottleneck_dim": Field(int, 512, "CN/TD junction width"),
-    "ctdnn.td_hidden": Field(int, 256, "time-delay affine width (pre-pnorm)"),
-    "ctdnn.feature_dim": Field(int, 400, "speaker feature width"),
-    "ctdnn.epochs": Field(int, 5, "training epochs"),
-    "ctdnn.batches_per_epoch": Field(int, 900, "minibatches per epoch"),
-    "ctdnn.chunk_frames": Field(int, 24, "frames per training chunk"),
-    "ctdnn.batch_chunks": Field(int, 16, "chunks per minibatch"),
+    "ctdnn.conv1_channels": Field(int, 32, "first conv feature maps", 1),
+    "ctdnn.conv2_channels": Field(int, 64, "second conv feature maps", 1),
+    "ctdnn.bottleneck_dim": Field(int, 512, "CN/TD junction width", 1),
+    "ctdnn.td_hidden": Field(int, 256, "time-delay affine width (pre-pnorm)", 1),
+    "ctdnn.feature_dim": Field(int, 400, "speaker feature width", 1),
+    "ctdnn.epochs": Field(int, 5, "training epochs", 0),
+    "ctdnn.batches_per_epoch": Field(int, 900, "minibatches per epoch", 1),
+    "ctdnn.chunk_frames": Field(int, 24, "frames per training chunk", 1),
+    "ctdnn.batch_chunks": Field(int, 16, "chunks per minibatch", 1),
     "ctdnn.learning_rate": Field(float, 0.1, "initial SGD learning rate"),
     "ctdnn.val_fraction": Field(float, 0.025, "held-out utterance fraction"),
     "asr.seed": Field(int, -1, "phone-net seed (-1: derived)"),
-    "asr.td_hidden": Field(int, 256, "phone-net time-delay width"),
-    "asr.svd_rank": Field(int, 40, "linguistic factor rank"),
-    "asr.epochs": Field(int, 3, "training epochs"),
-    "asr.batches_per_epoch": Field(int, 300, "minibatches per epoch"),
+    "asr.td_hidden": Field(int, 256, "phone-net time-delay width", 1),
+    "asr.svd_rank": Field(int, 40, "linguistic factor rank", 1),
+    "asr.epochs": Field(int, 3, "training epochs", 0),
+    "asr.batches_per_epoch": Field(int, 300, "minibatches per epoch", 1),
     "ivector.seed": Field(int, -1, "UBM/T-matrix seed (-1: derived)"),
-    "ivector.n_components": Field(int, 64, "UBM Gaussian components"),
-    "ivector.dim": Field(int, 100, "i-vector dimension"),
-    "ivector.ubm_iters": Field(int, 10, "UBM EM iterations"),
-    "ivector.tv_iters": Field(int, 10, "T-matrix EM iterations"),
-    "ivector.ubm_frames": Field(int, 250000, "frame subsample for UBM EM"),
-    "backend.lda_dim": Field(int, 150, "LDA projection dim (clamped per system)"),
-    "backend.plda_iters": Field(int, 10, "PLDA EM iterations"),
-    "backend.train_utts_per_speaker": Field(int, 8, "train utts embedded per speaker"),
+    "ivector.n_components": Field(int, 64, "UBM Gaussian components", 1),
+    "ivector.dim": Field(int, 100, "i-vector dimension", 1),
+    "ivector.ubm_iters": Field(int, 10, "UBM EM iterations", 0),
+    "ivector.tv_iters": Field(int, 10, "T-matrix EM iterations", 0),
+    "ivector.ubm_frames": Field(int, 250000, "frame subsample for UBM EM", 1),
+    "backend.lda_dim": Field(int, 150, "LDA projection dim (clamped per system)", 1),
+    "backend.plda_iters": Field(int, 10, "PLDA EM iterations", 0),
+    "backend.train_utts_per_speaker": Field(int, 8, "train utts embedded per speaker", 2),
 }
 
 DERIVED_SEED_SECTIONS = ("corpus", "ctdnn", "asr", "ivector")
@@ -78,9 +85,12 @@ def _parse_value(key, raw, line=None):
     field = SCHEMA[key]
     raw = raw.strip()
     try:
-        return field.type(raw)
+        value = field.type(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}", line=line) from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {raw!r} is not finite", line=line)
+    return value
 
 
 class ExperimentConfig:
@@ -136,19 +146,20 @@ class ExperimentConfig:
         return out
 
     def validate(self):
-        """Cross-key checks; raises ConfigError on a config no stage could run."""
+        """Raises ConfigError on a config no stage could run: bounds, then cross-key."""
         v = self.values
+        for key, field in SCHEMA.items():
+            if field.low is not None and v[key] < field.low:
+                raise ConfigError(f"{key} must be >= {field.low}")
+        if v["ctdnn.learning_rate"] <= 0:
+            raise ConfigError("ctdnn.learning_rate must be > 0")
+        if not 0 <= v["ctdnn.val_fraction"] < 1:
+            raise ConfigError("need 0 <= ctdnn.val_fraction < 1")
         if not 0 < v["corpus.min_duration_s"] <= v["corpus.max_duration_s"]:
             raise ConfigError("need 0 < corpus.min_duration_s <= corpus.max_duration_s")
-        for key in ("corpus.n_eval_speakers", "corpus.n_train_utts", "corpus.n_eval_utts",
-                    "corpus.n_phones"):
-            if v[key] < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if v["corpus.n_train_speakers"] < 2:
-            raise ConfigError("corpus.n_train_speakers must be >= 2")
         for key in ("ctdnn.td_hidden", "asr.td_hidden"):
-            if v[key] < 1 or v[key] % PNORM_GROUP:
-                raise ConfigError(f"{key} must be a positive multiple of the p-norm group "
+            if v[key] % PNORM_GROUP:
+                raise ConfigError(f"{key} must be a multiple of the p-norm group "
                                   f"size {PNORM_GROUP}")
         if v["asr.svd_rank"] > min(v["asr.td_hidden"] // PNORM_GROUP, v["corpus.n_phones"]):
             raise ConfigError(

@@ -47,12 +47,6 @@ class CTDNNConfig:
     n_mels: ClassVar[int] = N_MELS
     splice_width: ClassVar[int] = 2 * SPLICE + 1
 
-    def validate(self):
-        if self.n_speakers < 2:
-            raise InvalidArgumentError("need at least 2 speakers")
-        if self.feature_dim < 1 or self.bottleneck_dim < 1:
-            raise InvalidArgumentError("feature and bottleneck dims must be >= 1")
-
 
 def _specs(config: CTDNNConfig):
     """The layer stack; its temporal and frequency geometry is fixed."""
@@ -83,7 +77,6 @@ def feature_layer_index(graph):
 
 
 def _build(config: CTDNNConfig, seed, dtype, aux=None) -> NetworkGraph:
-    config.validate()
     return NetworkGraph(
         _specs(config),
         ("map", config.n_mels, config.splice_width),

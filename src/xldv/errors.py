@@ -1,7 +1,10 @@
 """Exception taxonomy shared by all xldv modules.
 
-The CLI maps these onto exit codes: ConfigError/UsageError -> 1,
-DataError (and subclasses) -> 2, NumericError -> 3.
+``cli.main`` maps these onto exit codes and the category of its one
+``xldv: error: <category>: <message>`` line: ConfigError (which includes a
+bad command line) -> 1 ``config``; DataError (and subclasses) and
+InvalidArgumentError -> 2 ``data``; NumericError -> 3 ``numeric``; any other
+XldvError (DegenerateInputError, StateError) -> 2 ``internal``.
 """
 
 

@@ -163,27 +163,15 @@ def compute_eer(target_scores, nontarget_scores) -> EERResult:
 
 
 def results_table(results):
-    """Render the (system, metric, condition) -> EERResult grid.
+    """Render the full (system, metric, condition) -> EERResult grid.
 
     Returns (tsv, aligned_text). Rows are grouped by system then metric in
-    ``SYSTEMS`` and ``METRICS`` order, columns follow ``CONDITIONS``; missing
-    cells render as "-", and a row with no cell is left out.
+    ``SYSTEMS`` and ``METRICS`` order, columns follow ``CONDITIONS``.
     """
     header = ["System", "Metric"] + [f"{c} EER%" for c in CONDITIONS]
-    rows = []
-    for system in SYSTEMS:
-        for metric in METRICS:
-            cells = []
-            any_present = False
-            for cond in CONDITIONS:
-                res = results.get((system, metric, cond))
-                if res is None:
-                    cells.append("-")
-                else:
-                    any_present = True
-                    cells.append(f"{100.0 * res.eer:.2f}")
-            if any_present:
-                rows.append([system, metric] + cells)
+    rows = [[system, metric] + [f"{100.0 * results[(system, metric, cond)].eer:.2f}"
+                                for cond in CONDITIONS]
+            for system in SYSTEMS for metric in METRICS]
     tsv = "\n".join("\t".join(r) for r in [header] + rows) + "\n"
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     aligned = "\n".join(

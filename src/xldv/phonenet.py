@@ -33,13 +33,8 @@ class PhoneNetConfig:
     n_phones: int
     td_hidden: int = 256
 
-    def validate(self):
-        if self.n_phones < 1:
-            raise InvalidArgumentError("need at least 1 phone")
-
 
 def build_phone_classifier(config: PhoneNetConfig, seed=0, dtype=np.float32) -> NetworkGraph:
-    config.validate()
     specs = []
     for _ in range(N_STAGES):
         specs.append(LayerSpec("timedelay", offsets=[-2, 0, 2], dim=config.td_hidden))

@@ -30,12 +30,13 @@ import ctypes
 import dataclasses
 import glob
 import hashlib
+import itertools
 import json
 import logging
 import os
 import resource
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -607,11 +608,22 @@ def stage_eval(ctx: Context):
         fh.writelines(lines)
 
 
+_EER_CELLS = tuple(itertools.product(SYSTEMS, METRICS, CONDITIONS))
+
+
 def read_eer_table(path):
+    """The EER grid; ``path`` must hold one row for each (system, metric, condition)."""
     system, metric, cond, eer, thr, n_tar, n_non = archive.read_columns(path, 7)
+    cells = list(zip(system, metric, cond))
+    rows = Counter(cells)
+    for cell in [*rows, *_EER_CELLS]:
+        if cell not in _EER_CELLS:
+            raise DataError(f"{path}: {'/'.join(cell)} is not a cell of the EER grid")
+        if rows[cell] != 1:
+            raise DataError(f"{path}: {rows[cell]} rows for cell {'/'.join(cell)}, want 1")
     try:
         return {key: evalkit.EERResult(float(e), float(t), int(a), int(b))
-                for key, e, t, a, b in zip(zip(system, metric, cond), eer, thr, n_tar, n_non)}
+                for key, e, t, a, b in zip(cells, eer, thr, n_tar, n_non)}
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -28,6 +28,10 @@ from xldv.config import (
 )
 from xldv.errors import ConfigError, DataError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
+
 TINY_OVERRIDES = [
     "corpus.n_train_speakers=6",
     "corpus.n_train_utts=4",
@@ -146,6 +150,25 @@ class TestConfig:
     def test_svd_rank_cross_check(self):
         with pytest.raises(ConfigError, match="svd_rank"):
             load_config(None, ["corpus.n_phones=8", "asr.svd_rank=40"]).validate()
+
+    @pytest.mark.parametrize("key", [k for k, f in SCHEMA.items() if f.low is not None])
+    def test_schema_bound_rejects_the_value_below_it(self, capsys, key):
+        low = SCHEMA[key].low
+        assert SCHEMA[key].default >= low
+        code = main(["validate-config", "--set", f"{key}={low - 1}", "--quiet"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"xldv: error: config: {key} must be >= {low}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_reports_line_number(self, value):
+        with pytest.raises(ConfigError, match=r"line 2: .*corpus\.language_emphasis_db"):
+            parse_config_text(f"corpus.n_phones = 9\ncorpus.language_emphasis_db = {value}\n")
+
+    @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+    def test_benchmark_workload_config_loads(self, workload):
+        # perfbench runs these files; a new bound must not reject them
+        load_config(os.path.join(ROOT, "perfbench", "workloads", f"{workload}.ini"))
 
     def test_canonical_hash_stable_under_override_order(self):
         c1 = load_config(None, ["corpus.n_train_utts=9", "ivector.dim=50"])
@@ -280,13 +303,16 @@ class TestCli:
         assert "scores/" in err and err.startswith("xldv: error: data:")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
-        # each on top of the tiny config; the last five once failed as data errors
-        # mid-run: a p-norm group of 2 cannot split an odd width, the speaker nets
-        # need two classes, the T-matrix EM needs ivector.dim (8 here) training
-        # utterances (24 here) and the UBM 2 frames per component (4 here)
+        # each on top of the tiny config; all but the first two once failed
+        # mid-run or ran to the end. A p-norm group of 2 cannot split an odd
+        # width, the speaker nets need two classes, the T-matrix EM needs
+        # ivector.dim (8 here) training utterances (24 here), the UBM 2 frames
+        # per component (4 here), and LDA and PLDA two utterances per speaker
         for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0",
                          "ctdnn.td_hidden=7", "asr.td_hidden=15", "corpus.n_train_speakers=1",
-                         "ivector.dim=30", "ivector.ubm_frames=5"):
+                         "ivector.dim=30", "ivector.ubm_frames=5", "ctdnn.chunk_frames=0",
+                         "backend.train_utts_per_speaker=1", "ctdnn.epochs=-1",
+                         "corpus.max_duration_s=inf"):
             code = main(["all"] + tiny_args(tmp_path / "x", [override]))
             assert code == 1, override
             lines = capsys.readouterr().err.splitlines()
@@ -523,9 +549,14 @@ class TestReuse:
 
         def fn(ctx):
             stage.fn(ctx)
-            if changes_output:  # repeat the EER table's last row
-                with open(ctx.path(pipeline.EER_TABLE), "r+", encoding="utf-8") as fh:
-                    fh.write(fh.readlines()[-1])
+            if changes_output:  # raise the EER in the table's last row
+                path = ctx.path(pipeline.EER_TABLE)
+                with open(path, encoding="utf-8") as fh:
+                    lines = fh.readlines()
+                fields = lines[-1].split("\t")
+                fields[3] = f"{float(fields[3]) + 0.01:.6f}"
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(lines[:-1] + ["\t".join(fields)])
 
         monkeypatch.setitem(pipeline._STAGE_BY_NAME, name,
                             stage._replace(fn=fn, version=stage.version + 1))
@@ -737,6 +768,11 @@ def replace_first_field(index, value):
 @pytest.mark.parametrize("rel, stage, corrupt, named", [
     ("results/eer.tsv", "report", lambda raw: raw + b"ivector\tcosine\n", "results/eer.tsv"),
     ("results/eer.tsv", "report", replace_first_field(3, "low"), "results/eer.tsv"),
+    ("results/eer.tsv", "report", lambda raw: raw.split(b"\n", 1)[1], "results/eer.tsv"),
+    ("results/eer.tsv", "report", lambda raw: raw + raw.split(b"\n", 1)[0] + b"\n",
+     "results/eer.tsv"),
+    ("results/eer.tsv", "report",
+     lambda raw: raw + b"ghost\tcosine\tA-A\t0.1\t0.0\t1\t1\n", "results/eer.tsv"),
     ("trials/A-A.tsv", "eval", lambda raw: raw + b"u0\tu1\n", "trials/A-A.tsv"),
     ("trials/A-A.tsv", "eval", lambda raw: b"\xff" + raw, "trials/A-A.tsv"),
     ("scores/ivector_plda_A-A.tsv", "eval", replace_first_field(0, "n/a"),
@@ -758,7 +794,8 @@ def replace_first_field(index, value):
      "feats/fbank.farc"),
     ("embeddings/ivec_train.farc", "backend-train", first_record_id(b"ghost-E-000"),
      "embeddings/ivec_train.farc"),
-], ids=["eer-fields", "eer-number", "trials-fields", "trials-not-utf8", "score-number",
+], ids=["eer-fields", "eer-number", "eer-row-missing", "eer-row-twice",
+        "eer-unknown-system", "trials-fields", "trials-not-utf8", "score-number",
         "score-nan", "score-inf", "manifest-duration", "labels-run", "labels-missing-row",
         "speakers-fields", "speakers-split", "fbank-record-id", "fbank-record-id-tab",
         "fbank-version-one", "embedding-unlisted"])

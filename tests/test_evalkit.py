@@ -338,18 +338,6 @@ class TestComputeEer:
 
 
 class TestResultsTable:
-    def test_empty_grid_header_only(self):
-        tsv, text = results_table({})
-        assert tsv.splitlines() == ["System\tMetric\tA-A EER%\tB-B EER%\tA/B EER%"]
-        assert len(text.splitlines()) == 1
-
-    def test_single_cell(self):
-        res = {("ivector", "plda", "A-A"): EERResult(0.0531, 0.2, 10, 10)}
-        tsv, _ = results_table(res)
-        lines = tsv.splitlines()
-        assert len(lines) == 2
-        assert lines[1] == "ivector\tplda\t5.31\t-\t-"
-
     def test_full_grid_golden(self):
         systems = ("ivector", "dvector-phone-blind", "dvector-phone-aware")
         metrics = ("cosine", "lda", "plda")
