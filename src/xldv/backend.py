@@ -130,8 +130,14 @@ def train_lda(vectors, labels, k) -> LDAProjection:
         evals, evecs = scipy.linalg.eigh(s_b, s_w, check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         ridge = RIDGE * np.trace(s_w) / x.shape[1]
+        if not ridge > 0:  # every class is a single point: nothing to scale a ridge by
+            raise NumericError("LDA: within-class scatter is zero") from None
         log.info("LDA: within-class scatter singular, ridge %.3g added", ridge)
-        evals, evecs = scipy.linalg.eigh(s_b, s_w + ridge * np.eye(x.shape[1]))
+        try:
+            evals, evecs = scipy.linalg.eigh(s_b, s_w + ridge * np.eye(x.shape[1]))
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            raise NumericError(
+                f"LDA: within-class scatter singular even with ridge {ridge:.3g}") from None
     order = np.argsort(evals)[::-1][:k]
     return LDAProjection(mean=mu, matrix=evecs[:, order], eigenvalues=evals[order])
 

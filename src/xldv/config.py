@@ -63,7 +63,9 @@ SCHEMA = {
     "asr.epochs": Field(int, 3, "training epochs", 0),
     "asr.batches_per_epoch": Field(int, 300, "minibatches per epoch", 1),
     "ivector.seed": Field(int, -1, "UBM/T-matrix seed (-1: derived)"),
-    "ivector.n_components": Field(int, 64, "UBM Gaussian components", 1),
+    "ivector.n_components": Field(int, 64, "UBM Gaussian components; one would give every "
+                                  "frame to it, and CMVN'd frames sum to zero, so an "
+                                  "i-vector would depend on the frame count alone", 2),
     "ivector.dim": Field(int, 100, "i-vector dimension", 1),
     "ivector.ubm_iters": Field(int, 10, "UBM EM iterations", 0),
     "ivector.tv_iters": Field(int, 10, "T-matrix EM iterations", 0),

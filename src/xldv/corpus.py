@@ -6,6 +6,14 @@ filterbank plus a language-level band emphasis curve); each speaker is a
 excitation (harmonic at the speaker pitch, or noise for unvoiced templates)
 through the warped, tilted envelope. Everything is a pure function of
 explicit seeds, so any utterance can be re-synthesized in isolation.
+
+A voiced segment is a sum of harmonics, sum_k a_k sin(k w n + phi_k). It is
+rendered as the imaginary part of a polynomial in the unit phasor
+z_n = exp(i w n), evaluated by Horner's rule: one complex multiply-add per
+sample and harmonic, where the sine sum took one libm sine each. The float64
+waveform differs from the sine sum by about 1e-13 of its peak; after int16
+quantization the samples are the same (``tests/test_corpus.py`` keeps the
+sine sum as its reference).
 """
 
 import hashlib
@@ -199,11 +207,17 @@ def _render_segment(phone: PhonePrototype, speaker: SpeakerProfile, n_samples, r
     if phone.voiced:
         f0 = speaker.pitch_hz * rng.uniform(0.95, 1.05)
         n_harm = max(1, int(HARMONIC_MAX_HZ / f0))
-        k = np.arange(1, n_harm + 1)
-        amps = _envelope_at(phone.envelope, k * f0, speaker)
+        amps = _envelope_at(phone.envelope, np.arange(1, n_harm + 1) * f0, speaker)
         phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
-        t = np.arange(n_samples) / SAMPLE_RATE
-        sig = np.sin(2.0 * np.pi * f0 * np.outer(t, k) + phases) @ amps
+        # Im(sum_k c_k z^k) with c_k = amps_k e^{i phases_k}, by Horner's rule
+        coef = amps * np.exp(1j * phases)
+        z = np.exp(1j * (2.0 * np.pi * f0 / SAMPLE_RATE) * np.arange(n_samples))
+        acc = np.full(n_samples, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= z
+            acc += c
+        acc *= z
+        sig = acc.imag
     else:
         noise = rng.standard_normal(n_samples)
         spec = np.fft.rfft(noise)

@@ -106,34 +106,44 @@ def mel_filterbank(n_filters, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=20.0, f
     return weights
 
 
-def _power_spectrum(utterance):
+# built once per process: filterbank weights and the window depend on no input
+FBANK_FILTERS = mel_filterbank(N_MELS)
+N_MFCC_FILTERS = 23
+N_CEPSTRA = 19
+MFCC_FILTERS = mel_filterbank(N_MFCC_FILTERS)
+_WINDOW = np.hamming(FRAME_LENGTH)
+
+
+def power_spectrum(utterance):
+    """``(power, frames)``: each frame's Hamming-windowed power spectrum, and the
+    raw frames. ``fbank`` and ``mfcc`` both start from it."""
     frames = _frames(_as_float_signal(utterance))
-    window = np.hamming(FRAME_LENGTH)
-    spec = np.fft.rfft(frames * window, n=N_FFT)
+    spec = np.fft.rfft(frames * _WINDOW, n=N_FFT)
     return (spec.real**2 + spec.imag**2), frames
 
 
-def fbank(utterance):
-    """Log mel filterbank features, D = N_MELS."""
-    power, _ = _power_spectrum(utterance)
-    fb = mel_filterbank(N_MELS)
-    energies = np.maximum(power @ fb.T, LOG_FLOOR)
-    return FeatureMatrix(utterance.utterance_id, np.log(energies))
+def _log_mel(power, filters):
+    return np.log(np.maximum(power @ filters.T, LOG_FLOOR))
 
 
-N_MFCC_FILTERS = 23
-N_CEPSTRA = 19
+def fbank(utterance, spectrum=None):
+    """Log mel filterbank features, D = N_MELS.
+
+    ``spectrum`` is ``power_spectrum(utterance)``, when the caller has it.
+    """
+    power, _ = power_spectrum(utterance) if spectrum is None else spectrum
+    return FeatureMatrix(utterance.utterance_id, _log_mel(power, FBANK_FILTERS))
 
 
-def mfcc(utterance):
+def mfcc(utterance, spectrum=None):
     """19 cepstral coefficients plus log frame energy, D = 20.
 
     Energy is computed on the raw (unwindowed) frame and occupies column 0;
     cepstra c1..c19 follow. 23 mel filters feed a type-II orthonormal DCT.
+    ``spectrum`` is ``power_spectrum(utterance)``, when the caller has it.
     """
-    power, frames = _power_spectrum(utterance)
-    fb = mel_filterbank(N_MFCC_FILTERS)
-    logmel = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
+    power, frames = power_spectrum(utterance) if spectrum is None else spectrum
+    logmel = _log_mel(power, MFCC_FILTERS)
     cepstra = scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, 1 : N_CEPSTRA + 1]
     energy = np.log(np.maximum((frames**2).sum(axis=1), LOG_FLOOR))
     return FeatureMatrix(utterance.utterance_id, np.hstack([energy[:, None], cepstra]))

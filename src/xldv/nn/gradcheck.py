@@ -83,7 +83,7 @@ def grad_check(graph, x=None, aux=None, labels=None, n_probes=60, epsilon=1e-5,
     rng = derive_rng(seed, "gradcheck-probes")
     logits = graph.forward(x, aux=aux, want_cache=True)
     _, dflat = softmax_xent(logits.reshape(-1, logits.shape[-1]), labels)
-    grads, _ = graph.backward(dflat.reshape(logits.shape))
+    grads, _ = graph.backward(dflat.reshape(logits.shape), want_dinput=False)
 
     tensors = [
         (i, name) for i, layer in enumerate(graph.layers) for name in layer.params

@@ -121,19 +121,24 @@ class NetworkGraph:
             self._caches = caches
         return x
 
-    def backward(self, dout):
+    def backward(self, dout, want_dinput=True):
         """Backpropagate from the output; returns (grads per layer, dinput).
 
         Requires a preceding forward(want_cache=True). Gradient w.r.t. the
-        auxiliary input is discarded.
+        auxiliary input is discarded. Without ``want_dinput`` the first
+        layer's input gradient is never computed, and dinput is None.
         """
         if self._caches is None or len(self._caches) != len(self.layers):
             raise StateError("backward called before a cached full forward pass")
         grads = [None] * len(self.layers)
         dx = np.asarray(dout, dtype=self.dtype)
         for i in range(len(self.layers) - 1, -1, -1):
-            dx, g = self.layers[i].backward(dx, self._caches[i])
-            grads[i] = g
+            layer, cache = self.layers[i], self._caches[i]
+            grads[i] = layer.param_grads(dx, cache)
+            if i == 0 and not want_dinput:
+                dx = None
+                break
+            dx = layer.input_grad(dx, cache)
             if self.aux is not None and self.aux["layer"] == i:
                 dx = dx[:, :, : dx.shape[2] - self.aux["dim"]]
         self._caches = None

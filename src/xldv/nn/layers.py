@@ -33,7 +33,8 @@ def _fold_time_padding(dxp, left, right):
 
 
 class Layer:
-    """Base: subclasses define hyperparams, params, shapes, forward/backward."""
+    """Base: subclasses define hyperparams, params, shapes, ``forward``,
+    ``input_grad`` and, when they have params, ``param_grads``."""
 
     kind = None
 
@@ -54,7 +55,14 @@ class Layer:
 
     def backward(self, dy, cache):
         """Returns (dx, grads dict aligned with self.params)."""
+        return self.input_grad(dy, cache), self.param_grads(dy, cache)
+
+    def input_grad(self, dy, cache):
         raise NotImplementedError
+
+    def param_grads(self, dy, cache):
+        """Gradients of the parameters, a dict aligned with self.params."""
+        return {}
 
     def _bad(self, msg):
         return InvalidArgumentError(f"layer {self.name} ({self.kind}): {msg}")
@@ -89,12 +97,14 @@ class Affine(Layer):
         cache["x"] = x
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy, cache):
+    def param_grads(self, dy, cache):
         x = cache["x"]
         x2 = x.reshape(-1, x.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
-        grads = {"W": x2.T @ dy2, "b": dy2.sum(axis=0)}
-        return (dy @ self.params["W"].T).reshape(cache["in_shape"]), grads
+        return {"W": x2.T @ dy2, "b": dy2.sum(axis=0)}
+
+    def input_grad(self, dy, cache):
+        return (dy @ self.params["W"].T).reshape(cache["in_shape"])
 
 
 class Conv2D(Layer):
@@ -157,13 +167,16 @@ class Conv2D(Layer):
         cache["t"] = t
         return patches @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy, cache):
-        patches, t = cache["patches"], cache["t"]
-        b = dy.shape[0]
+    def param_grads(self, dy, cache):
+        patches = cache["patches"]
         p2 = patches.reshape(-1, patches.shape[-1])
         dy2 = dy.reshape(-1, self.c_out)
-        grads = {"W": p2.T @ dy2, "b": dy2.sum(axis=0)}
-        dpatch = (dy2 @ self.params["W"].T).reshape(
+        return {"W": p2.T @ dy2, "b": dy2.sum(axis=0)}
+
+    def input_grad(self, dy, cache):
+        t = cache["t"]
+        b = dy.shape[0]
+        dpatch = (dy.reshape(-1, self.c_out) @ self.params["W"].T).reshape(
             b, t, self.f_out, self.kt, self.kf, self.c_in
         )
         dxp = np.zeros((b, t + self.kt - 1, self.f_in, self.c_in), dtype=dy.dtype)
@@ -171,7 +184,7 @@ class Conv2D(Layer):
         for i in range(self.kt):
             for j in range(self.kf):
                 dxp[:, i : i + t, j : j + span : self.sf] += dpatch[:, :, :, i, j]
-        return _fold_time_padding(dxp, *self.pad), grads
+        return _fold_time_padding(dxp, *self.pad)
 
 
 def _bits(a):
@@ -236,14 +249,14 @@ class MaxPool(Layer):
         cache["in_shape"] = x.shape
         return y
 
-    def backward(self, dy, cache):
+    def input_grad(self, dy, cache):
         arg = cache["arg"]
         dx = np.zeros(cache["in_shape"], dtype=dy.dtype)
         dxw = _bits(self.windows(dx))
         dyb = _bits(dy)
         for j in range(self.wf):
             np.bitwise_and(dyb, _lanes(arg == j, dyb), out=dxw[:, :, :, j])
-        return dx, {}
+        return dx
 
 
 class TimeDelay(Layer):
@@ -282,18 +295,20 @@ class TimeDelay(Layer):
         cache["t"] = t
         return gathered @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy, cache):
-        g, t = cache["g"], cache["t"]
-        g2 = g.reshape(-1, self.d_cat)
+    def param_grads(self, dy, cache):
+        g2 = cache["g"].reshape(-1, self.d_cat)
         dy2 = dy.reshape(-1, dy.shape[-1])
-        grads = {"W": g2.T @ dy2, "b": dy2.sum(axis=0)}
+        return {"W": g2.T @ dy2, "b": dy2.sum(axis=0)}
+
+    def input_grad(self, dy, cache):
+        t = cache["t"]
         dg = dy @ self.params["W"].T
         left = max(0, -self.offsets[0])
         right = max(0, self.offsets[-1])
         ext = np.zeros((dy.shape[0], t + left + right, self.d_in), dtype=dy.dtype)
         for k, o in enumerate(self.offsets):
             ext[:, o + left : o + left + t] += dg[:, :, k * self.d_in : (k + 1) * self.d_in]
-        return _fold_time_padding(ext, left, right), grads
+        return _fold_time_padding(ext, left, right)
 
 
 class PNorm(Layer):
@@ -332,12 +347,12 @@ class PNorm(Layer):
         cache["y"] = y
         return y
 
-    def backward(self, dy, cache):
+    def input_grad(self, dy, cache):
         xg, y = cache["xg"], cache["y"]
         safe = np.where(y > 0, y, 1.0)
         dxg = (dy / safe)[..., None] * xg
         dxg = np.where(y[..., None] > 0, dxg, 0.0)
-        return dxg.reshape(*dy.shape[:-1], self.d_in), {}
+        return dxg.reshape(*dy.shape[:-1], self.d_in)
 
 
 class LengthNorm(Layer):
@@ -362,9 +377,9 @@ class LengthNorm(Layer):
         cache["norms"] = norms
         return y
 
-    def backward(self, dy, cache):
+    def input_grad(self, dy, cache):
         y, norms = cache["y"], cache["norms"]
-        return (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / norms, {}
+        return (dy - y * (y * dy).sum(axis=-1, keepdims=True)) / norms
 
 
 class SoftmaxXent(Layer):
@@ -380,8 +395,8 @@ class SoftmaxXent(Layer):
     def forward(self, x, cache):
         return x
 
-    def backward(self, dy, cache):
-        return dy, {}
+    def input_grad(self, dy, cache):
+        return dy
 
 
 LAYER_CLASSES = {

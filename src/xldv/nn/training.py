@@ -103,7 +103,7 @@ def train(graph, data, state: TrainState) -> TrainResult:
                     f"non-finite training loss at epoch {epoch}; "
                     f"first non-finite value at layer {where}"
                 )
-            grads, _ = graph.backward(dflat.reshape(logits.shape))
+            grads, _ = graph.backward(dflat.reshape(logits.shape), want_dinput=False)
             sgd_step(graph, grads, velocity, lr, MOMENTUM)
             train_loss += loss
         train_loss /= max(state.batches_per_epoch, 1)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate, stats
 
 from xldv.backend import (
@@ -158,6 +159,37 @@ class TestLda:
             train_lda(x, labels, 2)  # min(D, classes-1) = 1
         with pytest.raises(InvalidArgumentError):
             train_lda(x, np.zeros(20, dtype=int), 1)  # single class
+
+    def test_singular_scatter_gets_the_trace_scaled_ridge(self, caplog):
+        # classes spread along axis 0 only: the within-class scatter is zero
+        # outside its (0, 0) entry, which is the mean squared spread
+        rng = np.random.default_rng(10)
+        labels = np.repeat(np.arange(4), 2)
+        spread = rng.normal(size=8)
+        x = rng.normal(size=(4, 3))[labels]
+        x[:, 0] += spread
+        with caplog.at_level("INFO", logger="xldv.backend"):
+            lda = train_lda(x, labels, 1)
+        deviation = spread - np.repeat(spread.reshape(4, 2).mean(axis=1), 2)
+        ridge = 1e-8 * np.mean(deviation**2) / 3
+        assert caplog.messages == [f"LDA: within-class scatter singular, ridge {ridge:.3g} added"]
+        assert np.all(np.isfinite(lda.matrix))
+
+    def test_zero_within_class_scatter_is_a_numeric_error(self):
+        # each class a single point, as 1-D length-normed vectors of one sign are
+        x = np.repeat([[1.0], [-1.0], [1.0]], 2, axis=0)
+        with pytest.raises(NumericError, match="within-class scatter is zero"):
+            train_lda(x, np.repeat(np.arange(3), 2), 1)
+
+    def test_failed_ridge_retry_is_a_numeric_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        rng = np.random.default_rng(11)
+        labels = np.repeat(np.arange(3), 4)
+        with pytest.raises(NumericError, match="singular even with ridge"):
+            train_lda(rng.normal(size=(12, 2)), labels, 1)
 
 
 def sample_plda_data(phi_b, phi_w, n_classes, per_class, seed):

@@ -279,6 +279,17 @@ class TestCli:
         assert after["extract"] == before["extract"]
         assert after["report"] == before["report"]
 
+    def test_zero_within_class_scatter_exits_three(self, tiny_run, tmp_path, capsys):
+        # a 1-D i-vector length-norms to +-1: here each speaker's train
+        # i-vectors share a sign, so LDA's within-class scatter is zero and
+        # no ridge scaled by its trace can make it definite
+        run_dir = tmp_path / "run"
+        shutil.copytree(tiny_run, run_dir)
+        code = main(["all"] + tiny_args(run_dir, ["ivector.dim=1"]))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["xldv: error: numeric: LDA: within-class scatter is zero"]
+
     @pytest.mark.parametrize("corrupt", [
         lambda raw: raw[:100],
         lambda raw: b"\xff\xfe" + raw,
@@ -307,12 +318,14 @@ class TestCli:
         # mid-run or ran to the end. A p-norm group of 2 cannot split an odd
         # width, the speaker nets need two classes, the T-matrix EM needs
         # ivector.dim (8 here) training utterances (24 here), the UBM 2 frames
-        # per component (4 here), and LDA and PLDA two utterances per speaker
+        # per component (4 here) and two components (one makes every i-vector
+        # a function of the frame count), and LDA and PLDA two utterances per
+        # speaker
         for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0",
                          "ctdnn.td_hidden=7", "asr.td_hidden=15", "corpus.n_train_speakers=1",
                          "ivector.dim=30", "ivector.ubm_frames=5", "ctdnn.chunk_frames=0",
                          "backend.train_utts_per_speaker=1", "ctdnn.epochs=-1",
-                         "corpus.max_duration_s=inf"):
+                         "corpus.max_duration_s=inf", "ivector.n_components=1"):
             code = main(["all"] + tiny_args(tmp_path / "x", [override]))
             assert code == 1, override
             lines = capsys.readouterr().err.splitlines()

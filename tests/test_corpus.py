@@ -165,6 +165,56 @@ class TestSynthUtterance:
             synth_utterance(self.spk, self.inv, [], 1.0, seed=1)
 
 
+def sine_sum_render(phone, speaker, n_samples, rng):
+    """The reference ``_render_segment``: one sine per (sample, harmonic) pair."""
+    if n_samples <= 0:
+        return np.zeros(0)
+    if phone.voiced:
+        f0 = speaker.pitch_hz * rng.uniform(0.95, 1.05)
+        n_harm = max(1, int(corpus.HARMONIC_MAX_HZ / f0))
+        k = np.arange(1, n_harm + 1)
+        amps = corpus._envelope_at(phone.envelope, k * f0, speaker)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
+        t = np.arange(n_samples) / corpus.SAMPLE_RATE
+        sig = np.sin(2.0 * np.pi * f0 * np.outer(t, k) + phases) @ amps
+    else:
+        noise = rng.standard_normal(n_samples)
+        spec = np.fft.rfft(noise)
+        freqs = np.fft.rfftfreq(n_samples, d=1.0 / corpus.SAMPLE_RATE)
+        sig = np.fft.irfft(spec * corpus._envelope_at(phone.envelope, freqs, speaker),
+                           n=n_samples)
+    return corpus._apply_fade(sig)
+
+
+class TestRenderSegment:
+    """The phasor rendering against the sine sum it replaced."""
+
+    # the pitch range's ends give the most harmonics (about 52) and the fewest (12)
+    @pytest.mark.parametrize("pitch", corpus.PITCH_RANGE_HZ)
+    @pytest.mark.parametrize("shift", corpus.FORMANT_SHIFT_RANGE)
+    @pytest.mark.parametrize("n", [1, 2, 33, 2 * corpus.FADE_SAMPLES - 1, 1000])
+    def test_voiced_matches_sine_sum(self, pitch, shift, n):
+        inv = make_inventory(13, "E", 4)
+        phone = corpus.PhonePrototype(inv.phones[0].envelope, 100.0, voiced=True)
+        speaker = corpus.SpeakerProfile("s", pitch, shift, -3.0, 1.0)
+        rng, ref_rng = (np.random.default_rng(7) for _ in range(2))
+        out = corpus._render_segment(phone, speaker, n, rng)
+        ref = sine_sum_render(phone, speaker, n, ref_rng)
+        assert out.shape == ref.shape == (n,)
+        assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+    def test_corpus_samples_equal_the_sine_sum_corpus(self, tmp_path, monkeypatch):
+        build_corpus(TINY, 42, tmp_path / "phasor")
+        monkeypatch.setattr(corpus, "_render_segment", sine_sum_render)
+        manifest = build_corpus(TINY, 42, tmp_path / "sines")
+        assert any(p.voiced for p in make_inventory(42, "E", TINY.n_phones).phones)
+        for rec in manifest.records:
+            np.testing.assert_array_equal(
+                read_wav(str(tmp_path / "phasor" / rec.rel_path)),
+                read_wav(str(tmp_path / "sines" / rec.rel_path)), err_msg=rec.utterance_id)
+
+
 class TestLabels:
     def test_labels_align_with_segments_within_one_frame(self):
         inv = make_inventory(2, "E", 6)

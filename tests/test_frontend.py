@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from xldv import frontend
+from test_config_cli import TINY_OVERRIDES
+from xldv import archive, corpus, frontend, pipeline, workers
+from xldv.config import load_config
 from xldv.corpus import SpeakerProfile, Utterance, make_inventory, synth_utterance
 from xldv.errors import InvalidArgumentError
 from xldv.frontend import (
@@ -65,6 +67,13 @@ class TestFbank:
             samples = rng.integers(-32768, 32767, 2000).astype(np.int16)
             assert np.all(np.isfinite(fbank(make_utt(samples)).data))
             assert np.all(np.isfinite(mfcc(make_utt(samples)).data))
+
+    def test_filterbank_constants_equal_fresh_banks(self):
+        for constant, n_filters in ((frontend.FBANK_FILTERS, frontend.N_MELS),
+                                    (frontend.MFCC_FILTERS, frontend.N_MFCC_FILTERS)):
+            fresh = mel_filterbank(n_filters)
+            assert constant.dtype == fresh.dtype and constant.shape == fresh.shape
+            assert constant.tobytes() == fresh.tobytes()
 
 
 class TestMfcc:
@@ -215,3 +224,32 @@ def test_pipeline_features_on_synth_audio():
     mf = cmvn(add_deltas(mfcc(utt)))
     assert fb.dim == 40 and mf.dim == 60
     assert fb.n_frames == mf.n_frames
+
+
+class TestFeatsStage:
+    def test_one_pool_writes_the_bytes_of_separate_fbank_and_mfcc_calls(self, tmp_path,
+                                                                        monkeypatch):
+        ctx = pipeline.make_context(load_config(None, TINY_OVERRIDES), str(tmp_path / "run"))
+        pipeline.run_stage(ctx, "synth")
+        pools = []
+        pool_map = workers.map_ordered
+
+        def recording_map(fn, items, config=None):
+            pools.append(pool_map(fn, items, config))
+            return pools[-1]
+
+        monkeypatch.setattr(workers, "map_ordered", recording_map)
+        pipeline.run_stage(ctx, "feats")
+        manifest = corpus.CorpusManifest.load(ctx.path(pipeline.CORPUS_DIR))
+        assert len(pools) == 1 and len(pools[0]) == len(manifest.records)
+        assert all(rows.dtype == np.float32 for pair in pools[0] for rows in pair)
+
+        utts = [corpus.load_utterance(manifest, rec) for rec in manifest.records]
+        separate = {
+            pipeline.FBANK: [cmvn(fbank(utt)) for utt in utts],
+            pipeline.MFCC: [cmvn(add_deltas(mfcc(utt))) for utt in utts],
+        }
+        for rel, feats in separate.items():
+            archive.archive_write(feats, tmp_path / "separate.farc")
+            with open(ctx.path(rel), "rb") as fh:
+                assert fh.read() == (tmp_path / "separate.farc").read_bytes(), rel

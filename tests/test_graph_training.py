@@ -65,6 +65,33 @@ class TestBackwardProperties:
             for arr in gd.values():
                 assert np.all(arr == 0.0)
 
+    def test_without_dinput_the_first_layer_input_gradient_is_skipped(self, monkeypatch):
+        g = build_phone_blind(SMALL, seed=2)  # float32, as training runs it
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 5, 40, 9))
+        dout = rng.normal(size=(2, 5, 4))
+        g.forward(x, want_cache=True)
+        grads, dx = g.backward(dout)
+        assert dx.shape == x.shape
+        first = g.layers[0]
+
+        def refuse(dy, cache):
+            raise AssertionError("input gradient of layer 0 computed")
+
+        monkeypatch.setattr(first, "input_grad", refuse)
+        g.forward(x, want_cache=True)
+        skipped, none = g.backward(dout, want_dinput=False)
+        assert none is None
+        for full, part in zip(grads, skipped):
+            assert full.keys() == part.keys()
+            assert all(full[name].tobytes() == part[name].tobytes() for name in full)
+        # a layer's own backward still returns both gradients
+        monkeypatch.undo()
+        cache = {}
+        first.forward(x.astype(np.float32), cache)
+        dx0, g0 = first.backward(np.ones((2, 5, first.f_out, first.c_out), np.float32), cache)
+        assert dx0.shape == x.shape and g0.keys() == {"W", "b"}
+
     def test_single_affine_closed_form(self):
         g = NetworkGraph([LayerSpec("affine", dim=3)], ("vec", 2), dtype=np.float64)
         rng = np.random.default_rng(2)
