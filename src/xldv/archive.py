@@ -13,9 +13,16 @@ length, UTF-8 JSON header (layer specs / model metadata), u32 tensor count,
 then per tensor u16 name-length, name, u8 dtype code (0=f32, 1=f64), u8 ndim,
 ndim u32 dims, little-endian row-major payload; u32 CRC32 trailer over all
 bytes after the version field.
+
+A model checkpoint's header names its ``kind``: ``ubm``, ``tmatrix`` and
+``backend`` (``save_model``), ``ctdnn`` and ``phone-classifier``
+(``NetworkGraph.save``). ``save_model`` stores each array field of a
+dataclass part as the tensor ``<part>.<field>``, each other field as the
+header entry ``<part>.<field>``, and a bare array part as the tensor ``<part>``.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import struct
@@ -220,3 +227,40 @@ def load_checkpoint(path):
         payload = take(count * _DTYPE_CODES[code].itemsize, "tensor payload")
         tensors[name] = np.frombuffer(payload, dtype=_DTYPE_CODES[code]).reshape(shape).copy()
     return header, tensors
+
+
+def save_model(path, header: dict, **parts):
+    """Write ``header``, which names the ``kind``, and dataclass or bare-array ``parts``."""
+    header, tensors = dict(header), {}
+    for name, part in parts.items():
+        if not dataclasses.is_dataclass(part):
+            tensors[name] = part
+            continue
+        for fld in dataclasses.fields(part):
+            value = getattr(part, fld.name)
+            (tensors if isinstance(value, np.ndarray) else header)[f"{name}.{fld.name}"] = value
+    save_checkpoint(path, header, tensors)
+
+
+def load_kind(path, kind):
+    """``load_checkpoint`` of a checkpoint of ``kind``; another kind is a DataError."""
+    header, tensors = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise DataError(f"{path}: is a {header.get('kind')!r} checkpoint, not a {kind!r} one")
+    return header, tensors
+
+
+def load_model(path, kind, **parts):
+    """The ``parts`` of a ``save_model`` checkpoint of ``kind``, by name.
+
+    Each part names its dataclass, or ``np.ndarray`` for a bare array. Another
+    kind, or a missing field, is a DataError naming ``path``.
+    """
+    header, tensors = load_kind(path, kind)
+    stored = {**header, **tensors}
+    try:
+        return {name: stored[name] if cls is np.ndarray
+                else cls(**{f.name: stored[f"{name}.{f.name}"] for f in dataclasses.fields(cls)})
+                for name, cls in parts.items()}
+    except KeyError as exc:
+        raise DataError(f"{path}: {kind} checkpoint lacks {exc}") from None

@@ -66,7 +66,8 @@ SCHEMA = {
     "ivector.n_components": Field(int, 64, "UBM Gaussian components; one would give every "
                                   "frame to it, and CMVN'd frames sum to zero, so an "
                                   "i-vector would depend on the frame count alone", 2),
-    "ivector.dim": Field(int, 100, "i-vector dimension", 1),
+    "ivector.dim": Field(int, 100, "i-vector dimension; a 1-D i-vector length-norms to "
+                         "+-1, so LDA's within-class scatter can be exactly zero", 2),
     "ivector.ubm_iters": Field(int, 10, "UBM EM iterations", 0),
     "ivector.tv_iters": Field(int, 10, "T-matrix EM iterations", 0),
     "ivector.ubm_frames": Field(int, 250000, "frame subsample for UBM EM", 1),

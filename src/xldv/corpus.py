@@ -398,21 +398,6 @@ def read_wav(path) -> np.ndarray:
         return np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
 
 
-def check_inventory_separation(inventories, floor):
-    """Verify the pairwise envelope-distance floor across language inventories."""
-    for i, inv_a in enumerate(inventories):
-        for inv_b in inventories[i + 1 :]:
-            centred_b = np.array([_centred_log_gain(p.envelope) for p in inv_b.phones])
-            for pa in inv_a.phones:
-                d = _envelope_distances(_centred_log_gain(pa.envelope), centred_b)
-                close = d[d < floor]
-                if close.size:
-                    raise InvalidArgumentError(
-                        f"inventories {inv_a.language_id}/{inv_b.language_id} share "
-                        f"templates closer than the floor ({close[0]:.3f} < {floor})"
-                    )
-
-
 def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
     """Synthesize the full train/eval corpus under ``out_dir``.
 
@@ -428,7 +413,6 @@ def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
             emphasis_db=config.language_emphasis_db,
             avoid_inventories=list(inventories.values()),
         )
-    check_inventory_separation(list(inventories.values()), ENVELOPE_FLOOR)
 
     try:
         os.makedirs(out_dir, exist_ok=True)

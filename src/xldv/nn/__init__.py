@@ -1,6 +1,5 @@
 from .graph import LayerSpec, NetworkGraph, softmax_xent
 from .training import TrainState, sgd_step, train
-from .gradcheck import grad_check
 
 __all__ = [
     "LayerSpec",
@@ -9,5 +8,4 @@ __all__ = [
     "TrainState",
     "sgd_step",
     "train",
-    "grad_check",
 ]

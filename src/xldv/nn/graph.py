@@ -4,7 +4,7 @@ import numpy as np
 
 from .. import archive
 from ..corpus import derive_rng
-from ..errors import InvalidArgumentError, StateError
+from ..errors import DataError, InvalidArgumentError, StateError
 from .layers import LAYER_CLASSES
 
 VALID_KINDS = set(LAYER_CLASSES)
@@ -178,24 +178,24 @@ class NetworkGraph:
         archive.save_checkpoint(path, self.state_header(extra_header), self.tensors())
 
     @classmethod
-    def from_checkpoint(cls, path):
-        header, tensors = archive.load_checkpoint(path)
-        graph = cls(
-            [LayerSpec.from_dict(d) for d in header["layer_specs"]],
-            tuple(header["input_shape"]),
-            seed=header.get("seed", 0),
-            dtype=np.dtype(header.get("dtype", "float32")),
-            input_context=tuple(header.get("input_context", (0, 0))),
-            aux=header.get("aux"),
-        )
+    def from_checkpoint(cls, path, kind):
+        """The graph saved at ``path`` and its header, whose ``kind`` must be ``kind``."""
+        header, tensors = archive.load_kind(path, kind)
+        try:
+            graph = cls([LayerSpec.from_dict(d) for d in header["layer_specs"]],
+                        tuple(header["input_shape"]), seed=header["seed"],
+                        dtype=np.dtype(header["dtype"]),
+                        input_context=tuple(header["input_context"]), aux=header["aux"])
+        except KeyError as exc:
+            raise DataError(f"{path}: network checkpoint lacks {exc}") from None
         for i, layer in enumerate(graph.layers):
             for name in layer.params:
                 key = f"layer{i:02d}.{name}"
                 if key not in tensors:
-                    raise InvalidArgumentError(f"checkpoint missing tensor {key}")
+                    raise DataError(f"{path}: network checkpoint lacks {key!r}")
                 if tensors[key].shape != layer.params[name].shape:
-                    raise InvalidArgumentError(
-                        f"checkpoint tensor {key} has shape {tensors[key].shape}, "
+                    raise DataError(
+                        f"{path}: checkpoint tensor {key} has shape {tensors[key].shape}, "
                         f"expected {layer.params[name].shape}"
                     )
                 layer.params[name] = tensors[key].astype(graph.dtype)

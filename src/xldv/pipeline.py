@@ -430,34 +430,13 @@ def stage_train_ubm(ctx: Context):
         frames, cfg["ivector.n_components"], n_iters=cfg["ivector.ubm_iters"],
         seed=cfg["ivector.seed"],
     )
-    archive.save_checkpoint(
-        ctx.path(UBM_MODEL),
-        {"kind": "ubm", "section": "UBM0", "objective": ubm.objective},
-        {"UBM0.weights": ubm.weights, "UBM0.means": ubm.means,
-         "UBM0.variances": ubm.variances},
-    )
-
-
-def load_ubm(path) -> ivector.UBM:
-    header, tensors = archive.load_checkpoint(path)
-    return ivector.UBM(
-        weights=tensors["UBM0.weights"], means=tensors["UBM0.means"],
-        variances=tensors["UBM0.variances"], objective=header.get("objective", []),
-    )
-
-
-def load_tmatrix(path) -> ivector.TMatrix:
-    header, tensors = archive.load_checkpoint(path)
-    return ivector.TMatrix(
-        t=tensors["TVMX.t"], n_components=header["n_components"],
-        dim=header["dim"], objective=header.get("objective", []),
-    )
+    archive.save_model(ctx.path(UBM_MODEL), {"kind": "ubm"}, ubm=ubm)
 
 
 def stage_train_tv(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    ubm = load_ubm(ctx.path(UBM_MODEL))
+    ubm = archive.load_model(ctx.path(UBM_MODEL), "ubm", ubm=ivector.UBM)["ubm"]
     train_ids = [r.utterance_id for r in manifest.utterances("train")]
     stats = [ivector.accumulate_stats(ubm, feat)
              for feat in archive.archive_stream(ctx.path(MFCC), train_ids)]
@@ -465,12 +444,7 @@ def stage_train_tv(ctx: Context):
         ubm, stats, rank=cfg["ivector.dim"], n_iters=cfg["ivector.tv_iters"],
         seed=cfg["ivector.seed"],
     )
-    archive.save_checkpoint(
-        ctx.path(TMATRIX_MODEL),
-        {"kind": "tmatrix", "section": "TVMX", "n_components": tmat.n_components,
-         "dim": tmat.dim, "objective": tmat.objective},
-        {"TVMX.t": tmat.t},
-    )
+    archive.save_model(ctx.path(TMATRIX_MODEL), {"kind": "tmatrix"}, tmatrix=tmat)
 
 
 def _embedding_set(records, vector_of):
@@ -490,11 +464,13 @@ def stage_extract(ctx: Context):
     net_config = _ctdnn_config(cfg)
     # checkpoints load here, once; each system's worker reads its own archives
     graphs = {
-        f"dvector-{variant}": NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)))[0]
+        f"dvector-{variant}":
+            NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)), "ctdnn")[0]
         for aware, variant in CTDNN_VARIANTS.items()
     }
-    ubm = load_ubm(ctx.path(UBM_MODEL))
-    tmat = load_tmatrix(ctx.path(TMATRIX_MODEL))
+    ubm = archive.load_model(ctx.path(UBM_MODEL), "ubm", ubm=ivector.UBM)["ubm"]
+    tmat = archive.load_model(ctx.path(TMATRIX_MODEL), "tmatrix",
+                              tmatrix=ivector.TMatrix)["tmatrix"]
 
     def embed(system):
         if system == "ivector":
@@ -540,37 +516,14 @@ def _train_backend(ctx: Context, system):
         log.info("%s: LDA dim clamped to %d", system, k)
     lda = backend.train_lda(normed, labels, k)
     plda = backend.train_plda(normed, labels, n_iters=cfg["backend.plda_iters"])
-    archive.save_checkpoint(
-        ctx.path(backend_model(system)),
-        {"kind": "backend", "system": system, "sections": ["LDAP", "PLDA"],
-         "plda_objective": plda.objective, "lda_dim": int(k)},
-        {
-            "MEAN.mean": mean,
-            "LDAP.mean": lda.mean,
-            "LDAP.matrix": lda.matrix,
-            "LDAP.eigenvalues": lda.eigenvalues,
-            "PLDA.mu": plda.mu,
-            "PLDA.phi_b": plda.phi_b,
-            "PLDA.phi_w": plda.phi_w,
-        },
-    )
+    # perfbench's retune check reads the top-level lda_dim
+    archive.save_model(ctx.path(backend_model(system)),
+                       {"kind": "backend", "system": system, "lda_dim": int(k)},
+                       mean=mean, lda=lda, plda=plda)
 
 
 def stage_backend_train(ctx: Context):
     workers.map_ordered(lambda system: _train_backend(ctx, system), SYSTEMS, ctx.config)
-
-
-def load_backend(path):
-    header, tensors = archive.load_checkpoint(path)
-    lda = backend.LDAProjection(
-        mean=tensors["LDAP.mean"], matrix=tensors["LDAP.matrix"],
-        eigenvalues=tensors["LDAP.eigenvalues"],
-    )
-    plda = backend.PLDAModel(
-        mu=tensors["PLDA.mu"], phi_b=tensors["PLDA.phi_b"],
-        phi_w=tensors["PLDA.phi_w"], objective=header.get("plda_objective", []),
-    )
-    return tensors["MEAN.mean"], lda, plda
 
 
 def stage_score(ctx: Context):
@@ -581,7 +534,9 @@ def stage_score(ctx: Context):
         trials.save(ctx.path(trial_file(cond)))
         trial_lists[cond] = trials
     for system in SYSTEMS:
-        mean, lda, plda = load_backend(ctx.path(backend_model(system)))
+        mean, lda, plda = archive.load_model(
+            ctx.path(backend_model(system)), "backend",
+            mean=np.ndarray, lda=backend.LDAProjection, plda=backend.PLDAModel).values()
         emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "eval")))
         emb.vectors = backend.center_lengthnorm(emb.vectors, mean)
         scorers = {
@@ -663,12 +618,13 @@ STAGES = (
           version=3),
     Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
           stage_train_ctdnn),
-    Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm),
+    Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm, version=2),
     Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv,
-          version=2),
+          version=3),
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=3),
-    Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train),
+    Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train,
+          version=2),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
           version=2),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),

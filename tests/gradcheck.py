@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import derive_rng
-from ..errors import InvalidArgumentError
-from .graph import softmax_xent
+from xldv.corpus import derive_rng
+from xldv.errors import InvalidArgumentError
+from xldv.nn.graph import softmax_xent
 
 SMOOTH_TOL = 1e-4
 NONSMOOTH_TOL = 1e-3

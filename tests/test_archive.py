@@ -1,5 +1,6 @@
 """Feature archive and checkpoint container round trips and fault handling."""
 
+import dataclasses
 import pickle
 import re
 import struct
@@ -14,8 +15,10 @@ from xldv.archive import (
     archive_write,
     atomic_open,
     load_checkpoint,
+    load_model,
     read_columns,
     save_checkpoint,
+    save_model,
 )
 from xldv.errors import DataError, FormatError, InvalidArgumentError
 from xldv.frontend import FeatureMatrix
@@ -182,6 +185,54 @@ class TestCheckpointContainer:
         save_checkpoint(p1, {"b": 1, "a": 2}, tensors)
         save_checkpoint(p2, {"a": 2, "b": 1}, tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@dataclasses.dataclass
+class Demo:
+    weights: np.ndarray
+    history: list
+    order: int
+
+
+class TestModelCodec:
+    def save_demo(self, path):
+        demo = Demo(np.arange(6.0).reshape(2, 3), [0.5, -1.25], 3)
+        save_model(path, {"kind": "demo", "note": "x"}, demo=demo, offset=np.array([1.5, 2.0]))
+        return demo
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "m.nnck"
+        demo = self.save_demo(path)
+        header, tensors = load_checkpoint(path)
+        assert header == {"kind": "demo", "note": "x", "demo.history": [0.5, -1.25],
+                          "demo.order": 3}
+        assert sorted(tensors) == ["demo.weights", "offset"]
+        parts = load_model(path, "demo", demo=Demo, offset=np.ndarray)
+        assert list(parts) == ["demo", "offset"]
+        back = parts["demo"]
+        np.testing.assert_array_equal(back.weights, demo.weights)
+        assert (back.history, back.order) == (demo.history, demo.order)
+        assert type(back.order) is int
+        np.testing.assert_array_equal(parts["offset"], [1.5, 2.0])
+
+    def test_wrong_kind_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.nnck"
+        self.save_demo(path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: is a 'demo' checkpoint, "
+                                            "not a 'ubm' one$"):
+            load_model(path, "ubm", demo=Demo)
+
+    @pytest.mark.parametrize("drop", ["demo.weights", "demo.order", "offset"])
+    def test_missing_field_is_a_data_error(self, tmp_path, drop):
+        path = tmp_path / "m.nnck"
+        self.save_demo(path)
+        header, tensors = load_checkpoint(path)
+        header.pop(drop, None)
+        tensors.pop(drop, None)
+        save_checkpoint(path, header, tensors)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: demo checkpoint lacks "
+                                            f"'{drop}'$"):
+            load_model(path, "demo", demo=Demo, offset=np.ndarray)
 
 
 class TestAtomicOpen:

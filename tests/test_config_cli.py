@@ -18,7 +18,7 @@ import pytest
 import scipy
 
 import xldv
-from xldv import archive, evalkit, ivector, pipeline, workers
+from xldv import archive, backend, corpus, evalkit, ivector, pipeline, workers
 from xldv.cli import main
 from xldv.config import (
     SCHEMA,
@@ -279,16 +279,43 @@ class TestCli:
         assert after["extract"] == before["extract"]
         assert after["report"] == before["report"]
 
-    def test_zero_within_class_scatter_exits_three(self, tiny_run, tmp_path, capsys):
-        # a 1-D i-vector length-norms to +-1: here each speaker's train
-        # i-vectors share a sign, so LDA's within-class scatter is zero and
-        # no ridge scaled by its trace can make it definite
-        run_dir = tmp_path / "run"
-        shutil.copytree(tiny_run, run_dir)
-        code = main(["all"] + tiny_args(run_dir, ["ivector.dim=1"]))
-        assert code == 3
+    def test_zero_within_class_scatter_exits_three(self, run_copy, capsys):
+        # 1-D train i-vectors that share a sign within each speaker length-norm
+        # to +-1, so LDA's within-class scatter is zero and no ridge scaled by
+        # its trace can make it definite. The config cannot ask for them
+        # (ivector.dim >= 2), so the test writes them.
+        path = run_copy / pipeline.embedding_file("ivector", "train")
+        utts = backend.EmbeddingSet.from_archive(path).utterance_ids
+        manifest = corpus.CorpusManifest.load(run_copy / pipeline.CORPUS_DIR)
+        speaker_of = {r.utterance_id: r.speaker_id for r in manifest.records}
+        speakers = sorted(set(speaker_of.values()))
+        signs = [[(-1.0) ** speakers.index(speaker_of[u])] for u in utts]
+        backend.EmbeddingSet(utts, np.array(signs)).to_archive(path)
+        assert main(["backend-train"] + tiny_args(run_copy)) == 3
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["xldv: error: numeric: LDA: within-class scatter is zero"]
+
+    @pytest.mark.parametrize("src, dst, stage", [
+        ("tmatrix.nnck", "ubm.nnck", "train-tv"),
+        ("ubm.nnck", "backend_ivector.nnck", "score"),
+        ("ubm.nnck", "ctdnn_blind.nnck", "extract"),
+    ], ids=["ubm", "backend", "ctdnn"])
+    def test_checkpoint_of_the_wrong_kind_exits_two(self, run_copy, capsys, src, dst, stage):
+        models = run_copy / "models"
+        shutil.copyfile(models / src, models / dst)
+        assert main([stage] + tiny_args(run_copy)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"xldv: error: data: {models / dst}: is a ")
+        assert len(err.splitlines()) == 1
+
+    def test_checkpoint_without_a_field_exits_two(self, run_copy, capsys):
+        path = run_copy / pipeline.TMATRIX_MODEL
+        header, tensors = archive.load_checkpoint(path)
+        del header["tmatrix.dim"]
+        archive.save_checkpoint(path, header, tensors)
+        assert main(["extract"] + tiny_args(run_copy)) == 2
+        assert capsys.readouterr().err == (
+            f"xldv: error: data: {path}: tmatrix checkpoint lacks 'tmatrix.dim'\n")
 
     @pytest.mark.parametrize("corrupt", [
         lambda raw: raw[:100],
@@ -319,13 +346,15 @@ class TestCli:
         # width, the speaker nets need two classes, the T-matrix EM needs
         # ivector.dim (8 here) training utterances (24 here), the UBM 2 frames
         # per component (4 here) and two components (one makes every i-vector
-        # a function of the frame count), and LDA and PLDA two utterances per
-        # speaker
+        # a function of the frame count), LDA and PLDA two utterances per
+        # speaker, and LDA two i-vector dimensions (a 1-D one length-norms to
+        # +-1, which can leave no within-class scatter)
         for override in ("corpus.not_a_key=1", "corpus.min_duration_s=0",
                          "ctdnn.td_hidden=7", "asr.td_hidden=15", "corpus.n_train_speakers=1",
                          "ivector.dim=30", "ivector.ubm_frames=5", "ctdnn.chunk_frames=0",
                          "backend.train_utts_per_speaker=1", "ctdnn.epochs=-1",
-                         "corpus.max_duration_s=inf", "ivector.n_components=1"):
+                         "corpus.max_duration_s=inf", "ivector.n_components=1",
+                         "ivector.dim=1"):
             code = main(["all"] + tiny_args(tmp_path / "x", [override]))
             assert code == 1, override
             lines = capsys.readouterr().err.splitlines()

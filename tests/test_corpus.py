@@ -1,6 +1,7 @@
 """Synthetic corpus generation: determinism, separation, structure."""
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -11,7 +12,6 @@ from xldv.corpus import (
     CorpusConfig,
     CorpusManifest,
     build_corpus,
-    check_inventory_separation,
     envelope_distance,
     expand_labels,
     frame_labels,
@@ -91,11 +91,19 @@ class TestInventory:
                 assert pf.envelope.tobytes() == ps.envelope.tobytes()
                 assert (pf.mean_duration_ms, pf.voiced) == (ps.mean_duration_ms, ps.voiced)
 
-    def test_separation_check_names_the_closest_pair(self):
-        a = make_inventory(7, "A", 4)
-        check_inventory_separation([a, make_inventory(7, "B", 4, avoid_inventories=[a])], 0.5)
-        with pytest.raises(InvalidArgumentError, match=r"A/A .*\(0\.000 < 0\.5\)"):
-            check_inventory_separation([a, a], 0.5)
+    def test_languages_built_in_turn_keep_every_cross_pair_above_the_floor(self):
+        # as build_corpus makes them: E, then A avoiding E, then B avoiding both.
+        # Without the language emphasis, templates made without avoid lists
+        # come as close as 0.408 here.
+        inventories = []
+        for lang in (corpus.TRAIN_LANGUAGE, *corpus.EVAL_LANGUAGES):
+            inventories.append(make_inventory(0, lang, 48, emphasis_db=0.0,
+                                              avoid_inventories=inventories))
+        for i, inv_a in enumerate(inventories):
+            for inv_b in inventories[i + 1:]:
+                for pa, pb in itertools.product(inv_a.phones, inv_b.phones):
+                    distance = envelope_distance(pa.envelope, pb.envelope)
+                    assert distance >= corpus.ENVELOPE_FLOOR, (inv_a.language_id, inv_b.language_id)
 
 
 class TestSpeakerSampling:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from xldv.ctdnn import CTDNNConfig, build_phone_aware, build_phone_blind
 from xldv.errors import InvalidArgumentError
-from xldv.nn import LayerSpec, NetworkGraph, grad_check
+from xldv.nn import LayerSpec, NetworkGraph
 
 SMALL = CTDNNConfig(
     n_speakers=5, conv1_channels=3, conv2_channels=4, bottleneck_dim=12,

@@ -1,10 +1,13 @@
 """Graph assembly, shape algebra, SGD semantics, and trainer behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
+from xldv import archive
 from xldv.ctdnn import CTDNNConfig, build_phone_blind
-from xldv.errors import InvalidArgumentError, NumericError, StateError
+from xldv.errors import DataError, InvalidArgumentError, NumericError, StateError
 from xldv.nn import LayerSpec, NetworkGraph, TrainState, sgd_step, softmax_xent, train
 
 SMALL = CTDNNConfig(
@@ -48,11 +51,26 @@ class TestGraphBuild:
     def test_checkpoint_round_trip(self, tmp_path):
         g = build_phone_blind(SMALL, seed=3, dtype=np.float64)
         path = tmp_path / "g.nnck"
-        g.save(path, extra_header={"variant": "phone-blind"})
-        g2, header = NetworkGraph.from_checkpoint(path)
+        g.save(path, extra_header={"kind": "ctdnn", "variant": "phone-blind"})
+        g2, header = NetworkGraph.from_checkpoint(path, "ctdnn")
         assert header["variant"] == "phone-blind"
         x = np.random.default_rng(0).normal(size=(1, 6, 40, 9))
         np.testing.assert_array_equal(g.forward(x), g2.forward(x))
+
+    @pytest.mark.parametrize("kind, drop, error", [
+        ("phone-classifier", None, "is a 'phone-classifier' checkpoint, not a 'ctdnn' one"),
+        ("ctdnn", "layer_specs", "network checkpoint lacks 'layer_specs'"),
+        ("ctdnn", "layer00.W", "network checkpoint lacks 'layer00.W'"),
+    ], ids=["wrong-kind", "no-layer-specs", "no-tensor"])
+    def test_bad_checkpoint_is_a_data_error(self, tmp_path, kind, drop, error):
+        path = tmp_path / "g.nnck"
+        build_phone_blind(SMALL, seed=3).save(path, extra_header={"kind": kind})
+        header, tensors = archive.load_checkpoint(path)
+        header.pop(drop, None)
+        tensors.pop(drop, None)
+        archive.save_checkpoint(path, header, tensors)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
+            NetworkGraph.from_checkpoint(path, "ctdnn")
 
 
 class TestBackwardProperties:

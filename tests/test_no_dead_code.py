@@ -2,9 +2,10 @@
 itself or by ``perfbench/``; code that only tests reach is deleted.
 
 A definition counts as used when its name appears as a ``Name``, an
-``Attribute`` or an imported name anywhere in ``src/`` or ``perfbench/``. The
-match is by name only, so it can miss dead code that shares a name with
-something live, but it never flags live code. Not checked: dunder methods,
+``Attribute`` or an imported name anywhere in ``src/`` or ``perfbench/``
+outside an ``__init__.py``: a package's re-export is not a use. The match is
+by name only, so it can miss dead code that shares a name with something
+live, but it never flags live code. Not checked: dunder methods,
 which Python calls, and methods that override a method of a base class from
 outside xldv (``argparse.ArgumentParser.error``), which that class calls.
 """
@@ -50,6 +51,8 @@ def _definitions():
 def _references():
     names = set()
     for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)

@@ -8,8 +8,8 @@ import logging
 import os
 import pathlib
 
-from test_config_cli import TINY_OVERRIDES, tiny_args
-from xldv import evalkit, pipeline, workers
+from test_config_cli import TINY_OVERRIDES, tiny_args, tiny_run  # noqa: F401 (fixture)
+from xldv import archive, evalkit, pipeline, workers
 from xldv.cli import build_parser, main
 from xldv.config import load_config
 
@@ -150,6 +150,15 @@ class TestBenchmarkContract:
                 assert process != os.getpid()  # emitted in a worker
                 counts[key] = counts.get(key, 0) + 1
         assert counts == {"plda_floors": 12, "lda_ridges": 3}  # as in a serial run
+
+    def test_backend_checkpoints_name_their_lda_dim(self, tiny_run):  # noqa: F811
+        # retune reads the header's top-level lda_dim to check its override took
+        paths = sorted((tiny_run / "models").glob("backend_*.nnck"))
+        assert len(paths) == len(evalkit.SYSTEMS)
+        for path in paths:
+            header, tensors = archive.load_checkpoint(path)
+            assert type(header["lda_dim"]) is int, path.name
+            assert header["lda_dim"] == tensors["lda.matrix"].shape[1], path.name
 
     def test_run_dir_files_the_worker_reads(self):
         assert pipeline.EER_TABLE == "results/eer.tsv"
