@@ -2,8 +2,9 @@
 
 Feature archive (``FARC``): magic ``FARC``, u16 version=2, then per record
 u16 id-length, the UTF-8 utterance id, u32 T, u32 D, T*D little-endian float32
-row-major, u32 CRC32 of the record bytes preceding the checksum. A record
-holds only its utterance id: the corpus manifest is the one record of each
+row-major, u32 CRC32 of the record bytes preceding the checksum. Reading
+yields those float32 rows as they are stored. A record holds only its
+utterance id: the corpus manifest is the one record of each
 utterance's speaker and language. Version 1 packed those (and the frame
 shift and length) into the id field; its archives are rejected as an
 unsupported version, never misread.
@@ -16,11 +17,14 @@ bytes after the version field.
 
 A model checkpoint's header names its ``kind``: ``ubm``, ``tmatrix`` and
 ``backend`` (``save_model``), ``ctdnn`` and ``phone-classifier``
-(``NetworkGraph.save``). ``save_model`` stores each array field of a
-dataclass part as the tensor ``<part>.<field>``, each other field as the
-header entry ``<part>.<field>``, and a bare array part as the tensor ``<part>``.
+(``NetworkGraph.save``), and a back-end its ``system`` and a CT-DNN its
+``variant``. The loaders take these identity entries as the writers do and
+check each. ``save_model`` stores each array field of a dataclass part as the
+tensor ``<part>.<field>``, each other field as the header entry
+``<part>.<field>``, and a bare array part as the tensor ``<part>``.
 """
 
+import collections
 import contextlib
 import dataclasses
 import json
@@ -96,6 +100,9 @@ def archive_write(feats, path):
 def archive_stream(path, utterance_ids=None):
     """Yield FeatureMatrix records one at a time (streaming read).
 
+    Each record holds the stored float32 rows, read-only; a consumer whose
+    arithmetic needs float64 casts them itself.
+
     With ``utterance_ids``, yield only their records, in archive order; after
     the last record, the first of them the archive lacks is a DataError
     naming the archive.
@@ -139,8 +146,7 @@ def archive_stream(path, utterance_ids=None):
                 raise FormatError("duplicate record id", rec_start, utt_id, path)
             seen.add(utt_id)
             if wanted is None or utt_id in wanted:
-                data = np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
-                yield FeatureMatrix(utt_id, data)
+                yield FeatureMatrix(utt_id, np.frombuffer(payload, dtype="<f4").reshape(t, d))
     missing = [u for u in wanted or () if u not in seen]
     if missing:
         raise DataError(f"{path}: no record for utterance {missing[0]!r}")
@@ -242,25 +248,28 @@ def save_model(path, header: dict, **parts):
     save_checkpoint(path, header, tensors)
 
 
-def load_kind(path, kind):
-    """``load_checkpoint`` of a checkpoint of ``kind``; another kind is a DataError."""
-    header, tensors = load_checkpoint(path)
-    if header.get("kind") != kind:
-        raise DataError(f"{path}: is a {header.get('kind')!r} checkpoint, not a {kind!r} one")
-    return header, tensors
+def load_kind(path, header):
+    """``load_checkpoint`` of a checkpoint that holds each entry of ``header``, the
+    identity its writer stored (``{"kind": "backend", "system": "ivector"}``).
+
+    An entry that differs is a DataError naming the file and the entry."""
+    stored, tensors = load_checkpoint(path)
+    for key, value in header.items():
+        if stored.get(key) != value:
+            raise DataError(f"{path}: checkpoint {key} is {stored.get(key)!r}, not {value!r}")
+    return stored, tensors
 
 
-def load_model(path, kind, **parts):
-    """The ``parts`` of a ``save_model`` checkpoint of ``kind``, by name.
+def load_model(path, header, **parts):
+    """The ``parts`` of a ``save_model`` checkpoint, by name; ``header`` as in ``load_kind``.
 
-    Each part names its dataclass, or ``np.ndarray`` for a bare array. Another
-    kind, or a missing field, is a DataError naming ``path``.
+    Each part names its dataclass, or ``np.ndarray`` for a bare array. A
+    missing field is a DataError naming ``path``.
     """
-    header, tensors = load_kind(path, kind)
-    stored = {**header, **tensors}
+    stored = collections.ChainMap(*load_kind(path, header))
     try:
         return {name: stored[name] if cls is np.ndarray
                 else cls(**{f.name: stored[f"{name}.{f.name}"] for f in dataclasses.fields(cls)})
                 for name, cls in parts.items()}
     except KeyError as exc:
-        raise DataError(f"{path}: {kind} checkpoint lacks {exc}") from None
+        raise DataError(f"{path}: {header['kind']} checkpoint lacks {exc}") from None

@@ -103,20 +103,17 @@ def _scatters(x, labels):
         s_w += dev.T @ dev
         diff = (mc - mu)[:, None]
         s_b += xc.shape[0] * (diff @ diff.T)
-    return s_b / x.shape[0], s_w / x.shape[0], mu, classes
+    return s_b / x.shape[0], s_w / x.shape[0], classes
 
 
-@dataclass
-class LDAProjection:
-    mean: np.ndarray  # (D,)
-    matrix: np.ndarray  # (D, K); projected within-class covariance is identity
-    eigenvalues: np.ndarray  # (K,), descending
+def train_lda(vectors, labels, k) -> np.ndarray:
+    """Solve S_b v = lambda S_w v; the (D, k) matrix of the top-k directions.
 
-
-def train_lda(vectors, labels, k) -> LDAProjection:
-    """Solve S_b v = lambda S_w v; keep the top-k whitening directions."""
+    Its columns are scaled so that the projected within-class covariance is
+    the identity. Projection centres by the training mean, ``PLDAModel.mu``.
+    """
     x = np.asarray(vectors, dtype=np.float64)
-    s_b, s_w, mu, classes = _scatters(x, labels)
+    s_b, s_w, classes = _scatters(x, labels)
     if len(classes) < 2:
         raise InvalidArgumentError("LDA needs at least 2 classes")
     k_max = min(x.shape[1], len(classes) - 1)
@@ -138,17 +135,7 @@ def train_lda(vectors, labels, k) -> LDAProjection:
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             raise NumericError(
                 f"LDA: within-class scatter singular even with ridge {ridge:.3g}") from None
-    order = np.argsort(evals)[::-1][:k]
-    return LDAProjection(mean=mu, matrix=evecs[:, order], eigenvalues=evals[order])
-
-
-def lda_project(lda: LDAProjection, vectors) -> np.ndarray:
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.shape[-1] != lda.mean.shape[0]:
-        raise InvalidArgumentError(
-            f"LDA expects dim {lda.mean.shape[0]}, got {x.shape[-1]}"
-        )
-    return (x - lda.mean) @ lda.matrix
+    return evecs[:, np.argsort(evals)[::-1][:k]]
 
 
 @dataclass
@@ -223,7 +210,7 @@ def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
         raise InvalidArgumentError("PLDA needs some class with >= 2 examples")
     n, d = x.shape
     mu = x.mean(axis=0)
-    s_b, s_w, _, _ = _scatters(x, labels)
+    s_b, s_w, _ = _scatters(x, labels)
     phi_w, floored = _floor_spd(s_w, 1e-8)
     if floored:
         log.info("PLDA init: within-class covariance floored")
@@ -261,15 +248,17 @@ def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
 
 
 class CosineScorer:
-    """Cosine over (optionally LDA-projected) embeddings."""
+    """Cosine over embeddings, or over ``(x - mu) @ lda`` given an LDA matrix
+    and the training mean it was fitted around."""
 
-    def __init__(self, lda: LDAProjection = None):
+    def __init__(self, lda=None, mu=None):
         self.lda = lda
+        self.mu = mu
 
     def prepare(self, vectors):
         x = np.asarray(vectors, dtype=np.float64)
         if self.lda is not None:
-            x = lda_project(self.lda, x)
+            x = (x - self.mu) @ self.lda
         norms = np.linalg.norm(x, axis=1)
         if np.any(norms <= EPS_NORM):
             raise DegenerateInputError("cosine of a zero vector")

@@ -85,7 +85,9 @@ LARGE_SCALE_THRESHOLDS = {
 
 
 def _parse_value(key, raw, line=None):
-    field = SCHEMA[key]
+    field = SCHEMA.get(key)
+    if field is None:
+        raise ConfigError(f"unknown key {key!r}", line=line)
     raw = raw.strip()
     try:
         value = field.type(raw)
@@ -101,21 +103,14 @@ class ExperimentConfig:
 
     def __init__(self, values=None):
         self.values = {k: f.default for k, f in SCHEMA.items()}
-        self._explicit_seeds = set()
-        if values:
-            for k, v in values.items():
-                if k not in SCHEMA:
-                    raise ConfigError(f"unknown key {k!r}")
-                self.values[k] = v
-                if k.endswith(".seed") and k != "experiment.seed" and v != -1:
-                    self._explicit_seeds.add(k)
-        self._materialize_seeds()
-
-    def _materialize_seeds(self):
+        for k, v in (values or {}).items():
+            if k not in SCHEMA:
+                raise ConfigError(f"unknown key {k!r}")
+            self.values[k] = v
         master = self.values["experiment.seed"]
         for section in DERIVED_SEED_SECTIONS:
             key = f"{section}.seed"
-            if key not in self._explicit_seeds:
+            if self.values[key] == -1:
                 rng = derive_rng(master, "section-seed", section)
                 self.values[key] = int(rng.integers(0, 2**31 - 1))
 
@@ -123,18 +118,6 @@ class ExperimentConfig:
         if key not in self.values:
             raise ConfigError(f"unknown key {key!r}")
         return self.values[key]
-
-    def set(self, key, raw_value):
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
-        value = _parse_value(key, str(raw_value))
-        self.values[key] = value
-        if key.endswith(".seed") and key != "experiment.seed":
-            if value == -1:
-                self._explicit_seeds.discard(key)
-            else:
-                self._explicit_seeds.add(key)
-        self._materialize_seeds()
 
     def canonical_text(self):
         return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
@@ -194,8 +177,6 @@ def parse_config_text(text) -> dict:
             raise ConfigError(f"expected 'section.key = value', got {raw_line!r}",
                               line=lineno)
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         values[key] = _parse_value(key, raw_value, line=lineno)
@@ -212,10 +193,9 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         values = parse_config_text(text)
-    config = ExperimentConfig(values)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
-        key, raw = item.split("=", 1)
-        config.set(key.strip(), raw.strip())
-    return config.validate()
+        key, raw = (part.strip() for part in item.split("=", 1))
+        values[key] = _parse_value(key, raw)
+    return ExperimentConfig(values).validate()

@@ -239,7 +239,7 @@ def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig,
         factors = None
         if factors_by_utt is not None:
             factors = np.asarray(factors_by_utt[feat.utterance_id], dtype=np.float32)
-        items.append((feat.data.astype(np.float32), factors,
+        items.append((np.asarray(feat.data, np.float32), factors,
                       np.full(feat.n_frames, labels_by_utt[feat.utterance_id],
                               dtype=np.int64)))
     return ChunkDataset(items, _splice_maps,

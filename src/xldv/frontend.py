@@ -1,9 +1,11 @@
 """Acoustic front-end: log mel filterbanks, MFCCs, deltas, CMVN.
 
 All operations are pure per-utterance functions returning new FeatureMatrix
-objects. Framing is 25 ms windows every 10 ms with a Hamming window. Temporal
-context is edge-replicated throughout: ``edge_index`` is the one gather rule
-for deltas here and for splicing, chunking and network time context elsewhere.
+objects; ``fbank`` and ``mfcc`` compute in float64, and the feature archives
+store float32 rows. Framing is 25 ms windows every 10 ms with a Hamming
+window. Temporal context is edge-replicated throughout: ``edge_index`` is the
+one gather rule for deltas here and for splicing, chunking and network time
+context elsewhere.
 """
 
 from dataclasses import dataclass, replace
@@ -28,17 +30,19 @@ CMVN_VAR_FLOOR = 1e-10
 class FeatureMatrix:
     """T x D feature matrix of one utterance.
 
-    ``data`` is always float64, C-contiguous, with T >= 1 rows. The id must
-    not contain tab or newline characters (the run directory's TSVs use them
-    as separators). The corpus manifest holds the utterance's speaker and
-    language.
+    ``data`` is C-contiguous with T >= 1 rows. Float32 rows stay float32, so
+    the records an archive yields are not copied; any other input becomes
+    float64. The id must not contain tab or newline characters (the run
+    directory's TSVs use them as separators). The corpus manifest holds the
+    utterance's speaker and language.
     """
 
     utterance_id: str
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        f32 = getattr(self.data, "dtype", None) == np.float32
+        self.data = np.ascontiguousarray(self.data, dtype=np.float32 if f32 else np.float64)
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise InvalidArgumentError(
                 f"feature matrix must be 2-D with T,D >= 1, got shape {self.data.shape}"

@@ -178,14 +178,15 @@ class NetworkGraph:
         archive.save_checkpoint(path, self.state_header(extra_header), self.tensors())
 
     @classmethod
-    def from_checkpoint(cls, path, kind):
-        """The graph saved at ``path`` and its header, whose ``kind`` must be ``kind``."""
-        header, tensors = archive.load_kind(path, kind)
+    def from_checkpoint(cls, path, header):
+        """The graph saved at ``path`` and its stored header, which must hold each
+        entry of ``header`` (``{"kind": "ctdnn", "variant": "phone-blind"}``)."""
+        stored, tensors = archive.load_kind(path, header)
         try:
-            graph = cls([LayerSpec.from_dict(d) for d in header["layer_specs"]],
-                        tuple(header["input_shape"]), seed=header["seed"],
-                        dtype=np.dtype(header["dtype"]),
-                        input_context=tuple(header["input_context"]), aux=header["aux"])
+            graph = cls([LayerSpec.from_dict(d) for d in stored["layer_specs"]],
+                        tuple(stored["input_shape"]), seed=stored["seed"],
+                        dtype=np.dtype(stored["dtype"]),
+                        input_context=tuple(stored["input_context"]), aux=stored["aux"])
         except KeyError as exc:
             raise DataError(f"{path}: network checkpoint lacks {exc}") from None
         for i, layer in enumerate(graph.layers):
@@ -199,7 +200,7 @@ class NetworkGraph:
                         f"expected {layer.params[name].shape}"
                     )
                 layer.params[name] = tensors[key].astype(graph.dtype)
-        return graph, header
+        return graph, stored
 
 
 def softmax_xent(logits, labels):

@@ -63,7 +63,7 @@ def make_phone_dataset(feats, labels_by_utt, val_fraction=0.05, seed=0):
             raise InvalidArgumentError(
                 f"{feat.utterance_id}: {labels.shape[0]} labels for {feat.n_frames} frames"
             )
-        items.append((feat.data.astype(np.float32), None, labels))
+        items.append((np.asarray(feat.data, np.float32), None, labels))
     return ChunkDataset(items, operator.getitem, CHUNK_FRAMES, BATCH_CHUNKS,
                         val_fraction, seed)
 

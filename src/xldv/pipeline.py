@@ -348,7 +348,7 @@ def stage_train_asr(ctx: Context):
         for rec in manifest.records:
             feat = feats[rec.utterance_id]
             factors = phonenet.linguistic_factor(extractor, graph, feat)
-            yield frontend.FeatureMatrix(rec.utterance_id, factors.astype(np.float32))
+            yield frontend.FeatureMatrix(rec.utterance_id, factors)
 
     archive.archive_write(factor_records(), ctx.path(FACTORS))
 
@@ -384,11 +384,6 @@ def _train_one_ctdnn(ctx: Context, train_feats, labels, aware: bool):
         extra_header={
             "kind": "ctdnn",
             "variant": variant,
-            "input_signature": {
-                "feature": "fbank+cmvn",
-                "n_mels": frontend.N_MELS,
-                "splice": [ctdnn.SPLICE, ctdnn.SPLICE],
-            },
             "val_accuracy": result.val_accuracy,
             "val_loss": result.val_loss,
         },
@@ -409,8 +404,8 @@ def stage_train_ctdnn(ctx: Context):
 def _ubm_sample(ctx: Context):
     """The training utterances' MFCC frames, subsampled to ``ivector.ubm_frames``.
 
-    The per-utterance rows and their concatenation are freed on return, so
-    they are not held through UBM training.
+    Returned as float64; the float32 rows, their concatenation and its
+    subsample are freed on return, so UBM training holds only that copy.
     """
     cfg = ctx.config
     train_ids = [r.utterance_id for r in _load_manifest(ctx).utterances("train")]
@@ -420,7 +415,7 @@ def _ubm_sample(ctx: Context):
     if frames.shape[0] > budget:
         rng = corpus.derive_rng(cfg["ivector.seed"], "ubm-subsample")
         frames = frames[rng.choice(frames.shape[0], budget, replace=False)]
-    return frames
+    return frames.astype(np.float64)
 
 
 def stage_train_ubm(ctx: Context):
@@ -436,7 +431,7 @@ def stage_train_ubm(ctx: Context):
 def stage_train_tv(ctx: Context):
     cfg = ctx.config
     manifest = _load_manifest(ctx)
-    ubm = archive.load_model(ctx.path(UBM_MODEL), "ubm", ubm=ivector.UBM)["ubm"]
+    ubm = archive.load_model(ctx.path(UBM_MODEL), {"kind": "ubm"}, ubm=ivector.UBM)["ubm"]
     train_ids = [r.utterance_id for r in manifest.utterances("train")]
     stats = [ivector.accumulate_stats(ubm, feat)
              for feat in archive.archive_stream(ctx.path(MFCC), train_ids)]
@@ -465,11 +460,12 @@ def stage_extract(ctx: Context):
     # checkpoints load here, once; each system's worker reads its own archives
     graphs = {
         f"dvector-{variant}":
-            NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)), "ctdnn")[0]
+            NetworkGraph.from_checkpoint(ctx.path(ctdnn_model(aware)),
+                                         {"kind": "ctdnn", "variant": variant})[0]
         for aware, variant in CTDNN_VARIANTS.items()
     }
-    ubm = archive.load_model(ctx.path(UBM_MODEL), "ubm", ubm=ivector.UBM)["ubm"]
-    tmat = archive.load_model(ctx.path(TMATRIX_MODEL), "tmatrix",
+    ubm = archive.load_model(ctx.path(UBM_MODEL), {"kind": "ubm"}, ubm=ivector.UBM)["ubm"]
+    tmat = archive.load_model(ctx.path(TMATRIX_MODEL), {"kind": "tmatrix"},
                               tmatrix=ivector.TMatrix)["tmatrix"]
 
     def embed(system):
@@ -535,13 +531,13 @@ def stage_score(ctx: Context):
         trial_lists[cond] = trials
     for system in SYSTEMS:
         mean, lda, plda = archive.load_model(
-            ctx.path(backend_model(system)), "backend",
-            mean=np.ndarray, lda=backend.LDAProjection, plda=backend.PLDAModel).values()
+            ctx.path(backend_model(system)), {"kind": "backend", "system": system},
+            mean=np.ndarray, lda=np.ndarray, plda=backend.PLDAModel).values()
         emb = backend.EmbeddingSet.from_archive(ctx.path(embedding_file(system, "eval")))
         emb.vectors = backend.center_lengthnorm(emb.vectors, mean)
         scorers = {
             "cosine": backend.CosineScorer(),
-            "lda": backend.CosineScorer(lda=lda),
+            "lda": backend.CosineScorer(lda, plda.mu),
             "plda": backend.PLDAScorer(plda),
         }
         for cond, trials in trial_lists.items():
@@ -617,14 +613,14 @@ STAGES = (
     Stage("train-asr", CORPUS_FILES + (FBANK,), (ASR_MODEL, FACTORS), stage_train_asr,
           version=3),
     Stage("train-ctdnn", CORPUS_FILES + (FBANK, FACTORS), _CTDNN_MODELS,
-          stage_train_ctdnn),
+          stage_train_ctdnn, version=2),
     Stage("train-ubm", CORPUS_FILES + (MFCC,), (UBM_MODEL,), stage_train_ubm, version=2),
     Stage("train-tv", CORPUS_FILES + (MFCC, UBM_MODEL), (TMATRIX_MODEL,), stage_train_tv,
           version=3),
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=3),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train,
-          version=2),
+          version=3),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
           version=2),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),

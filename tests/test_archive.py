@@ -43,7 +43,8 @@ class TestFeatureArchive:
         assert len(back) == 3
         for a, b in zip(feats, back):
             assert a.utterance_id == b.utterance_id
-            assert a.data.tobytes() == b.data.tobytes()
+            assert b.data.dtype == np.float32
+            assert b.data.tobytes() == a.data.astype(np.float32).tobytes()
 
     def test_record_holds_only_the_utterance_id(self, tmp_path):
         path = tmp_path / "one.farc"
@@ -139,7 +140,9 @@ class TestFeatureArchive:
         back = archive_read_dict(path, ["utt3", "utt1"])
         assert list(back) == ["utt1", "utt3"]  # archive order, the others skipped
         for feat in (feats[1], feats[3]):
-            assert back[feat.utterance_id].data.tobytes() == feat.data.tobytes()
+            data = back[feat.utterance_id].data
+            assert data.dtype == np.float32
+            assert data.tobytes() == feat.data.astype(np.float32).tobytes()
 
     def test_missing_id_names_the_archive_after_the_last_record(self, tmp_path):
         path = tmp_path / "m.farc"
@@ -207,7 +210,7 @@ class TestModelCodec:
         assert header == {"kind": "demo", "note": "x", "demo.history": [0.5, -1.25],
                           "demo.order": 3}
         assert sorted(tensors) == ["demo.weights", "offset"]
-        parts = load_model(path, "demo", demo=Demo, offset=np.ndarray)
+        parts = load_model(path, {"kind": "demo", "note": "x"}, demo=Demo, offset=np.ndarray)
         assert list(parts) == ["demo", "offset"]
         back = parts["demo"]
         np.testing.assert_array_equal(back.weights, demo.weights)
@@ -218,9 +221,19 @@ class TestModelCodec:
     def test_wrong_kind_is_a_data_error(self, tmp_path):
         path = tmp_path / "m.nnck"
         self.save_demo(path)
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: is a 'demo' checkpoint, "
-                                            "not a 'ubm' one$"):
-            load_model(path, "ubm", demo=Demo)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: checkpoint kind is "
+                                            "'demo', not 'ubm'$"):
+            load_model(path, {"kind": "ubm", "note": "y"}, demo=Demo)
+
+    @pytest.mark.parametrize("header, error", [
+        ({"kind": "demo", "note": "y"}, "checkpoint note is 'x', not 'y'"),
+        ({"kind": "demo", "system": "ivector"}, "checkpoint system is None, not 'ivector'"),
+    ], ids=["differs", "absent"])
+    def test_wrong_identity_entry_is_a_data_error(self, tmp_path, header, error):
+        path = tmp_path / "m.nnck"
+        self.save_demo(path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
+            load_model(path, header, demo=Demo)
 
     @pytest.mark.parametrize("drop", ["demo.weights", "demo.order", "offset"])
     def test_missing_field_is_a_data_error(self, tmp_path, drop):
@@ -232,7 +245,7 @@ class TestModelCodec:
         save_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: demo checkpoint lacks "
                                             f"'{drop}'$"):
-            load_model(path, "demo", demo=Demo, offset=np.ndarray)
+            load_model(path, {"kind": "demo"}, demo=Demo, offset=np.ndarray)
 
 
 class TestAtomicOpen:

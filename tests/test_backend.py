@@ -8,12 +8,11 @@ from scipy import integrate, stats
 from xldv.backend import (
     CosineScorer,
     EmbeddingSet,
-    LDAProjection,
     PLDAScorer,
     _plda_loglik,
+    _scatters,
     center_lengthnorm,
     cosine_score,
-    lda_project,
     train_lda,
     train_plda,
 )
@@ -88,7 +87,7 @@ class TestLda:
         x = rng.normal(0.0, 1.0, (2 * n, 2))
         x[labels == 1, 0] += 8.0
         lda = train_lda(x, labels, 1)
-        direction = lda.matrix[:, 0] / np.linalg.norm(lda.matrix[:, 0])
+        direction = lda[:, 0] / np.linalg.norm(lda[:, 0])
         angle = np.degrees(np.arccos(min(abs(direction[0]), 1.0)))
         assert angle < 1.0
 
@@ -100,7 +99,7 @@ class TestLda:
         x = centers[labels] + rng.normal(size=(n_classes * per, d))
         k = min(d, n_classes - 1)
         lda = train_lda(x, labels, k)
-        projected = lda_project(lda, x)
+        projected = (x - x.mean(axis=0)) @ lda
         s_w = np.zeros((k, k))
         for cls in range(n_classes):
             dev = projected[labels == cls] - projected[labels == cls].mean(axis=0)
@@ -115,13 +114,18 @@ class TestLda:
         labels = np.repeat(np.arange(4), 100)
         centers = rng.normal(0.0, 3.0, (4, 5))
         x = centers[labels] + rng.normal(size=(400, 5))
-        signal = train_lda(x, labels, 1).eigenvalues[0]
-        perms = [
-            train_lda(x, rng.permutation(labels), 1).eigenvalues[0]
-            for _ in range(10)
-        ]
+
+        def leading_eigenvalue(labels):
+            # eigh scales w so that w^T S_w w = 1, so lambda = w^T S_b w
+            w = train_lda(x, labels, 1)[:, 0]
+            s_b, s_w, _ = _scatters(x, labels)
+            np.testing.assert_allclose(w @ s_w @ w, 1.0, rtol=1e-9)
+            return w @ s_b @ w
+
+        signal = leading_eigenvalue(labels)
+        perms = [leading_eigenvalue(rng.permutation(labels)) for _ in range(10)]
         assert signal > 10 * max(perms)
-        shuffled = train_lda(x, rng.permutation(labels), 1).eigenvalues[0]
+        shuffled = leading_eigenvalue(rng.permutation(labels))
         assert shuffled < 3 * max(perms)
 
     def test_identity_projection_on_whitened_two_class_data(self):
@@ -129,27 +133,8 @@ class TestLda:
         labels = np.repeat([0, 1], 100)
         x = rng.normal(size=(200, 1)) + labels[:, None] * 5.0
         lda = train_lda(x, labels, 1)
-        projected = lda_project(lda, x)
-        assert projected.shape == (200, 1)
-
-    def test_zero_vector_maps_to_projected_negative_mean(self):
-        lda = LDAProjection(
-            mean=np.array([1.0, 2.0]), matrix=np.eye(2), eigenvalues=np.ones(2)
-        )
-        np.testing.assert_allclose(
-            lda_project(lda, np.zeros(2)), -lda.mean, atol=1e-12
-        )
-
-    def test_random_input_matches_direct_multiply(self):
-        rng = np.random.default_rng(8)
-        lda = LDAProjection(
-            mean=rng.normal(size=4), matrix=rng.normal(size=(4, 2)),
-            eigenvalues=np.ones(2),
-        )
-        x = rng.normal(size=4)
-        np.testing.assert_allclose(
-            lda_project(lda, x), (x - lda.mean) @ lda.matrix, atol=1e-12
-        )
+        assert lda.shape == (1, 1)
+        assert ((x - x.mean(axis=0)) @ lda).shape == (200, 1)
 
     def test_k_bounds(self):
         rng = np.random.default_rng(9)
@@ -173,7 +158,7 @@ class TestLda:
         deviation = spread - np.repeat(spread.reshape(4, 2).mean(axis=1), 2)
         ridge = 1e-8 * np.mean(deviation**2) / 3
         assert caplog.messages == [f"LDA: within-class scatter singular, ridge {ridge:.3g} added"]
-        assert np.all(np.isfinite(lda.matrix))
+        assert np.all(np.isfinite(lda))
 
     def test_zero_within_class_scatter_is_a_numeric_error(self):
         # each class a single point, as 1-D length-normed vectors of one sign are

@@ -170,6 +170,19 @@ class TestConfig:
         # perfbench runs these files; a new bound must not reject them
         load_config(os.path.join(ROOT, "perfbench", "workloads", f"{workload}.ini"))
 
+    def test_override_replaces_the_file_value(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("corpus.n_train_utts = 9\ncorpus.seed = 777\n")
+        cfg = load_config(path, ["corpus.n_train_utts=12", "corpus.seed=-1"])
+        assert cfg["corpus.n_train_utts"] == 12
+        assert cfg["corpus.seed"] == load_config(None)["corpus.seed"]  # -1 derives it again
+        assert load_config(path, ["experiment.seed=5"])["corpus.seed"] == 777
+
+    def test_override_without_equals_sign_is_rejected(self):
+        with pytest.raises(ConfigError, match="^override must look like section.key=value: "
+                                              "'corpus.n_phones'$"):
+            load_config(None, ["corpus.n_phones"])
+
     def test_canonical_hash_stable_under_override_order(self):
         c1 = load_config(None, ["corpus.n_train_utts=9", "ivector.dim=50"])
         c2 = load_config(None, ["ivector.dim=50", "corpus.n_train_utts=9"])
@@ -305,8 +318,24 @@ class TestCli:
         shutil.copyfile(models / src, models / dst)
         assert main([stage] + tiny_args(run_copy)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"xldv: error: data: {models / dst}: is a ")
+        assert err.startswith(f"xldv: error: data: {models / dst}: checkpoint kind is ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("src, dst, stage, entry", [
+        ("backend_dvector-phone-aware.nnck", "backend_dvector-phone-blind.nnck", "score",
+         "system is 'dvector-phone-aware', not 'dvector-phone-blind'"),
+        ("backend_ivector.nnck", "backend_dvector-phone-blind.nnck", "score",
+         "system is 'ivector', not 'dvector-phone-blind'"),
+        ("ctdnn_aware.nnck", "ctdnn_blind.nnck", "extract",
+         "variant is 'phone-aware', not 'phone-blind'"),
+    ], ids=["aware-backend", "ivector-backend", "aware-ctdnn"])
+    def test_checkpoint_of_another_system_exits_two(self, run_copy, capsys, src, dst, stage,
+                                                    entry):
+        models = run_copy / "models"
+        shutil.copyfile(models / src, models / dst)
+        assert main([stage] + tiny_args(run_copy)) == 2
+        assert capsys.readouterr().err == (
+            f"xldv: error: data: {models / dst}: checkpoint {entry}\n")
 
     def test_checkpoint_without_a_field_exits_two(self, run_copy, capsys):
         path = run_copy / pipeline.TMATRIX_MODEL

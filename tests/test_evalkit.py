@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xldv.backend import CosineScorer, EmbeddingSet, cosine_score, lda_project, train_lda
+from xldv.backend import CosineScorer, EmbeddingSet, cosine_score, train_lda
 from xldv.corpus import CorpusConfig, CorpusManifest, UttRecord, build_corpus
 from xldv.errors import InvalidArgumentError, NumericError
 from xldv.evalkit import (
@@ -165,9 +165,10 @@ class TestScoreTrials:
         manifest = toy_manifest(n_spk=4, utts_per_lang=3)
         emb = self._embeddings(manifest)
         lda = train_lda(emb.vectors, [r.speaker_id for r in manifest.records], 3)
+        mu = emb.vectors.mean(axis=0)
         trials = make_trials(manifest, "A/B")
-        scores = score_trials(CosineScorer(lda=lda), emb, trials).scores
-        expected = [cosine_score(lda_project(lda, a), lda_project(lda, b))
+        scores = score_trials(CosineScorer(lda, mu), emb, trials).scores
+        expected = [cosine_score((a - mu) @ lda, (b - mu) @ lda)
                     for a, b in zip(self._rows(emb, trials.enroll),
                                     self._rows(emb, trials.test))]
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)

@@ -31,6 +31,22 @@ def tone(freq, duration_s=2.5, amp=0.5):
     return make_utt(amp * np.sin(2 * np.pi * freq * t))
 
 
+class TestFeatureMatrix:
+    def test_float32_rows_are_kept_without_a_copy(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        assert FeatureMatrix("u", rows).data is rows
+
+    @pytest.mark.parametrize("rows", [np.ones((3, 4), dtype=np.int16), [[1.0, 2.0]],
+                                      np.ones((4, 3), dtype=np.float32).T],
+                             ids=["int16", "list", "non-contiguous-float32"])
+    def test_other_rows_become_contiguous(self, rows):
+        data = FeatureMatrix("u", rows).data
+        assert data.flags.c_contiguous
+        assert data.dtype == (np.float32 if np.asarray(rows).dtype == np.float32
+                              else np.float64)
+        np.testing.assert_array_equal(data, rows)
+
+
 class TestFbank:
     def test_framing_arithmetic(self):
         feat = fbank(tone(440.0, duration_s=2.5))

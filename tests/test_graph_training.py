@@ -52,25 +52,28 @@ class TestGraphBuild:
         g = build_phone_blind(SMALL, seed=3, dtype=np.float64)
         path = tmp_path / "g.nnck"
         g.save(path, extra_header={"kind": "ctdnn", "variant": "phone-blind"})
-        g2, header = NetworkGraph.from_checkpoint(path, "ctdnn")
+        g2, header = NetworkGraph.from_checkpoint(path, {"kind": "ctdnn",
+                                                          "variant": "phone-blind"})
         assert header["variant"] == "phone-blind"
         x = np.random.default_rng(0).normal(size=(1, 6, 40, 9))
         np.testing.assert_array_equal(g.forward(x), g2.forward(x))
 
     @pytest.mark.parametrize("kind, drop, error", [
-        ("phone-classifier", None, "is a 'phone-classifier' checkpoint, not a 'ctdnn' one"),
+        ("phone-classifier", None, "checkpoint kind is 'phone-classifier', not 'ctdnn'"),
+        ("ctdnn", "variant", "checkpoint variant is None, not 'phone-blind'"),
         ("ctdnn", "layer_specs", "network checkpoint lacks 'layer_specs'"),
         ("ctdnn", "layer00.W", "network checkpoint lacks 'layer00.W'"),
-    ], ids=["wrong-kind", "no-layer-specs", "no-tensor"])
+    ], ids=["wrong-kind", "no-variant", "no-layer-specs", "no-tensor"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, kind, drop, error):
         path = tmp_path / "g.nnck"
-        build_phone_blind(SMALL, seed=3).save(path, extra_header={"kind": kind})
+        build_phone_blind(SMALL, seed=3).save(
+            path, extra_header={"kind": kind, "variant": "phone-blind"})
         header, tensors = archive.load_checkpoint(path)
         header.pop(drop, None)
         tensors.pop(drop, None)
         archive.save_checkpoint(path, header, tensors)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
-            NetworkGraph.from_checkpoint(path, "ctdnn")
+            NetworkGraph.from_checkpoint(path, {"kind": "ctdnn", "variant": "phone-blind"})
 
 
 class TestBackwardProperties:

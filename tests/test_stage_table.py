@@ -158,7 +158,7 @@ class TestBenchmarkContract:
         for path in paths:
             header, tensors = archive.load_checkpoint(path)
             assert type(header["lda_dim"]) is int, path.name
-            assert header["lda_dim"] == tensors["lda.matrix"].shape[1], path.name
+            assert header["lda_dim"] == tensors["lda"].shape[1], path.name
 
     def test_run_dir_files_the_worker_reads(self):
         assert pipeline.EER_TABLE == "results/eer.tsv"
