@@ -510,8 +510,9 @@ def _train_backend(ctx: Context, system):
     k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)
     if k < cfg["backend.lda_dim"]:
         log.info("%s: LDA dim clamped to %d", system, k)
-    lda = backend.train_lda(normed, labels, k)
-    plda = backend.train_plda(normed, labels, n_iters=cfg["backend.plda_iters"])
+    span = backend.TrainingSpan(normed, labels)
+    lda = backend.train_lda(span, k)
+    plda = backend.train_plda(span, n_iters=cfg["backend.plda_iters"])
     # perfbench's retune check reads the top-level lda_dim
     archive.save_model(ctx.path(backend_model(system)),
                        {"kind": "backend", "system": system, "lda_dim": int(k)},
@@ -620,7 +621,7 @@ STAGES = (
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=3),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train,
-          version=3),
+          version=4),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
           version=2),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),

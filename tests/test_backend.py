@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 from scipy import integrate, stats
 
+import backend_reference as dense
 from xldv.backend import (
     CosineScorer,
     EmbeddingSet,
     PLDAScorer,
+    TrainingSpan,
     _plda_loglik,
-    _scatters,
     center_lengthnorm,
     cosine_score,
     train_lda,
@@ -86,7 +87,7 @@ class TestLda:
         labels = np.repeat([0, 1], n)
         x = rng.normal(0.0, 1.0, (2 * n, 2))
         x[labels == 1, 0] += 8.0
-        lda = train_lda(x, labels, 1)
+        lda = train_lda(TrainingSpan(x, labels), 1)
         direction = lda[:, 0] / np.linalg.norm(lda[:, 0])
         angle = np.degrees(np.arccos(min(abs(direction[0]), 1.0)))
         assert angle < 1.0
@@ -98,7 +99,7 @@ class TestLda:
         centers = rng.normal(0.0, 3.0, (n_classes, d))
         x = centers[labels] + rng.normal(size=(n_classes * per, d))
         k = min(d, n_classes - 1)
-        lda = train_lda(x, labels, k)
+        lda = train_lda(TrainingSpan(x, labels), k)
         projected = (x - x.mean(axis=0)) @ lda
         s_w = np.zeros((k, k))
         for cls in range(n_classes):
@@ -117,8 +118,8 @@ class TestLda:
 
         def leading_eigenvalue(labels):
             # eigh scales w so that w^T S_w w = 1, so lambda = w^T S_b w
-            w = train_lda(x, labels, 1)[:, 0]
-            s_b, s_w, _ = _scatters(x, labels)
+            w = train_lda(TrainingSpan(x, labels), 1)[:, 0]
+            s_b, s_w, _ = dense._scatters(x, labels)
             np.testing.assert_allclose(w @ s_w @ w, 1.0, rtol=1e-9)
             return w @ s_b @ w
 
@@ -132,7 +133,7 @@ class TestLda:
         rng = np.random.default_rng(7)
         labels = np.repeat([0, 1], 100)
         x = rng.normal(size=(200, 1)) + labels[:, None] * 5.0
-        lda = train_lda(x, labels, 1)
+        lda = train_lda(TrainingSpan(x, labels), 1)
         assert lda.shape == (1, 1)
         assert ((x - x.mean(axis=0)) @ lda).shape == (200, 1)
 
@@ -141,9 +142,9 @@ class TestLda:
         labels = np.repeat([0, 1], 10)
         x = rng.normal(size=(20, 5))
         with pytest.raises(InvalidArgumentError):
-            train_lda(x, labels, 2)  # min(D, classes-1) = 1
+            train_lda(TrainingSpan(x, labels), 2)  # min(D, classes-1) = 1
         with pytest.raises(InvalidArgumentError):
-            train_lda(x, np.zeros(20, dtype=int), 1)  # single class
+            train_lda(TrainingSpan(x, np.zeros(20, dtype=int)), 1)  # single class
 
     def test_singular_scatter_gets_the_trace_scaled_ridge(self, caplog):
         # classes spread along axis 0 only: the within-class scatter is zero
@@ -154,7 +155,7 @@ class TestLda:
         x = rng.normal(size=(4, 3))[labels]
         x[:, 0] += spread
         with caplog.at_level("INFO", logger="xldv.backend"):
-            lda = train_lda(x, labels, 1)
+            lda = train_lda(TrainingSpan(x, labels), 1)
         deviation = spread - np.repeat(spread.reshape(4, 2).mean(axis=1), 2)
         ridge = 1e-8 * np.mean(deviation**2) / 3
         assert caplog.messages == [f"LDA: within-class scatter singular, ridge {ridge:.3g} added"]
@@ -164,7 +165,7 @@ class TestLda:
         # each class a single point, as 1-D length-normed vectors of one sign are
         x = np.repeat([[1.0], [-1.0], [1.0]], 2, axis=0)
         with pytest.raises(NumericError, match="within-class scatter is zero"):
-            train_lda(x, np.repeat(np.arange(3), 2), 1)
+            train_lda(TrainingSpan(x, np.repeat(np.arange(3), 2)), 1)
 
     def test_failed_ridge_retry_is_a_numeric_error(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -174,7 +175,26 @@ class TestLda:
         rng = np.random.default_rng(11)
         labels = np.repeat(np.arange(3), 4)
         with pytest.raises(NumericError, match="singular even with ridge"):
-            train_lda(rng.normal(size=(12, 2)), labels, 1)
+            train_lda(TrainingSpan(rng.normal(size=(12, 2)), labels), 1)
+
+    def test_ridge_whenever_within_class_scatter_is_singular_by_count(self, caplog):
+        # 7 pairs leave N - K = 7 within-class degrees of freedom in D = 8, so
+        # S_w is singular; a Cholesky of these rows' dense S_w passes by rounding
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(14, 8))
+        with caplog.at_level("INFO", logger="xldv.backend"):
+            train_lda(TrainingSpan(center_lengthnorm(x, x.mean(axis=0)),
+                                   np.repeat(np.arange(7), 2)), 1)
+        assert len(caplog.messages) == 1
+        assert caplog.messages[0].startswith("LDA: within-class scatter singular, ridge")
+
+
+def labelled_rows(sizes, d, seed):
+    """Centred, length-normed rows of len(sizes) classes, as the back-end trains on."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.normal(size=(len(sizes), d))[labels] + 0.7 * rng.normal(size=(len(labels), d))
+    return center_lengthnorm(x, x.mean(axis=0)), labels
 
 
 def sample_plda_data(phi_b, phi_w, n_classes, per_class, seed):
@@ -195,7 +215,7 @@ class TestTrainPlda:
         phi_b = np.array([[2.0, 0.8], [0.8, 1.0]])
         phi_w = np.array([[0.5, -0.1], [-0.1, 0.7]])
         x, labels = sample_plda_data(phi_b, phi_w, 500, 10, seed=10)
-        model = train_plda(x, labels, n_iters=15)
+        model = train_plda(TrainingSpan(x, labels), n_iters=15)
         assert np.linalg.norm(model.phi_b - phi_b) / np.linalg.norm(phi_b) < 0.1
         assert np.linalg.norm(model.phi_w - phi_w) / np.linalg.norm(phi_w) < 0.1
 
@@ -203,14 +223,20 @@ class TestTrainPlda:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2000, 3))
         labels = np.repeat(np.arange(200), 10)  # labels carry no information
-        model = train_plda(x, labels, n_iters=15)
+        model = train_plda(TrainingSpan(x, labels), n_iters=15)
         assert np.linalg.norm(model.phi_b) < 0.1 * np.linalg.norm(model.phi_w)
 
     def test_likelihood_nondecreasing(self):
         phi_b = np.array([[1.5, 0.2], [0.2, 0.6]])
         phi_w = np.eye(2) * 0.4
         x, labels = sample_plda_data(phi_b, phi_w, 60, 6, seed=12)
-        model = train_plda(x, labels, n_iters=12)
+        model = train_plda(TrainingSpan(x, labels), n_iters=12)
+        assert len(model.objective) == 13
+        assert monotone(model.objective)
+
+    def test_likelihood_nondecreasing_with_fewer_rows_than_dims(self):
+        x, labels = labelled_rows([3, 1, 2, 4, 2], 40, seed=26)
+        model = train_plda(TrainingSpan(x, labels), n_iters=12)
         assert len(model.objective) == 13
         assert monotone(model.objective)
 
@@ -218,13 +244,13 @@ class TestTrainPlda:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(21, 2))
         labels = np.array([0] * 10 + [1] * 10 + [2])  # one singleton class
-        model = train_plda(x, labels, n_iters=5)
+        model = train_plda(TrainingSpan(x, labels), n_iters=5)
         assert np.all(np.isfinite(model.phi_b)) and np.all(np.isfinite(model.phi_w))
 
     def test_needs_multi_example_class(self):
         rng = np.random.default_rng(14)
         with pytest.raises(InvalidArgumentError):
-            train_plda(rng.normal(size=(4, 2)), np.arange(4), n_iters=2)
+            train_plda(TrainingSpan(rng.normal(size=(4, 2)), np.arange(4)), n_iters=2)
 
 
 class TestPldaObjective:
@@ -238,10 +264,10 @@ class TestPldaObjective:
         x = rng.normal(size=(len(labels), d))
         return x, labels, rng.normal(size=d), phi_b, phi_w
 
-    def test_matches_joint_gaussian_oracle(self):
-        # oracle: a class of n vectors is one n*D Gaussian whose covariance
-        # is Phi_w on the diagonal blocks plus Phi_b in every block
-        x, labels, mu, phi_b, phi_w = self._case()
+    @staticmethod
+    def _oracle(x, labels, mu, phi_b, phi_w):
+        # a class of n vectors is one n*D Gaussian whose covariance is Phi_w
+        # on the diagonal blocks plus Phi_b in every block
         expected = 0.0
         for cls in np.unique(labels):
             xc = x[labels == cls]
@@ -250,20 +276,93 @@ class TestPldaObjective:
             expected += stats.multivariate_normal.logpdf(
                 xc.ravel(), mean=np.tile(mu, n), cov=cov
             )
+        return expected
+
+    def test_matches_joint_gaussian_oracle(self):
+        x, labels, mu, phi_b, phi_w = self._case()
+        np.testing.assert_allclose(dense._plda_loglik(x, labels, mu, phi_b, phi_w),
+                                   self._oracle(x, labels, mu, phi_b, phi_w), rtol=1e-10)
+        # train_plda's last objective is its returned model's, here with N < D
+        x, labels = labelled_rows([1, 2, 3, 2], 10, seed=27)
+        model = train_plda(TrainingSpan(x, labels), n_iters=4)
         np.testing.assert_allclose(
-            _plda_loglik(x, labels, mu, phi_b, phi_w), expected, rtol=1e-10
-        )
+            model.objective[-1],
+            self._oracle(x, labels, model.mu, model.phi_b, model.phi_w), rtol=1e-10)
 
     def test_indefinite_within_class_covariance_raises(self):
-        x, labels, mu, phi_b, _ = self._case()
+        x, labels, _, phi_b, _ = self._case()
         with pytest.raises(NumericError, match="within-class covariance"):
-            _plda_loglik(x, labels, mu, phi_b, np.diag([1.0, -0.5, 1.0]))
+            _plda_loglik(TrainingSpan(x, labels), phi_b, np.diag([1.0, -0.5, 1.0]), 0.0)
 
     def test_indefinite_mean_covariance_raises(self):
-        x, labels, mu, _, phi_w = self._case()
+        x, labels, _, _, phi_w = self._case()
         phi_b = -np.eye(3) * (2.0 * np.linalg.eigvalsh(phi_w).max())
         with pytest.raises(NumericError, match="mean covariance"):
-            _plda_loglik(x, labels, mu, phi_b, phi_w)
+            _plda_loglik(TrainingSpan(x, labels), phi_b, phi_w, 0.0)
+
+
+def _spy(monkeypatch, module, names, calls):
+    for name in names:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, [np.shape(a) for a in args if np.ndim(a) == 2]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+class TestDenseReference:
+    """Span-basis training against ``backend_reference``'s dense D x D training."""
+
+    @pytest.mark.parametrize("sizes, d", [
+        ([3, 1, 2, 4, 2], 40),
+        ([5, 3, 4, 6, 2, 4, 4, 5, 3, 4], 40),
+        ([8] * 8 + [3, 5], 10),
+    ], ids=["n<d", "n=d", "n>d"])
+    def test_matches_dense_training(self, sizes, d, caplog):
+        x, labels = labelled_rows(sizes, d, seed=24)
+        with caplog.at_level("INFO"):
+            span = TrainingSpan(x, labels)
+            lda, model = train_lda(span, 3), train_plda(span, n_iters=6)
+            ours = list(caplog.messages)
+            caplog.clear()
+            ref_lda, ref = dense.train_lda(x, labels, 3), dense.train_plda(x, labels, n_iters=6)
+        assert ours == caplog.messages  # the same floor and ridge lines
+        for name in ("phi_b", "phi_w"):
+            ref_value = getattr(ref, name)
+            assert (np.linalg.norm(getattr(model, name) - ref_value)
+                    <= 1e-8 * np.linalg.norm(ref_value)), name
+        np.testing.assert_allclose(model.objective, ref.objective, rtol=1e-10)
+        # PLDA scores of training rows: off the span Phi_w is 1e-8 I, so the
+        # score of a vector with a part there carries 1e8-scaled rounding
+        rng = np.random.default_rng(25)
+        a, b = x[rng.integers(len(x), size=(2, 30))]
+        np.testing.assert_allclose(plda_scores(model, a, b), plda_scores(ref, a, b), rtol=1e-8)
+        enroll, test = rng.normal(size=(2, 30, d))
+        ours, theirs = CosineScorer(lda, model.mu), CosineScorer(ref_lda, ref.mu)
+        np.testing.assert_allclose(
+            ours.score_pairs(ours.prepare(enroll), ours.prepare(test)),
+            theirs.score_pairs(theirs.prepare(enroll), theirs.prepare(test)), atol=1e-6)
+
+    def test_factorizes_nothing_larger_than_the_span(self, monkeypatch):
+        # timing-free guard on the cost: with N < D every matrix that a
+        # factorization or inverse sees has a side of at most r
+        x, labels = labelled_rows([3, 1, 2, 4, 2], 40, seed=28)
+        calls = []
+        _spy(monkeypatch, np.linalg, ["inv", "eigh", "eigvalsh", "cholesky", "qr", "svd",
+                                      "solve", "slogdet", "det", "pinv", "lstsq"], calls)
+        _spy(monkeypatch, scipy.linalg, ["eigh", "eigvalsh", "cholesky", "cho_factor",
+                                         "solve_triangular", "solve", "inv", "qr", "svd",
+                                         "lu_factor", "pinv", "lstsq"], calls)
+        span = TrainingSpan(x, labels)
+        train_lda(span, 3)
+        train_plda(span, n_iters=3)
+        rank = span.basis.shape[1]
+        assert rank == len(x) - 1
+        assert {"qr", "inv", "eigh", "cholesky", "solve_triangular"} <= {n for n, _ in calls}
+        assert [(name, shapes) for name, shapes in calls
+                if any(min(shape) > rank for shape in shapes)] == []
 
 
 def gaussian_pdf(x, var):
@@ -280,13 +379,13 @@ class TestPldaScore:
         model_x, labels = sample_plda_data(
             np.eye(d) * phi_b, np.eye(d) * phi_w, 200, 8, seed=15
         )
-        return train_plda(model_x, labels, n_iters=10)
+        return train_plda(TrainingSpan(model_x, labels), n_iters=10)
 
     def test_zero_between_covariance_scores_zero(self):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(100, 3))
         labels = np.repeat(np.arange(10), 10)
-        model = train_plda(x, labels, n_iters=3)
+        model = train_plda(TrainingSpan(x, labels), n_iters=3)
         model.phi_b = np.zeros((3, 3))
         pairs = rng.normal(size=(20, 3))
         scores = plda_scores(model, pairs, rng.normal(size=(20, 3)))
@@ -321,7 +420,8 @@ class TestPldaScore:
         # and B = Phi_b; different speakers: a and b ~ N(mu, T) independently
         phi_b = np.array([[1.5, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 0.3]])
         phi_w = np.array([[0.5, 0.1, 0.0], [0.1, 0.8, -0.2], [0.0, -0.2, 0.6]])
-        model = train_plda(*sample_plda_data(phi_b, phi_w, 60, 5, seed=22), n_iters=4)
+        model = train_plda(TrainingSpan(*sample_plda_data(phi_b, phi_w, 60, 5, seed=22)),
+                           n_iters=4)
         total = model.phi_b + model.phi_w
         joint = stats.multivariate_normal(np.tile(model.mu, 2),
                                           np.block([[total, model.phi_b], [model.phi_b, total]]))
@@ -348,8 +448,8 @@ class TestPldaScore:
         rng = np.random.default_rng(19)
         a_map = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         shift = rng.normal(size=2)
-        model1 = train_plda(x, labels, n_iters=8)
-        model2 = train_plda(x @ a_map.T + shift, labels, n_iters=8)
+        model1 = train_plda(TrainingSpan(x, labels), n_iters=8)
+        model2 = train_plda(TrainingSpan(x @ a_map.T + shift, labels), n_iters=8)
         enroll = rng.normal(size=(40, 2))
         test = rng.normal(size=(40, 2))
         s1 = plda_scores(model1, enroll, test)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from xldv.backend import CosineScorer, EmbeddingSet, cosine_score, train_lda
+from xldv.backend import CosineScorer, EmbeddingSet, TrainingSpan, cosine_score, train_lda
 from xldv.corpus import CorpusConfig, CorpusManifest, UttRecord, build_corpus
 from xldv.errors import InvalidArgumentError, NumericError
 from xldv.evalkit import (
@@ -164,7 +164,7 @@ class TestScoreTrials:
     def test_lda_cosine_equals_scalar_cosine_of_projected_rows(self):
         manifest = toy_manifest(n_spk=4, utts_per_lang=3)
         emb = self._embeddings(manifest)
-        lda = train_lda(emb.vectors, [r.speaker_id for r in manifest.records], 3)
+        lda = train_lda(TrainingSpan(emb.vectors, [r.speaker_id for r in manifest.records]), 3)
         mu = emb.vectors.mean(axis=0)
         trials = make_trials(manifest, "A/B")
         scores = score_trials(CosineScorer(lda, mu), emb, trials).scores
