@@ -79,26 +79,15 @@ class EmbeddingSet:
                        for u, v in zip(self.utterance_ids, self.vectors)), path)
 
 
-def cosine_score(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= EPS_NORM or nb <= EPS_NORM:
-        raise DegenerateInputError("cosine of a zero vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def center_lengthnorm(vectors, mean) -> np.ndarray:
-    """x -> (x - mean) / ||x - mean||, mean from the training set only."""
+    """Each row x of the (N, D) ``vectors`` -> (x - mean) / ||x - mean||, mean
+    from the training set only."""
     x = np.asarray(vectors, dtype=np.float64) - np.asarray(mean, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms <= EPS_NORM):
         bad = int(np.argmax(norms <= EPS_NORM))
         raise DegenerateInputError(f"embedding {bad} equals the centering mean")
-    out = x / norms[:, None]
-    return out[0] if single else out
+    return x / norms[:, None]
 
 
 class TrainingSpan:
@@ -295,7 +284,8 @@ class CosineScorer:
         return x / norms[:, None]
 
     def score_pairs(self, enroll, test):
-        return (enroll * test).sum(axis=1)
+        """(len(enroll), len(test)) scores of every pair of prepared rows."""
+        return enroll @ test.T
 
 
 class PLDAScorer:
@@ -317,5 +307,6 @@ class PLDAScorer:
         return (np.asarray(vectors, dtype=np.float64) - self.mu) @ self.v
 
     def score_pairs(self, enroll, test):
-        return (self.k0 + (enroll**2) @ self.q + (test**2) @ self.q
-                + ((enroll * self.p) * test).sum(axis=1))
+        """(len(enroll), len(test)) scores of every pair of prepared rows."""
+        return (self.k0 + ((enroll**2) @ self.q)[:, None] + (test**2) @ self.q
+                + (enroll * self.p) @ test.T)

@@ -106,20 +106,12 @@ def _centred_log_gain(envelope: np.ndarray) -> np.ndarray:
     return log_gain - log_gain.mean()
 
 
-def envelope_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Scale-invariant distance between two band-gain envelopes.
+def _envelope_distances(centred: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Scale-invariant distance from one band-gain envelope to each of ``others``.
 
     RMS difference of mean-removed log gains, so a global gain factor or a
-    language-wide emphasis common to both templates does not count.
-    """
-    diff = _centred_log_gain(a) - _centred_log_gain(b)
-    return float(np.sqrt(np.mean(diff**2)))
-
-
-def _envelope_distances(centred: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """``envelope_distance`` from one template to each of ``others``, bit for bit.
-
-    Both sides are given as ``_centred_log_gain`` rows, computed once per
+    language-wide emphasis common to both templates does not count. Both
+    sides are given as ``_centred_log_gain`` rows, computed once per
     template; ``others`` is (n, N_BANDS).
     """
     diff = centred - others

@@ -159,8 +159,7 @@ class ChunkDataset:
     trajectory depends only on seeds.
     """
 
-    def __init__(self, items, make_input, chunk_frames=24, batch_chunks=8,
-                 val_fraction=0.05, seed=0):
+    def __init__(self, items, make_input, chunk_frames, batch_chunks, val_fraction, seed):
         if not items:
             raise InvalidArgumentError("dataset is empty")
         rng = derive_rng(seed, "dataset-split")
@@ -220,14 +219,15 @@ class ChunkDataset:
         return self._stack(chunks)
 
 
-def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig,
-                         factors_by_utt=None, chunk_frames=24, batch_chunks=8,
-                         val_fraction=0.05, seed=0) -> ChunkDataset:
+def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig, factors_by_utt,
+                         chunk_frames, batch_chunks, val_fraction, seed) -> ChunkDataset:
     """Chunks of spliced (n_mels, splice) maps, each frame labeled by speaker.
 
     ``feats`` is an iterable of FeatureMatrix (n_mels wide, CMVN applied);
-    ``labels_by_utt`` maps utterance_id -> its speaker's class index. A chunk's
-    maps are rows of ``to_input_tensor`` on the whole utterance.
+    ``labels_by_utt`` maps utterance_id -> its speaker's class index, and
+    ``factors_by_utt``, None for the phone-blind net, to its linguistic
+    factors. A chunk's maps are rows of ``to_input_tensor`` on the whole
+    utterance.
     """
     items = []
     for feat in feats:
@@ -242,9 +242,7 @@ def make_speaker_dataset(feats, labels_by_utt, config: CTDNNConfig,
         items.append((np.asarray(feat.data, np.float32), factors,
                       np.full(feat.n_frames, labels_by_utt[feat.utterance_id],
                               dtype=np.int64)))
-    return ChunkDataset(items, _splice_maps,
-                        chunk_frames=chunk_frames, batch_chunks=batch_chunks,
-                        val_fraction=val_fraction, seed=seed)
+    return ChunkDataset(items, _splice_maps, chunk_frames, batch_chunks, val_fraction, seed)
 
 
 def contiguous_labels(speaker_ids):

@@ -102,7 +102,8 @@ def score_trials(scorer, embeddings, trial_list: TrialList) -> ScoreSet:
     """One finite score per trial, order-preserving with the list.
 
     ``scorer.prepare`` maps the ``EmbeddingSet``'s matrix, one row per utterance,
-    and ``scorer.score_pairs`` scores the rows the trials pick from it."""
+    ``scorer.score_pairs`` scores every pair of its rows, and each trial reads
+    its score at its enroll and test rows."""
     row_of = {utt: i for i, utt in enumerate(embeddings.utterance_ids)}
     try:
         enroll = np.array([row_of[u] for u in trial_list.enroll], dtype=np.intp)
@@ -110,8 +111,7 @@ def score_trials(scorer, embeddings, trial_list: TrialList) -> ScoreSet:
     except KeyError as exc:
         raise InvalidArgumentError(f"no embedding for utterance {exc.args[0]!r}") from None
     prepared = scorer.prepare(embeddings.vectors)
-    scores = np.asarray(scorer.score_pairs(prepared[enroll], prepared[test]),
-                        dtype=np.float64)
+    scores = np.asarray(scorer.score_pairs(prepared, prepared), dtype=np.float64)[enroll, test]
     if not np.all(np.isfinite(scores)):
         bad = int(np.argmax(~np.isfinite(scores)))
         raise NumericError(

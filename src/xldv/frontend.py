@@ -22,6 +22,7 @@ FRAME_LENGTH = int(SAMPLE_RATE * FRAME_LENGTH_MS / 1000)  # 200 samples
 FRAME_SHIFT = int(SAMPLE_RATE * FRAME_SHIFT_MS / 1000)  # 80 samples
 N_FFT = 256
 N_MELS = 40  # log-mel bands the feature nets read
+MEL_FMIN = 20.0  # Hz; the filterbanks span MEL_FMIN..SAMPLE_RATE/2
 LOG_FLOOR = 1e-10
 CMVN_VAR_FLOOR = 1e-10
 
@@ -70,13 +71,6 @@ def n_frames_for_samples(n_samples):
     return 1 + (n_samples - FRAME_LENGTH) // FRAME_SHIFT
 
 
-def _as_float_signal(utterance):
-    samples = np.asarray(utterance.samples)
-    if samples.dtype == np.int16:
-        return samples.astype(np.float64) / 32768.0
-    return samples.astype(np.float64)
-
-
 def _frames(signal):
     n = n_frames_for_samples(len(signal))
     if n < 1:
@@ -95,13 +89,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_filters, n_fft=N_FFT, sample_rate=SAMPLE_RATE, fmin=20.0, fmax=None):
-    """Triangular mel filter weights, shape (n_filters, n_fft//2 + 1)."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_filters + 2))
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    weights = np.zeros((n_filters, n_fft // 2 + 1))
+def mel_filterbank(n_filters):
+    """Triangular mel filter weights, shape (n_filters, N_FFT//2 + 1)."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(SAMPLE_RATE / 2.0),
+                                  n_filters + 2))
+    bin_freqs = np.arange(N_FFT // 2 + 1) * SAMPLE_RATE / N_FFT
+    weights = np.zeros((n_filters, N_FFT // 2 + 1))
     for j in range(n_filters):
         lo, ctr, hi = edges[j], edges[j + 1], edges[j + 2]
         up = (bin_freqs - lo) / (ctr - lo)
@@ -120,8 +113,9 @@ _WINDOW = np.hamming(FRAME_LENGTH)
 
 def power_spectrum(utterance):
     """``(power, frames)``: each frame's Hamming-windowed power spectrum, and the
-    raw frames. ``fbank`` and ``mfcc`` both start from it."""
-    frames = _frames(_as_float_signal(utterance))
+    raw frames of the int16 samples scaled to [-1, 1). ``fbank`` and ``mfcc``
+    both start from it."""
+    frames = _frames(utterance.samples / 32768.0)
     spec = np.fft.rfft(frames * _WINDOW, n=N_FFT)
     return (spec.real**2 + spec.imag**2), frames
 
@@ -130,23 +124,21 @@ def _log_mel(power, filters):
     return np.log(np.maximum(power @ filters.T, LOG_FLOOR))
 
 
-def fbank(utterance, spectrum=None):
-    """Log mel filterbank features, D = N_MELS.
-
-    ``spectrum`` is ``power_spectrum(utterance)``, when the caller has it.
-    """
-    power, _ = power_spectrum(utterance) if spectrum is None else spectrum
+def fbank(utterance, spectrum):
+    """Log mel filterbank features, D = N_MELS; ``spectrum`` is
+    ``power_spectrum(utterance)``."""
+    power, _ = spectrum
     return FeatureMatrix(utterance.utterance_id, _log_mel(power, FBANK_FILTERS))
 
 
-def mfcc(utterance, spectrum=None):
+def mfcc(utterance, spectrum):
     """19 cepstral coefficients plus log frame energy, D = 20.
 
     Energy is computed on the raw (unwindowed) frame and occupies column 0;
     cepstra c1..c19 follow. 23 mel filters feed a type-II orthonormal DCT.
-    ``spectrum`` is ``power_spectrum(utterance)``, when the caller has it.
+    ``spectrum`` is ``power_spectrum(utterance)``.
     """
-    power, frames = power_spectrum(utterance) if spectrum is None else spectrum
+    power, frames = spectrum
     logmel = _log_mel(power, MFCC_FILTERS)
     cepstra = scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, 1 : N_CEPSTRA + 1]
     energy = np.log(np.maximum((frames**2).sum(axis=1), LOG_FLOOR))

@@ -157,9 +157,9 @@ class SuffStats:
 
 
 def accumulate_stats(ubm: UBM, features) -> SuffStats:
-    """Per-utterance statistics; features is (T, D) or a FeatureMatrix."""
-    x = np.asarray(getattr(features, "data", features), dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != ubm.dim:
+    """Per-utterance statistics of a FeatureMatrix."""
+    x = np.asarray(features.data, dtype=np.float64)
+    if x.shape[1] != ubm.dim:
         raise InvalidArgumentError(
             f"features must be (T, {ubm.dim}), got {x.shape}"
         )

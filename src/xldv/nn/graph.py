@@ -37,7 +37,7 @@ class NetworkGraph:
 
     ``input_shape`` is ("map", freq, chan) or ("vec", dim); ``input_context``
     is the (lo, hi) frame context already baked into each input frame by the
-    front-end (e.g. (-4, 4) for a +-4 splice), counted by ``time_span``.
+    front-end (e.g. (-4, 4) for a +-4 splice).
     ``aux`` optionally concatenates a per-frame auxiliary input of width
     ``aux["dim"]`` to the activations entering layer ``aux["layer"]``.
     """
@@ -80,15 +80,6 @@ class NetworkGraph:
         for i, layer in enumerate(self.layers):
             for name, arr in layer.params.items():
                 yield i, name, arr
-
-    def time_span(self):
-        """Total (lo, hi) input-frame context of one output frame."""
-        lo, hi = self.input_context
-        for layer in self.layers:
-            s = layer.time_span()
-            lo += s[0]
-            hi += s[1]
-        return lo, hi
 
     def _inject_aux(self, x, aux_x, index):
         if self.aux is None or self.aux["layer"] != index:

@@ -47,9 +47,6 @@ class Layer:
         """Validate/record shapes and initialize parameters. Returns out_shape."""
         raise NotImplementedError
 
-    def time_span(self):
-        return (0, 0)
-
     def forward(self, x, cache):
         raise NotImplementedError
 
@@ -142,9 +139,6 @@ class Conv2D(Layer):
             "b": np.zeros(c_out, dtype=dtype),
         }
         return ("map", self.f_out, c_out)
-
-    def time_span(self):
-        return (self.t_lo, self.t_lo + self.kt - 1)
 
     def _patches(self, xp, t_out):
         b = xp.shape[0]
@@ -280,9 +274,6 @@ class TimeDelay(Layer):
             "b": np.zeros(d_out, dtype=dtype),
         }
         return ("vec", d_out)
-
-    def time_span(self):
-        return (self.offsets[0], self.offsets[-1])
 
     def forward(self, x, cache):
         if x.shape[-1] != self.d_in:

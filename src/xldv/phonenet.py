@@ -106,13 +106,6 @@ def svd_decompose(graph: NetworkGraph, rank=40) -> LinguisticFactorExtractor:
     return LinguisticFactorExtractor(v_r=v_r, s_r=s[:rank], rank=rank)
 
 
-def reconstruct_low_rank(graph: NetworkGraph, extractor: LinguisticFactorExtractor):
-    """U_r S_r V_r^T, the rank-r approximation of the final affine (P x H)."""
-    w = final_affine(graph)
-    u_r = w @ extractor.v_r / np.maximum(extractor.s_r, 1e-300)
-    return (u_r * extractor.s_r) @ extractor.v_r.T
-
-
 def hidden_activations(graph: NetworkGraph, feat: FeatureMatrix) -> np.ndarray:
     """Last hidden activation per frame, (T, hidden)."""
     if feat.dim != graph.input_shape[1]:

@@ -623,7 +623,7 @@ STAGES = (
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train,
           version=4),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
-          version=2),
+          version=3),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),
     Stage("report", (EER_TABLE,), (REPORT_TSV, REPORT_TXT), stage_report),
 )

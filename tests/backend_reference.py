@@ -1,10 +1,10 @@
-"""Dense D x D LDA and PLDA training: the reference that ``xldv.backend``'s
-span-basis training must match.
+"""References that ``xldv.backend`` must match: the scalar cosine of one pair,
+and dense D x D LDA and PLDA training.
 
-These are the back-end trainers as they stood before training moved into the
-span of the training rows, with one change: LDA adds its ridge whenever
-N - K < D (K classes), where the within-class scatter is singular by count,
-and not only when a factorization that rounding may let through fails.
+The trainers are the back-end trainers as they stood before training moved
+into the span of the training rows, with one change: LDA adds its ridge
+whenever N - K < D (K classes), where the within-class scatter is singular by
+count, and not only when a factorization that rounding may let through fails.
 """
 
 import logging
@@ -12,10 +12,20 @@ import logging
 import numpy as np
 import scipy.linalg
 
-from xldv.backend import PLDA_FLOOR, RIDGE, PLDAModel, _cholesky, _floor_spd
-from xldv.errors import InvalidArgumentError, NumericError
+from xldv.backend import EPS_NORM, PLDA_FLOOR, RIDGE, PLDAModel, _cholesky, _floor_spd
+from xldv.errors import DegenerateInputError, InvalidArgumentError, NumericError
 
 log = logging.getLogger(__name__)
+
+
+def cosine_score(a, b) -> float:
+    """The cosine of two vectors, one pair at a time: ``CosineScorer``'s oracle."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na <= EPS_NORM or nb <= EPS_NORM:
+        raise DegenerateInputError("cosine of a zero vector")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def _scatters(x, labels):

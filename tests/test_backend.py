@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy import integrate, stats
 
 import backend_reference as dense
+from backend_reference import cosine_score
 from xldv.backend import (
     CosineScorer,
     EmbeddingSet,
@@ -13,7 +14,6 @@ from xldv.backend import (
     TrainingSpan,
     _plda_loglik,
     center_lengthnorm,
-    cosine_score,
     train_lda,
     train_plda,
 )
@@ -370,6 +370,7 @@ def gaussian_pdf(x, var):
 
 
 def plda_scores(model, enroll, test):
+    """Scores of every (enroll row, test row) pair, (len(enroll), len(test))."""
     scorer = PLDAScorer(model)
     return scorer.score_pairs(scorer.prepare(enroll), scorer.prepare(test))
 
@@ -412,7 +413,7 @@ class TestPldaScore:
                     * gaussian_pdf(b - mu, phi_b + phi_w))
             expected = np.log(same) - np.log(diff)
             np.testing.assert_allclose(
-                plda_scores(model, [[a]], [[b]])[0], expected, atol=1e-8
+                plda_scores(model, [[a]], [[b]])[0, 0], expected, atol=1e-8
             )
 
     def test_matches_joint_gaussian_oracle(self):
@@ -428,7 +429,10 @@ class TestPldaScore:
         alone = stats.multivariate_normal(model.mu, total)
         rng = np.random.default_rng(23)
         a, b = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
-        expected = joint.logpdf(np.hstack([a, b])) - alone.logpdf(a) - alone.logpdf(b)
+        # every (a_i, b_j) pair, row-major like the score matrix
+        pair_a, pair_b = np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+        expected = (joint.logpdf(np.hstack([pair_a, pair_b])) - alone.logpdf(pair_a)
+                    - alone.logpdf(pair_b)).reshape(len(a), len(b))
         np.testing.assert_allclose(plda_scores(model, a, b), expected, rtol=1e-9, atol=1e-9)
 
     def test_symmetry(self):
@@ -436,7 +440,7 @@ class TestPldaScore:
         rng = np.random.default_rng(17)
         for _ in range(10):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            ab, ba = plda_scores(model, [a, b], [b, a])
+            (_, ab), (ba, _) = plda_scores(model, [a, b], [a, b])
             assert abs(ab - ba) < 1e-10
 
     def test_ranking_invariant_to_affine_retraining(self):
@@ -452,19 +456,19 @@ class TestPldaScore:
         model2 = train_plda(TrainingSpan(x @ a_map.T + shift, labels), n_iters=8)
         enroll = rng.normal(size=(40, 2))
         test = rng.normal(size=(40, 2))
-        s1 = plda_scores(model1, enroll, test)
-        s2 = plda_scores(model2, enroll @ a_map.T + shift, test @ a_map.T + shift)
+        s1 = np.diag(plda_scores(model1, enroll, test))
+        s2 = np.diag(plda_scores(model2, enroll @ a_map.T + shift, test @ a_map.T + shift))
         assert np.array_equal(np.argsort(s1), np.argsort(s2))
 
 
 class TestScorers:
     def test_cosine_scorer_matches_function(self):
         rng = np.random.default_rng(20)
-        a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
         scorer = CosineScorer()
         np.testing.assert_allclose(
             scorer.score_pairs(scorer.prepare(a), scorer.prepare(b)),
-            [cosine_score(x, y) for x, y in zip(a, b)],
+            [[cosine_score(x, y) for y in b] for x in a],
             atol=1e-12,
         )
 

@@ -12,7 +12,6 @@ from xldv.corpus import (
     CorpusConfig,
     CorpusManifest,
     build_corpus,
-    envelope_distance,
     expand_labels,
     frame_labels,
     label_runs,
@@ -28,6 +27,13 @@ TINY = CorpusConfig(
     n_train_speakers=3, n_train_utts=2, n_eval_speakers=2, n_eval_utts=2,
     n_phones=5, min_duration_s=1.0, max_duration_s=1.5,
 )
+
+
+def envelope_distance(a, b) -> float:
+    """The scalar definition that ``corpus._envelope_distances`` vectorises:
+    RMS difference of the two envelopes' mean-removed log gains."""
+    diff = corpus._centred_log_gain(a) - corpus._centred_log_gain(b)
+    return float(np.sqrt(np.mean(diff**2)))
 
 
 class TestInventory:

@@ -17,7 +17,7 @@ from xldv.ctdnn import (
     train_ctdnn,
 )
 from xldv.errors import DegenerateInputError, InvalidArgumentError
-from xldv.frontend import FeatureMatrix, cmvn, fbank
+from xldv.frontend import FeatureMatrix, cmvn, fbank, power_spectrum
 from xldv.nn import TrainState
 
 SMALL = CTDNNConfig(
@@ -27,9 +27,22 @@ SMALL = CTDNNConfig(
 DEFAULT = CTDNNConfig(n_speakers=200)
 
 
+def time_span(graph):
+    """Total (lo, hi) input-frame context of one output frame: the splice baked
+    into each input frame plus each layer's time taps (edge-replicated, so
+    every other layer reads only frame t)."""
+    lo, hi = graph.input_context
+    for layer in graph.layers:
+        if layer.kind == "conv2d":
+            lo, hi = lo + layer.t_lo, hi + layer.t_lo + layer.kt - 1
+        elif layer.kind == "timedelay":
+            lo, hi = lo + layer.offsets[0], hi + layer.offsets[-1]
+    return lo, hi
+
+
 def receptive_field(graph):
     """Frames of input context behind one output frame."""
-    lo, hi = graph.time_span()
+    lo, hi = time_span(graph)
     return hi - lo + 1
 
 
@@ -90,13 +103,13 @@ class TestReceptiveFieldProbe:
             )
             if changed:
                 support.append(offset)
-        lo, hi = g.time_span()
+        lo, hi = time_span(g)
         assert support == list(range(lo, hi + 1))
         assert len(support) == receptive_field(g) == 20
 
     def test_default_window_asymmetry(self):
         g = build_phone_blind(SMALL, seed=1)
-        lo, hi = g.time_span()
+        lo, hi = time_span(g)
         assert lo == -10 and hi == 9  # t+9 inside, t+11 outside
 
 
@@ -189,7 +202,7 @@ class TestSpeakerChunks:
         frames = rng.normal(size=(n_frames, 40)).astype(np.float32)
         feats = [FeatureMatrix("u0", frames),
                  FeatureMatrix("u1", np.ones((3, 40)))]
-        data = make_speaker_dataset(feats, {"u0": 0, "u1": 1}, SMALL, chunk_frames=24)
+        data = make_speaker_dataset(feats, {"u0": 0, "u1": 1}, SMALL, None, 24, 8, 0.05, 0)
         item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
         assert item[2].dtype == np.int64 and item[2].shape == (n_frames,)
         whole = to_input_tensor(feats[0], SMALL)[0].astype(np.float32)
@@ -207,8 +220,7 @@ class TestSpeakerChunks:
         feats = [FeatureMatrix("u0", frames),
                  FeatureMatrix("u1", np.ones((3, 40)))]
         data = make_speaker_dataset(feats, {"u0": 0, "u1": 1}, SMALL,
-                                    factors_by_utt={"u0": factors, "u1": np.ones((3, 5))},
-                                    chunk_frames=4)
+                                    {"u0": factors, "u1": np.ones((3, 5))}, 4, 8, 0.05, 0)
         item = next(it for it in data.train_items + data.val_items if it[2][0] == 0)
         _, aux, _ = data.chunk(item, 5)
         assert aux.dtype == np.float32
@@ -252,10 +264,8 @@ def micro_corpus(tmp_path_factory):
     manifest = build_corpus(config, 77, root / "corpus")
     from xldv.corpus import load_utterance
 
-    feats = [
-        cmvn(fbank(load_utterance(manifest, rec)))
-        for rec in manifest.utterances("train")
-    ]
+    utts = [load_utterance(manifest, rec) for rec in manifest.utterances("train")]
+    feats = [cmvn(fbank(utt, power_spectrum(utt))) for utt in utts]
     return manifest, feats
 
 
@@ -273,9 +283,7 @@ class TestTraining:
             td_hidden=16, feature_dim=16,
         )
         graph = build_phone_blind(config, seed=1)
-        data = make_speaker_dataset(feats, labels, config, seed=2,
-                                    chunk_frames=24, batch_chunks=8,
-                                    val_fraction=0.2)
+        data = make_speaker_dataset(feats, labels, config, None, 24, 8, 0.2, 2)
         state = TrainState(learning_rate=0.02, max_epochs=6, batches_per_epoch=40, seed=3)
         result = train_ctdnn(graph, data, state)
         assert result.val_accuracy > 0.9
@@ -289,7 +297,7 @@ class TestTraining:
         )
         graph = build_phone_blind(config, seed=9)
         before = {k: v.copy() for k, v in graph.tensors().items()}
-        data = make_speaker_dataset(feats, labels, config, seed=2)
+        data = make_speaker_dataset(feats, labels, config, None, 24, 8, 0.05, 2)
         train_ctdnn(graph, data, TrainState(learning_rate=0.1, max_epochs=0))
         for k, v in graph.tensors().items():
             np.testing.assert_array_equal(v, before[k])
@@ -303,6 +311,6 @@ class TestTraining:
         graph = build_phone_blind(config, seed=9)
         gappy = labels_by_utt(manifest, {spk: i * 2 for i, spk in
                                          enumerate(manifest.train_speakers)})
-        data = make_speaker_dataset(feats, gappy, config, seed=2)
+        data = make_speaker_dataset(feats, gappy, config, None, 24, 8, 0.05, 2)
         with pytest.raises(InvalidArgumentError, match="gap"):
             train_ctdnn(graph, data, TrainState(learning_rate=0.1, max_epochs=1))

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from xldv.backend import CosineScorer, EmbeddingSet, TrainingSpan, cosine_score, train_lda
+from backend_reference import cosine_score
+from xldv.backend import CosineScorer, EmbeddingSet, PLDAScorer, TrainingSpan, train_lda, train_plda
 from xldv.corpus import CorpusConfig, CorpusManifest, UttRecord, build_corpus
 from xldv.errors import InvalidArgumentError, NumericError
 from xldv.evalkit import (
@@ -190,6 +191,31 @@ class TestScoreTrials:
         assert len(trials) == 81 > len(emb)
         np.testing.assert_array_equal(scores, score_trials(CosineScorer(), emb, trials).scores)
 
+    @pytest.mark.parametrize("scorer_class", [CosineScorer, PLDAScorer])
+    def test_score_pairs_sees_the_prepared_matrix(self, scorer_class, monkeypatch):
+        # every trial is a cell of one matrix over the utterances, so no
+        # trial-sized row gather is ever scored
+        manifest = toy_manifest(n_spk=3, utts_per_lang=3)
+        emb = self._embeddings(manifest)
+        speakers = [r.speaker_id for r in manifest.records]
+        scorer = (CosineScorer() if scorer_class is CosineScorer
+                  else PLDAScorer(train_plda(TrainingSpan(emb.vectors, speakers), n_iters=2)))
+        seen = []
+        score_pairs = scorer_class.score_pairs
+
+        def spy(self, enroll, test):
+            seen.append((enroll, test))
+            return score_pairs(self, enroll, test)
+
+        monkeypatch.setattr(scorer_class, "score_pairs", spy)
+        trials = make_trials(manifest, "A/B")
+        score_trials(scorer, emb, trials)
+        assert len(trials) == 81 > len(emb) == 18
+        prepared = scorer.prepare(emb.vectors)
+        assert len(seen) == 1
+        for rows in seen[0]:  # (n_utterances, k), not one row per trial
+            np.testing.assert_array_equal(rows, prepared)
+
     def test_symmetric_scorer_swap_invariance(self):
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
@@ -213,11 +239,12 @@ class TestScoreTrials:
         manifest = toy_manifest()
         emb = self._embeddings(manifest)
         trials = make_trials(manifest, "A/B")
+        row_of = {u: i for i, u in enumerate(emb.utterance_ids)}
 
         class OneInf(CosineScorer):
             def score_pairs(self, enroll, test):
                 scores = super().score_pairs(enroll, test)
-                scores[3] = np.inf
+                scores[row_of[trials.enroll[3]], row_of[trials.test[3]]] = np.inf
                 return scores
 
         with pytest.raises(NumericError,

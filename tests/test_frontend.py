@@ -16,6 +16,7 @@ from xldv.frontend import (
     fbank,
     mel_filterbank,
     mfcc,
+    power_spectrum,
 )
 
 
@@ -49,18 +50,20 @@ class TestFeatureMatrix:
 
 class TestFbank:
     def test_framing_arithmetic(self):
-        feat = fbank(tone(440.0, duration_s=2.5))
+        utt = tone(440.0, duration_s=2.5)
+        feat = fbank(utt, power_spectrum(utt))
         assert feat.data.shape == (248, 40)  # 1 + (20000-200)//80
 
     def test_all_zero_audio_constant_floor_rows(self):
-        feat = fbank(make_utt(np.zeros(4000, dtype=np.int16)))
+        utt = make_utt(np.zeros(4000, dtype=np.int16))
+        feat = fbank(utt, power_spectrum(utt))
         assert np.allclose(feat.data, feat.data[0])
         assert np.allclose(feat.data[0], np.log(frontend.LOG_FLOOR))
 
     def test_tone_lands_in_correct_mel_bin_vs_dft_oracle(self):
         # Oracle: direct DFT of one windowed frame, same filterbank weights.
         utt = tone(1000.0)
-        feat = fbank(utt)
+        feat = fbank(utt, power_spectrum(utt))
         frame = utt.samples[:200].astype(np.float64) / 32768.0 * np.hamming(200)
         n = np.arange(200)
         dft = np.array([
@@ -75,14 +78,15 @@ class TestFbank:
 
     def test_too_short_audio_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            fbank(make_utt(np.zeros(100, dtype=np.int16)))
+            power_spectrum(make_utt(np.zeros(100, dtype=np.int16)))
 
     def test_finite_on_random_pcm(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             samples = rng.integers(-32768, 32767, 2000).astype(np.int16)
-            assert np.all(np.isfinite(fbank(make_utt(samples)).data))
-            assert np.all(np.isfinite(mfcc(make_utt(samples)).data))
+            utt = make_utt(samples)
+            assert np.all(np.isfinite(fbank(utt, power_spectrum(utt)).data))
+            assert np.all(np.isfinite(mfcc(utt, power_spectrum(utt)).data))
 
     def test_filterbank_constants_equal_fresh_banks(self):
         for constant, n_filters in ((frontend.FBANK_FILTERS, frontend.N_MELS),
@@ -94,16 +98,18 @@ class TestFbank:
 
 class TestMfcc:
     def test_dimension_is_twenty(self):
-        assert mfcc(tone(500.0)).dim == 20
+        utt = tone(500.0)
+        assert mfcc(utt, power_spectrum(utt)).dim == 20
 
     def test_all_zero_audio_constant_rows(self):
-        feat = mfcc(make_utt(np.zeros(4000, dtype=np.int16)))
+        utt = make_utt(np.zeros(4000, dtype=np.int16))
+        feat = mfcc(utt, power_spectrum(utt))
         assert np.allclose(feat.data, feat.data[0])
 
     def test_dct_stage_matches_direct_cosine_sum(self):
         # Oracle: orthonormal DCT-II evaluated term by term on one frame.
         utt = tone(700.0)
-        feat = mfcc(utt)
+        feat = mfcc(utt, power_spectrum(utt))
         frame = utt.samples[:200].astype(np.float64) / 32768.0
         power = np.abs(np.fft.rfft(frame * np.hamming(200), 256)) ** 2
         logmel = np.log(np.maximum(power @ mel_filterbank(23).T, frontend.LOG_FLOOR))
@@ -118,7 +124,8 @@ class TestMfcc:
 
 class TestDeltas:
     def test_dims_and_frames(self):
-        feat = mfcc(tone(300.0))
+        utt = tone(300.0)
+        feat = mfcc(utt, power_spectrum(utt))
         out = add_deltas(feat)
         assert out.data.shape == (feat.n_frames, 60)
 
@@ -236,8 +243,8 @@ def test_pipeline_features_on_synth_audio():
     inv = make_inventory(5, "L", 6)
     spk = SpeakerProfile("s", 140.0, 1.0, -3.0, 1.0)
     utt = synth_utterance(spk, inv, [0, 1, 2, 3], 2.0, seed=11, utterance_id="x")
-    fb = cmvn(fbank(utt))
-    mf = cmvn(add_deltas(mfcc(utt)))
+    fb = cmvn(fbank(utt, power_spectrum(utt)))
+    mf = cmvn(add_deltas(mfcc(utt, power_spectrum(utt))))
     assert fb.dim == 40 and mf.dim == 60
     assert fb.n_frames == mf.n_frames
 
@@ -262,8 +269,8 @@ class TestFeatsStage:
 
         utts = [corpus.load_utterance(manifest, rec) for rec in manifest.records]
         separate = {
-            pipeline.FBANK: [cmvn(fbank(utt)) for utt in utts],
-            pipeline.MFCC: [cmvn(add_deltas(mfcc(utt))) for utt in utts],
+            pipeline.FBANK: [cmvn(fbank(utt, power_spectrum(utt))) for utt in utts],
+            pipeline.MFCC: [cmvn(add_deltas(mfcc(utt, power_spectrum(utt)))) for utt in utts],
         }
         for rel, feats in separate.items():
             archive.archive_write(feats, tmp_path / "separate.farc")

@@ -7,6 +7,7 @@ import pytest
 
 from xldv import ivector
 from xldv.errors import InvalidArgumentError, NumericError
+from xldv.frontend import FeatureMatrix
 from xldv.ivector import (
     SuffStats,
     TMatrix,
@@ -71,7 +72,7 @@ class TestAccumulateStats:
         rng = np.random.default_rng(4)
         frames = rng.normal(1.0, 1.0, (50, 3))
         ubm = train_ubm(frames, 1, n_iters=1, seed=0)
-        stats = accumulate_stats(ubm, frames)
+        stats = accumulate_stats(ubm, FeatureMatrix("u", frames))
         np.testing.assert_allclose(stats.n, [50.0], atol=1e-10)
         np.testing.assert_allclose(
             stats.f[0], (frames - ubm.means[0]).sum(axis=0), atol=1e-8
@@ -84,21 +85,21 @@ class TestAccumulateStats:
             variances=np.ones((2, 2)),
         )
         frames = np.array([[-10.0, -10.0], [10.0, 10.0], [-10.0, -10.0]])
-        stats = accumulate_stats(ubm, frames)
+        stats = accumulate_stats(ubm, FeatureMatrix("u", frames))
         np.testing.assert_allclose(stats.n, [2.0, 1.0], atol=1e-10)
 
     def test_occupancies_sum_to_frame_count(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(120, 4))
         ubm = train_ubm(frames, 4, n_iters=3, seed=5)
-        stats = accumulate_stats(ubm, frames[:37])
+        stats = accumulate_stats(ubm, FeatureMatrix("u", frames[:37]))
         assert abs(stats.n.sum() - 37.0) < 1e-6
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         ubm = train_ubm(rng.normal(size=(100, 4)), 2, n_iters=1, seed=6)
         with pytest.raises(InvalidArgumentError):
-            accumulate_stats(ubm, rng.normal(size=(10, 5)))
+            accumulate_stats(ubm, FeatureMatrix("u", rng.normal(size=(10, 5))))
 
 
 def _random_ubm(rng, c, d):
@@ -149,7 +150,7 @@ class TestBlockedEStep:
         rng = np.random.default_rng(23)
         ubm = _random_ubm(rng, 8, 6)
         x = rng.normal(size=(self.BLOCK + 500, 6))
-        stats = accumulate_stats(ubm, x)
+        stats = accumulate_stats(ubm, FeatureMatrix("u", x))
         post, _ = _reference_e_step(ubm, x)
         n = post.sum(axis=0)
         assert stats.n.tobytes() == n.tobytes()
@@ -185,7 +186,7 @@ def synthetic_stats_from_model(ubm, t_true, n_utts, frames_per_utt, seed):
             + shift[comps]
             + rng.normal(size=(frames_per_utt, d)) * np.sqrt(ubm.variances[comps])
         )
-        stats.append(accumulate_stats(ubm, frames))
+        stats.append(accumulate_stats(ubm, FeatureMatrix("u", frames)))
     return stats
 
 

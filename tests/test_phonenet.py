@@ -11,7 +11,7 @@ from xldv.corpus import (
     load_utterance,
 )
 from xldv.errors import InvalidArgumentError
-from xldv.frontend import FeatureMatrix, cmvn, fbank
+from xldv.frontend import FeatureMatrix, cmvn, fbank, power_spectrum
 from xldv.nn import TrainState
 from xldv.phonenet import (
     LinguisticFactorExtractor,
@@ -21,12 +21,19 @@ from xldv.phonenet import (
     hidden_activations,
     linguistic_factor,
     make_phone_dataset,
-    reconstruct_low_rank,
     svd_decompose,
     train_phone_classifier,
 )
 
 SMALL_NET = PhoneNetConfig(n_phones=10, td_hidden=32)
+
+
+def reconstruct_low_rank(graph, extractor):
+    """U_r S_r V_r^T, the rank-r approximation of the final affine (P x H) that
+    ``svd_decompose``'s factors stand for."""
+    w = final_affine(graph)
+    u_r = w @ extractor.v_r / np.maximum(extractor.s_r, 1e-300)
+    return (u_r * extractor.s_r) @ extractor.v_r.T
 
 
 def random_classifier(seed=0, n_phones=10, hidden=32):
@@ -172,7 +179,8 @@ def labeled_corpus(tmp_path_factory):
     manifest = build_corpus(config, 55, root / "corpus")
     feats, labels = [], {}
     for rec in manifest.utterances("train"):
-        feat = cmvn(fbank(load_utterance(manifest, rec)))
+        utt = load_utterance(manifest, rec)
+        feat = cmvn(fbank(utt, power_spectrum(utt)))
         feats.append(feat)
         labels[rec.utterance_id] = expand_labels(
             manifest.labels[rec.utterance_id], feat.n_frames
@@ -197,7 +205,8 @@ class TestTrainPhoneClassifier:
         manifest = build_corpus(config, 66, tmp_path / "corpus")
         feats, labels = [], {}
         for rec in manifest.utterances("train"):
-            feat = cmvn(fbank(load_utterance(manifest, rec)))
+            utt = load_utterance(manifest, rec)
+            feat = cmvn(fbank(utt, power_spectrum(utt)))
             feats.append(feat)
             labels[rec.utterance_id] = expand_labels(
                 manifest.labels[rec.utterance_id], feat.n_frames
