@@ -3,7 +3,8 @@
 Every failure prints one line to stderr, ``xldv: error: <category>:
 <message>``, and exits 1 for ``config`` (a ConfigError: bad command line,
 config file or value), 2 for ``data`` (DataError, InvalidArgumentError:
-missing or malformed artifacts), 3 for ``numeric`` (NumericError) and 2 for
+missing or malformed artifacts; OSError: a file or directory the run needs
+cannot be read or written), 3 for ``numeric`` (NumericError) and 2 for
 ``internal`` (any other XldvError: DegenerateInputError, StateError).
 """
 
@@ -39,15 +40,17 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()  # built once, at import
+
+
 def _load(args) -> config_mod.ExperimentConfig:
     seed = [] if args.seed is None else [f"experiment.seed={args.seed}"]
     return config_mod.load_config(args.config, args.overrides + seed)
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         logging.basicConfig(
             level=logging.WARNING if args.quiet else logging.INFO,
             format="%(asctime)s %(name)s: %(message)s", datefmt="%H:%M:%S",
@@ -66,7 +69,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"xldv: error: config: {exc}", file=sys.stderr)
         return 1
-    except (DataError, InvalidArgumentError) as exc:
+    except (DataError, InvalidArgumentError, OSError) as exc:
         print(f"xldv: error: data: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

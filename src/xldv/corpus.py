@@ -406,12 +406,7 @@ def build_corpus(config: CorpusConfig, seed, out_dir) -> CorpusManifest:
             avoid_inventories=list(inventories.values()),
         )
 
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create corpus directory {out_dir}: {exc}") from exc
-    if not os.access(out_dir, os.W_OK):
-        raise DataError(f"corpus directory {out_dir} is not writable")
+    os.makedirs(out_dir, exist_ok=True)
 
     train_speakers = [f"trn{i:04d}" for i in range(config.n_train_speakers)]
     eval_speakers = [f"evl{i:04d}" for i in range(config.n_eval_speakers)]

@@ -34,6 +34,7 @@ import itertools
 import json
 import logging
 import os
+import pathlib
 import resource
 import time
 from collections import Counter, namedtuple
@@ -115,7 +116,7 @@ class RunManifest:
             fh.write("\n")
 
     def record(self, stage, config_keys, inputs, outputs, wall_clock, reason, version=1):
-        previous = self.data["stages"].get(stage, {})
+        seq = self.data["stages"].get(stage, {}).get("run_seq")
         self.data["tool_version"] = __version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         threads = int(BLAS_THREADS) if (BLAS_THREADS or "").isdigit() else BLAS_THREADS
@@ -127,7 +128,7 @@ class RunManifest:
             "inputs": inputs,
             "outputs": outputs,
             "reason": reason,
-            "run_seq": previous.get("run_seq", 0) + 1,
+            "run_seq": (seq if isinstance(seq, int) else 0) + 1,
             "wall_clock_s": round(wall_clock, 3),
             "max_rss_mb": _max_rss_mb(resource.RUSAGE_SELF),
             "child_max_rss_mb": _max_rss_mb(resource.RUSAGE_CHILDREN),
@@ -142,8 +143,9 @@ class RunManifest:
         rec = self.data["stages"].get(stage)
         if rec is None:
             return "no record"
-        if "config_keys" not in rec:
-            return "record has no config keys"
+        for key in ("config_keys", "inputs", "outputs"):
+            if not isinstance(rec.get(key), dict):
+                return f"record has no {key.replace('_', ' ')}"
         if rec.get("version", 1) != version:
             return "code version changed"
         for key, value in sorted(rec["config_keys"].items()):
@@ -506,11 +508,11 @@ def _train_backend(ctx: Context, system):
     normed = backend.center_lengthnorm(emb.vectors, mean)
     label_of = ctdnn.contiguous_labels(speakers)
     labels = np.array([label_of[s] for s in speakers])
-    n_classes = labels.max() + 1
-    k = min(cfg["backend.lda_dim"], emb.dim, n_classes - 1)
+    span = backend.TrainingSpan(normed, labels)
+    log.info("%s: back-end span has rank %d of %d", system, span.rank, emb.dim)
+    k = min(cfg["backend.lda_dim"], span.rank, len(span.counts) - 1)
     if k < cfg["backend.lda_dim"]:
         log.info("%s: LDA dim clamped to %d", system, k)
-    span = backend.TrainingSpan(normed, labels)
     lda = backend.train_lda(span, k)
     plda = backend.train_plda(span, n_iters=cfg["backend.plda_iters"])
     # perfbench's retune check reads the top-level lda_dim
@@ -538,7 +540,7 @@ def stage_score(ctx: Context):
         emb.vectors = backend.center_lengthnorm(emb.vectors, mean)
         scorers = {
             "cosine": backend.CosineScorer(),
-            "lda": backend.CosineScorer(lda, plda.mu),
+            "lda": backend.CosineScorer(plda.basis @ lda, plda.mu),
             "plda": backend.PLDAScorer(plda),
         }
         for cond, trials in trial_lists.items():
@@ -621,9 +623,9 @@ STAGES = (
     Stage("extract", CORPUS_FILES + (FBANK, MFCC, FACTORS) + _CTDNN_MODELS
           + (UBM_MODEL, TMATRIX_MODEL), _EMBEDDINGS, stage_extract, version=3),
     Stage("backend-train", CORPUS_FILES + _EMBEDDINGS, _BACKENDS, stage_backend_train,
-          version=4),
+          version=5),
     Stage("score", CORPUS_FILES + _EMBEDDINGS + _BACKENDS, _SCORES, stage_score,
-          version=3),
+          version=4),
     Stage("eval", _SCORES, (EER_TABLE,), stage_eval),
     Stage("report", (EER_TABLE,), (REPORT_TSV, REPORT_TXT), stage_report),
 )
@@ -689,7 +691,10 @@ def make_context(config: ExperimentConfig, run_dir=None) -> Context:
             "runs", config.hash()[:12]
         )
     os.makedirs(run_dir, exist_ok=True)
-    resolved = os.path.join(run_dir, "config.resolved.ini")
-    with archive.atomic_open(resolved) as fh:
-        fh.write(config.canonical_text())
+    resolved = pathlib.Path(run_dir, "config.resolved.ini")
+    text = config.canonical_text().encode("utf-8")
+    # rewritten only when it differs, so a no-op run touches no file
+    if not resolved.is_file() or resolved.read_bytes() != text:
+        with archive.atomic_open(resolved, "wb") as fh:
+            fh.write(text)
     return Context(config=config, run_dir=run_dir, manifest=RunManifest(run_dir))

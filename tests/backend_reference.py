@@ -1,10 +1,11 @@
 """References that ``xldv.backend`` must match: the scalar cosine of one pair,
-and dense D x D LDA and PLDA training.
+and dense LDA and PLDA training.
 
-The trainers are the back-end trainers as they stood before training moved
-into the span of the training rows, with one change: LDA adds its ridge
-whenever N - K < D (K classes), where the within-class scatter is singular by
-count, and not only when a factorization that rounding may let through fails.
+The trainers factorize D x D matrices of whatever rows they are given, with
+no basis of their own: run on ``TrainingSpan.rows`` they must give the
+span-basis model, and their ``PLDAModel`` has the identity as its basis. LDA
+adds its ridge whenever N - K < D (K classes), where the within-class
+scatter is singular by count.
 """
 
 import logging
@@ -121,7 +122,7 @@ def train_plda(vectors, labels, n_iters=10) -> PLDAModel:
         log.info("PLDA init: within-class covariance floored")
     eps_b = RIDGE * max(1.0, np.trace(s_b) / d)
     phi_b = (s_b + s_b.T) / 2.0 + eps_b * np.eye(d)
-    model = PLDAModel(mu=mu, phi_b=phi_b, phi_w=phi_w)
+    model = PLDAModel(mu=mu, basis=np.eye(d), phi_b=phi_b, phi_w=phi_w)
     xc_by_class = {cls: x[labels == cls] - mu for cls in classes}
     for _ in range(n_iters + 1):
         model.objective.append(_plda_loglik(x, labels, mu, model.phi_b, model.phi_w))

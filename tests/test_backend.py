@@ -24,6 +24,17 @@ def monotone(seq, rel=1e-6):
     return all(b >= a - rel * abs(a) for a, b in zip(seq, seq[1:]))
 
 
+def lda_matrix(x, labels, k):
+    """The (D, k) LDA projection: the span's basis times ``train_lda``'s (r, k) matrix."""
+    span = TrainingSpan(x, labels)
+    return span.basis @ train_lda(span, k)
+
+
+def in_embedding_space(model, name):
+    """A PLDA covariance as the (D, D) matrix ``U Phi U^T`` in the embedding space."""
+    return model.basis @ getattr(model, name) @ model.basis.T
+
+
 class TestCosine:
     def test_parallel(self):
         assert cosine_score([1.0, 0.0], [1.0, 0.0]) == 1.0
@@ -87,7 +98,7 @@ class TestLda:
         labels = np.repeat([0, 1], n)
         x = rng.normal(0.0, 1.0, (2 * n, 2))
         x[labels == 1, 0] += 8.0
-        lda = train_lda(TrainingSpan(x, labels), 1)
+        lda = lda_matrix(x, labels, 1)
         direction = lda[:, 0] / np.linalg.norm(lda[:, 0])
         angle = np.degrees(np.arccos(min(abs(direction[0]), 1.0)))
         assert angle < 1.0
@@ -99,7 +110,7 @@ class TestLda:
         centers = rng.normal(0.0, 3.0, (n_classes, d))
         x = centers[labels] + rng.normal(size=(n_classes * per, d))
         k = min(d, n_classes - 1)
-        lda = train_lda(TrainingSpan(x, labels), k)
+        lda = lda_matrix(x, labels, k)
         projected = (x - x.mean(axis=0)) @ lda
         s_w = np.zeros((k, k))
         for cls in range(n_classes):
@@ -118,7 +129,7 @@ class TestLda:
 
         def leading_eigenvalue(labels):
             # eigh scales w so that w^T S_w w = 1, so lambda = w^T S_b w
-            w = train_lda(TrainingSpan(x, labels), 1)[:, 0]
+            w = lda_matrix(x, labels, 1)[:, 0]
             s_b, s_w, _ = dense._scatters(x, labels)
             np.testing.assert_allclose(w @ s_w @ w, 1.0, rtol=1e-9)
             return w @ s_b @ w
@@ -216,8 +227,10 @@ class TestTrainPlda:
         phi_w = np.array([[0.5, -0.1], [-0.1, 0.7]])
         x, labels = sample_plda_data(phi_b, phi_w, 500, 10, seed=10)
         model = train_plda(TrainingSpan(x, labels), n_iters=15)
-        assert np.linalg.norm(model.phi_b - phi_b) / np.linalg.norm(phi_b) < 0.1
-        assert np.linalg.norm(model.phi_w - phi_w) / np.linalg.norm(phi_w) < 0.1
+        assert (np.linalg.norm(in_embedding_space(model, "phi_b") - phi_b)
+                / np.linalg.norm(phi_b) < 0.1)
+        assert (np.linalg.norm(in_embedding_space(model, "phi_w") - phi_w)
+                / np.linalg.norm(phi_w) < 0.1)
 
     def test_null_between_class_signal(self):
         rng = np.random.default_rng(11)
@@ -239,6 +252,21 @@ class TestTrainPlda:
         model = train_plda(TrainingSpan(x, labels), n_iters=12)
         assert len(model.objective) == 13
         assert monotone(model.objective)
+
+    def test_rank_deficient_rows_log_no_floor(self, caplog):
+        # rows of rank 6 in 40 dimensions, as learned embeddings are (rank
+        # about 128 in 400): singular in the embedding space, full rank in the span
+        rng = np.random.default_rng(29)
+        labels = np.repeat(np.arange(10), 5)
+        latent = rng.normal(size=(10, 6))[labels] + 0.5 * rng.normal(size=(50, 6))
+        x = latent @ rng.normal(size=(6, 40))
+        with caplog.at_level("INFO", logger="xldv.backend"):
+            span = TrainingSpan(center_lengthnorm(x, x.mean(axis=0)), labels)
+            train_lda(span, 5)
+            model = train_plda(span, n_iters=5)
+        assert span.rank == 6
+        assert model.phi_w.shape == (6, 6)
+        assert caplog.messages == []
 
     def test_singleton_classes_handled(self):
         rng = np.random.default_rng(13)
@@ -282,23 +310,26 @@ class TestPldaObjective:
         x, labels, mu, phi_b, phi_w = self._case()
         np.testing.assert_allclose(dense._plda_loglik(x, labels, mu, phi_b, phi_w),
                                    self._oracle(x, labels, mu, phi_b, phi_w), rtol=1e-10)
-        # train_plda's last objective is its returned model's, here with N < D
+        # train_plda's last objective is its returned model's for the rows in
+        # the span's coordinates, here with N < D
         x, labels = labelled_rows([1, 2, 3, 2], 10, seed=27)
-        model = train_plda(TrainingSpan(x, labels), n_iters=4)
+        span = TrainingSpan(x, labels)
+        model = train_plda(span, n_iters=4)
         np.testing.assert_allclose(
             model.objective[-1],
-            self._oracle(x, labels, model.mu, model.phi_b, model.phi_w), rtol=1e-10)
+            self._oracle(span.rows, labels, np.zeros(span.rank), model.phi_b, model.phi_w),
+            rtol=1e-10)
 
     def test_indefinite_within_class_covariance_raises(self):
         x, labels, _, phi_b, _ = self._case()
         with pytest.raises(NumericError, match="within-class covariance"):
-            _plda_loglik(TrainingSpan(x, labels), phi_b, np.diag([1.0, -0.5, 1.0]), 0.0)
+            _plda_loglik(TrainingSpan(x, labels), phi_b, np.diag([1.0, -0.5, 1.0]))
 
     def test_indefinite_mean_covariance_raises(self):
         x, labels, _, _, phi_w = self._case()
         phi_b = -np.eye(3) * (2.0 * np.linalg.eigvalsh(phi_w).max())
         with pytest.raises(NumericError, match="mean covariance"):
-            _plda_loglik(TrainingSpan(x, labels), phi_b, phi_w, 0.0)
+            _plda_loglik(TrainingSpan(x, labels), phi_b, phi_w)
 
 
 def _spy(monkeypatch, module, names, calls):
@@ -313,7 +344,8 @@ def _spy(monkeypatch, module, names, calls):
 
 
 class TestDenseReference:
-    """Span-basis training against ``backend_reference``'s dense D x D training."""
+    """Span-basis training against ``backend_reference``'s dense training of the
+    rows in the span's coordinates."""
 
     @pytest.mark.parametrize("sizes, d", [
         ([3, 1, 2, 4, 2], 40),
@@ -327,27 +359,32 @@ class TestDenseReference:
             lda, model = train_lda(span, 3), train_plda(span, n_iters=6)
             ours = list(caplog.messages)
             caplog.clear()
-            ref_lda, ref = dense.train_lda(x, labels, 3), dense.train_plda(x, labels, n_iters=6)
+            ref_lda = dense.train_lda(span.rows, labels, 3)
+            ref = dense.train_plda(span.rows, labels, n_iters=6)
         assert ours == caplog.messages  # the same floor and ridge lines
+        assert span.rank == min(len(x) - 1, d)
         for name in ("phi_b", "phi_w"):
             ref_value = getattr(ref, name)
             assert (np.linalg.norm(getattr(model, name) - ref_value)
                     <= 1e-8 * np.linalg.norm(ref_value)), name
         np.testing.assert_allclose(model.objective, ref.objective, rtol=1e-10)
-        # PLDA scores of training rows: off the span Phi_w is 1e-8 I, so the
-        # score of a vector with a part there carries 1e8-scaled rounding
+        # an eval vector scores as its projection onto the span: its part off
+        # the span is dropped
         rng = np.random.default_rng(25)
-        a, b = x[rng.integers(len(x), size=(2, 30))]
-        np.testing.assert_allclose(plda_scores(model, a, b), plda_scores(ref, a, b), rtol=1e-8)
         enroll, test = rng.normal(size=(2, 30, d))
-        ours, theirs = CosineScorer(lda, model.mu), CosineScorer(ref_lda, ref.mu)
+        enroll_r, test_r = (v @ span.basis - model.mu @ span.basis for v in (enroll, test))
+        ours_plda, ref_plda = plda_scores(model, enroll, test), plda_scores(ref, enroll_r, test_r)
+        np.testing.assert_allclose(ours_plda, ref_plda, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref_plda).max())
+        ours, theirs = CosineScorer(span.basis @ lda, model.mu), CosineScorer(ref_lda, ref.mu)
         np.testing.assert_allclose(
             ours.score_pairs(ours.prepare(enroll), ours.prepare(test)),
-            theirs.score_pairs(theirs.prepare(enroll), theirs.prepare(test)), atol=1e-6)
+            theirs.score_pairs(theirs.prepare(enroll_r), theirs.prepare(test_r)), atol=1e-6)
 
     def test_factorizes_nothing_larger_than_the_span(self, monkeypatch):
-        # timing-free guard on the cost: with N < D every matrix that a
-        # factorization or inverse sees has a side of at most r
+        # timing-free guard on the cost: with N < D the one SVD sees the N x D
+        # rows, and every other matrix that a factorization or inverse sees
+        # has a side of at most r
         x, labels = labelled_rows([3, 1, 2, 4, 2], 40, seed=28)
         calls = []
         _spy(monkeypatch, np.linalg, ["inv", "eigh", "eigvalsh", "cholesky", "qr", "svd",
@@ -358,10 +395,11 @@ class TestDenseReference:
         span = TrainingSpan(x, labels)
         train_lda(span, 3)
         train_plda(span, n_iters=3)
-        rank = span.basis.shape[1]
+        rank = span.rank
         assert rank == len(x) - 1
-        assert {"qr", "inv", "eigh", "cholesky", "solve_triangular"} <= {n for n, _ in calls}
-        assert [(name, shapes) for name, shapes in calls
+        assert calls[0] == ("svd", [x.shape])
+        assert {"inv", "eigh", "cholesky", "solve_triangular"} <= {n for n, _ in calls}
+        assert [(name, shapes) for name, shapes in calls[1:]
                 if any(min(shape) > rank for shape in shapes)] == []
 
 
@@ -423,9 +461,10 @@ class TestPldaScore:
         phi_w = np.array([[0.5, 0.1, 0.0], [0.1, 0.8, -0.2], [0.0, -0.2, 0.6]])
         model = train_plda(TrainingSpan(*sample_plda_data(phi_b, phi_w, 60, 5, seed=22)),
                            n_iters=4)
-        total = model.phi_b + model.phi_w
+        between = in_embedding_space(model, "phi_b")
+        total = between + in_embedding_space(model, "phi_w")
         joint = stats.multivariate_normal(np.tile(model.mu, 2),
-                                          np.block([[total, model.phi_b], [model.phi_b, total]]))
+                                          np.block([[total, between], [between, total]]))
         alone = stats.multivariate_normal(model.mu, total)
         rng = np.random.default_rng(23)
         a, b = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))

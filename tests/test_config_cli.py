@@ -292,6 +292,44 @@ class TestCli:
         assert after["extract"] == before["extract"]
         assert after["report"] == before["report"]
 
+    @pytest.mark.parametrize("change", ["rotate", "append-noise"])
+    def test_back_end_does_not_depend_on_the_embedding_basis(self, run_copy, caplog,
+                                                             change):
+        # a random rotation of the embedding space, or appended dimensions of
+        # rounding-level noise, leaves the span's rank, the floor and ridge
+        # lines and every EER cell as they were (thresholds may round apart);
+        # the tiny d-vectors have rank 9 in 16 dimensions
+        ctx = tiny_context(run_copy)
+
+        def back_end():
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                for name in ("backend-train", "score", "eval"):
+                    pipeline.run_stage(ctx, name, force=True)
+            lines = [re.sub(r" of \d+$", "", msg) for msg in caplog.messages
+                     if re.search("span has rank|floored|ridge", msg)]
+            rows = [line.split("\t") for line in
+                    (run_copy / pipeline.EER_TABLE).read_text().splitlines()]
+            return lines, [row[:4] + row[5:] for row in rows]
+
+        before = back_end()
+        rng = np.random.default_rng(30)
+        for system in evalkit.SYSTEMS:
+            paths = [run_copy / pipeline.embedding_file(system, split)
+                     for split in pipeline.SPLITS]
+            sets = [backend.EmbeddingSet.from_archive(path) for path in paths]
+            rotation = np.linalg.qr(rng.normal(size=(sets[0].dim,) * 2))[0]
+            for emb, path in zip(sets, paths):
+                if change == "rotate":
+                    emb.vectors = emb.vectors @ rotation
+                else:
+                    scale = 1e-7 * np.linalg.norm(emb.vectors, axis=1, keepdims=True)
+                    emb.vectors = np.hstack([emb.vectors,
+                                             scale * rng.normal(size=(len(emb), 4))])
+                emb.to_archive(path)
+        assert len(before[0]) == len(evalkit.SYSTEMS)
+        assert back_end() == before
+
     def test_zero_within_class_scatter_exits_three(self, run_copy, capsys):
         # 1-D train i-vectors that share a sign within each speaker length-norm
         # to +-1, so LDA's within-class scatter is zero and no ridge scaled by
@@ -368,6 +406,24 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "scores/" in err and err.startswith("xldv: error: data:")
+
+    def test_run_dir_that_is_a_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("")
+        assert main(["all"] + tiny_args(path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("xldv: error: data: "), err
+        assert str(path) in err[0]
+
+    def test_missing_wav_in_a_worker_exits_two(self, run_copy, capsys):
+        # feats reads each wav in a worker, whose OSError reaches the stage process
+        wav = sorted((run_copy / "corpus" / "wav").rglob("*.wav"))[0]
+        wav.unlink()
+        assert main(["feats", "--force"] + tiny_args(run_copy)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("xldv: error: data: "), err
+        assert str(wav) in err[0]
+        assert multiprocessing.active_children() == []
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         # each on top of the tiny config; all but the first two once failed
@@ -610,6 +666,36 @@ class TestReuse:
         assert rec["run_seq"] == 1
         assert "config_hash" not in rec
 
+    @pytest.mark.parametrize("edit", [
+        {"outputs": []}, {"inputs": None}, {"outputs": [], "run_seq": "2"},
+    ], ids=["outputs-a-list", "inputs-missing", "run-seq-a-string"])
+    def test_malformed_record_is_rerun(self, run_copy, edit):
+        manifest = run_copy / "manifest.json"
+        data = json.loads(manifest.read_text())
+        rec = data["stages"]["report"]
+        for key, value in edit.items():
+            if value is None:
+                del rec[key]
+            else:
+                rec[key] = value
+        manifest.write_text(json.dumps(data))
+        assert pipeline.run_all(tiny_context(run_copy)) == ["report"]
+        rec = stage_records(run_copy)["report"]
+        assert rec["reason"] == f"record has no {next(iter(edit))}"
+        if "run_seq" in edit:  # a count that is not one starts again
+            assert rec["run_seq"] == 1
+        assert pipeline.run_all(tiny_context(run_copy)) == []
+
+    def test_noop_run_touches_no_file(self, run_copy):
+        # config.resolved.ini included: it is rewritten only when it differs
+        def stats():
+            return {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+                    for path in [run_copy, *run_copy.rglob("*")]}
+
+        before = stats()
+        assert main(["all"] + tiny_args(run_copy)) == 0
+        assert stats() == before
+
     @pytest.mark.parametrize("name, changes_output, ran", [
         ("train-ubm", False, ["train-ubm"]),
         ("eval", True, ["eval", "report"]),
@@ -755,10 +841,12 @@ class TestWorkers:
         out = subprocess.run([sys.executable, "-m", "xldv.cli", "backend-train", "--force"]
                              + args, env=env, capture_output=True, text=True, check=True)
         messages = [line.split(": ", 1)[1] for line in out.stderr.splitlines()]
-        floors = (["PLDA init: within-class covariance floored"]
-                  + ["PLDA M-step: within-class covariance floored"] * 3)
-        # the two d-vector systems floor, the i-vector one does not
-        assert messages[:-1] == ["stage backend-train: running (forced)"] + floors * 2
+        # each system's worker logs its span's rank; the d-vectors have rank 9
+        # in 16 dimensions, so no PLDA floor is logged
+        assert messages[:-1] == ["stage backend-train: running (forced)",
+                                 "ivector: back-end span has rank 8 of 8",
+                                 "dvector-phone-blind: back-end span has rank 9 of 16",
+                                 "dvector-phone-aware: back-end span has rank 9 of 16"]
         assert messages[-1].startswith("stage backend-train: done in ")
 
     def test_data_error_in_a_worker_exits_two(self, run_copy, capsys):
