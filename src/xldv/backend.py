@@ -100,6 +100,11 @@ class TrainingSpan:
     rows in its coordinates, ``means`` the class means, ``resid`` each row's
     deviation from its class mean, and ``s_b``/``s_w`` the r x r between- and
     within-class scatters over N. ``train_lda`` and ``train_plda`` share one span.
+
+    The variance test is absolute. It is meant for centred, length-normed rows,
+    as the pipeline passes them (total variance at most 1); rows on another
+    scale keep or lose directions with that scale. Rows with no direction
+    above the floor (all equal, or scaled down to it) raise DegenerateInputError.
     """
 
     def __init__(self, vectors, labels):
@@ -109,6 +114,9 @@ class TrainingSpan:
         _, s, vt = np.linalg.svd(x - self.mu, full_matrices=False)
         self.basis = vt[s * s / self.n > PLDA_FLOOR].T
         self.rank = self.basis.shape[1]
+        if self.rank == 0:
+            raise DegenerateInputError(
+                f"no direction of the training rows has variance above {PLDA_FLOOR:g}")
         self.rows = (x - self.mu) @ self.basis
         _, self.label_index, self.counts = np.unique(labels, return_inverse=True,
                                                      return_counts=True)
@@ -120,24 +128,19 @@ class TrainingSpan:
 
 
 def train_lda(span: TrainingSpan, k) -> np.ndarray:
-    """Solve S_b v = lambda S_w v in the span; the (r, k) matrix of the top-k directions.
+    """Solve S_b v = lambda S_w v in the span; the (D, k) matrix of the top-k directions.
 
-    Its columns are scaled so that the projected within-class covariance is
-    the identity. Projection is ``(x - mu) @ basis @ lda``, with the span's
-    training mean and basis, which ``PLDAModel`` stores. With N - K < r (K
-    classes) S_w is singular by count and always gets the ridge; otherwise
+    Its columns lie in the span and are scaled so that the projected
+    within-class covariance is the identity. Projection is ``(x - mu) @ lda``,
+    with the span's training mean, which ``PLDAModel`` stores. With N - K < r
+    (K classes) S_w is singular by count and always gets the ridge; otherwise
     only when its factorization fails.
     """
     n_classes = len(span.counts)
     if n_classes < 2:
         raise InvalidArgumentError("LDA needs at least 2 classes")
-    k_max = min(span.rank, n_classes - 1)
-    if not 1 <= k <= span.rank:
-        raise InvalidArgumentError(f"K={k} outside 1..{span.rank}")
-    if k > k_max:
-        raise InvalidArgumentError(
-            f"K={k} exceeds min(rank, n_classes-1)={k_max}"
-        )
+    if not 1 <= k <= min(span.rank, n_classes - 1):
+        raise InvalidArgumentError(f"K={k} outside 1..min(rank, n_classes-1)")
     s_b, s_w = span.s_b, span.s_w
     singular = span.n - n_classes < span.rank
     if not singular:
@@ -155,7 +158,7 @@ def train_lda(span: TrainingSpan, k) -> np.ndarray:
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             raise NumericError(
                 f"LDA: within-class scatter singular even with ridge {ridge:.3g}") from None
-    return evecs[:, np.argsort(evals)[::-1][:k]]
+    return span.basis @ evecs[:, np.argsort(evals)[::-1][:k]]
 
 
 @dataclass

@@ -40,7 +40,7 @@ def build_parser():
     return parser
 
 
-PARSER = build_parser()  # built once, at import
+PARSER = build_parser()  # at import: once per process, however often main() runs
 
 
 def _load(args) -> config_mod.ExperimentConfig:

@@ -15,6 +15,7 @@ the phone net's ``N_STAGES``, ``CHUNK_FRAMES``, ``BATCH_CHUNKS`` and
 ``LEARNING_RATE``.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -98,6 +99,12 @@ def _parse_value(key, raw, line=None):
     return value
 
 
+@functools.cache
+def _derived_seed(master, section):
+    """A section's seed from ``experiment.seed``, once per process and pair."""
+    return int(derive_rng(master, "section-seed", section).integers(0, 2**31 - 1))
+
+
 class ExperimentConfig:
     """Materialized configuration: every schema key has an explicit value."""
 
@@ -107,12 +114,10 @@ class ExperimentConfig:
             if k not in SCHEMA:
                 raise ConfigError(f"unknown key {k!r}")
             self.values[k] = v
-        master = self.values["experiment.seed"]
         for section in DERIVED_SEED_SECTIONS:
             key = f"{section}.seed"
             if self.values[key] == -1:
-                rng = derive_rng(master, "section-seed", section)
-                self.values[key] = int(rng.integers(0, 2**31 - 1))
+                self.values[key] = _derived_seed(self.values["experiment.seed"], section)
 
     def __getitem__(self, key):
         if key not in self.values:

@@ -540,7 +540,7 @@ def stage_score(ctx: Context):
         emb.vectors = backend.center_lengthnorm(emb.vectors, mean)
         scorers = {
             "cosine": backend.CosineScorer(),
-            "lda": backend.CosineScorer(plda.basis @ lda, plda.mu),
+            "lda": backend.CosineScorer(lda, plda.mu),
             "plda": backend.PLDAScorer(plda),
         }
         for cond, trials in trial_lists.items():

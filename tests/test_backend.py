@@ -24,12 +24,6 @@ def monotone(seq, rel=1e-6):
     return all(b >= a - rel * abs(a) for a, b in zip(seq, seq[1:]))
 
 
-def lda_matrix(x, labels, k):
-    """The (D, k) LDA projection: the span's basis times ``train_lda``'s (r, k) matrix."""
-    span = TrainingSpan(x, labels)
-    return span.basis @ train_lda(span, k)
-
-
 def in_embedding_space(model, name):
     """A PLDA covariance as the (D, D) matrix ``U Phi U^T`` in the embedding space."""
     return model.basis @ getattr(model, name) @ model.basis.T
@@ -98,7 +92,7 @@ class TestLda:
         labels = np.repeat([0, 1], n)
         x = rng.normal(0.0, 1.0, (2 * n, 2))
         x[labels == 1, 0] += 8.0
-        lda = lda_matrix(x, labels, 1)
+        lda = train_lda(TrainingSpan(x, labels), 1)
         direction = lda[:, 0] / np.linalg.norm(lda[:, 0])
         angle = np.degrees(np.arccos(min(abs(direction[0]), 1.0)))
         assert angle < 1.0
@@ -110,7 +104,7 @@ class TestLda:
         centers = rng.normal(0.0, 3.0, (n_classes, d))
         x = centers[labels] + rng.normal(size=(n_classes * per, d))
         k = min(d, n_classes - 1)
-        lda = lda_matrix(x, labels, k)
+        lda = train_lda(TrainingSpan(x, labels), k)
         projected = (x - x.mean(axis=0)) @ lda
         s_w = np.zeros((k, k))
         for cls in range(n_classes):
@@ -129,7 +123,7 @@ class TestLda:
 
         def leading_eigenvalue(labels):
             # eigh scales w so that w^T S_w w = 1, so lambda = w^T S_b w
-            w = lda_matrix(x, labels, 1)[:, 0]
+            w = train_lda(TrainingSpan(x, labels), 1)[:, 0]
             s_b, s_w, _ = dense._scatters(x, labels)
             np.testing.assert_allclose(w @ s_w @ w, 1.0, rtol=1e-9)
             return w @ s_b @ w
@@ -268,6 +262,14 @@ class TestTrainPlda:
         assert model.phi_w.shape == (6, 6)
         assert caplog.messages == []
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-5], ids=["equal-rows", "scaled-down"])
+    def test_span_with_no_direction_is_degenerate(self, scale):
+        # every direction's variance over the rows is at most (1e-5)^2 < PLDA_FLOOR
+        rng = np.random.default_rng(30)
+        x = np.ones((12, 5)) + scale * rng.uniform(-1.0, 1.0, (12, 5))
+        with pytest.raises(DegenerateInputError, match="no direction"):
+            TrainingSpan(x, np.repeat(np.arange(4), 3))
+
     def test_singleton_classes_handled(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(21, 2))
@@ -376,10 +378,39 @@ class TestDenseReference:
         ours_plda, ref_plda = plda_scores(model, enroll, test), plda_scores(ref, enroll_r, test_r)
         np.testing.assert_allclose(ours_plda, ref_plda, rtol=1e-8,
                                    atol=1e-8 * np.abs(ref_plda).max())
-        ours, theirs = CosineScorer(span.basis @ lda, model.mu), CosineScorer(ref_lda, ref.mu)
+        ours, theirs = CosineScorer(lda, model.mu), CosineScorer(ref_lda, ref.mu)
         np.testing.assert_allclose(
             ours.score_pairs(ours.prepare(enroll), ours.prepare(test)),
             theirs.score_pairs(theirs.prepare(enroll_r), theirs.prepare(test_r)), atol=1e-6)
+
+    def test_full_span_matches_dense_training_on_the_raw_rows(self, caplog):
+        # with r = D the span basis is a rotation of the embedding space, so
+        # dense training on the rows as given checks the basis and the
+        # projection end to end, with no shared basis on the two sides
+        x, labels = labelled_rows([8] * 8 + [3, 5], 10, seed=24)
+        with caplog.at_level("INFO"):
+            span = TrainingSpan(x, labels)
+            lda, model = train_lda(span, 3), train_plda(span, n_iters=6)
+            ours = list(caplog.messages)
+            caplog.clear()
+            ref_lda = dense.train_lda(x, labels, 3)
+            ref = dense.train_plda(x, labels, n_iters=6)
+        assert ours == caplog.messages
+        assert span.rank == x.shape[1]
+        for name in ("phi_b", "phi_w"):
+            ref_value = getattr(ref, name)
+            assert (np.linalg.norm(in_embedding_space(model, name) - ref_value)
+                    <= 1e-8 * np.linalg.norm(ref_value)), name
+        np.testing.assert_allclose(model.objective, ref.objective, rtol=1e-10)
+        rng = np.random.default_rng(25)
+        enroll, test = rng.normal(size=(2, 30, x.shape[1]))
+        ref_plda = plda_scores(ref, enroll, test)
+        np.testing.assert_allclose(plda_scores(model, enroll, test), ref_plda, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref_plda).max())
+        ours, theirs = CosineScorer(lda, model.mu), CosineScorer(ref_lda, ref.mu)
+        np.testing.assert_allclose(
+            ours.score_pairs(ours.prepare(enroll), ours.prepare(test)),
+            theirs.score_pairs(theirs.prepare(enroll), theirs.prepare(test)), atol=1e-6)
 
     def test_factorizes_nothing_larger_than_the_span(self, monkeypatch):
         # timing-free guard on the cost: with N < D the one SVD sees the N x D
