@@ -28,6 +28,7 @@ import collections
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 import zlib
@@ -139,8 +140,10 @@ def archive_stream(path, utterance_ids=None):
             if len(crc_raw) < 4:
                 raise FormatError("truncated record checksum", rec_start, utt_id, path)
             (crc_stored,) = struct.unpack("<I", crc_raw)
-            body = raw_len + ident + dims + payload
-            if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
+            crc = zlib.crc32(raw_len)
+            for part in (ident, dims, payload):
+                crc = zlib.crc32(part, crc)
+            if crc != crc_stored:
                 raise FormatError("record checksum mismatch", rec_start, utt_id, path)
             if utt_id in seen:
                 raise FormatError("duplicate record id", rec_start, utt_id, path)
@@ -175,63 +178,101 @@ def read_columns(path, n_fields):
 
 
 def save_checkpoint(path, header: dict, tensors: dict):
-    """Write a checkpoint container with a JSON header and named tensors."""
+    """Write a checkpoint container with a JSON header and named tensors.
+
+    Each tensor's buffer goes straight to the file, and the CRC is updated
+    as the bytes are written.
+    """
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = struct.pack("<I", len(header_bytes)) + header_bytes
-    body += struct.pack("<I", len(tensors))
-    for name, tensor in tensors.items():
-        arr = np.ascontiguousarray(tensor)
-        if arr.dtype not in _DTYPE_TO_CODE:
-            arr = arr.astype(np.float64)
-        code = _DTYPE_TO_CODE[arr.dtype]
-        name_bytes = name.encode("utf-8")
-        body += struct.pack("<H", len(name_bytes)) + name_bytes
-        body += struct.pack("<BB", code, arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        body += arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
     with atomic_open(path, "wb") as fh:
         fh.write(NNCK_MAGIC + struct.pack("<H", NNCK_VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        crc = 0
+
+        def put(buf):
+            nonlocal crc
+            fh.write(buf)
+            crc = zlib.crc32(buf, crc)
+
+        put(struct.pack("<I", len(header_bytes)) + header_bytes
+            + struct.pack("<I", len(tensors)))
+        for name, tensor in tensors.items():
+            arr = np.ascontiguousarray(tensor)
+            if arr.dtype not in _DTYPE_TO_CODE:
+                arr = arr.astype(np.float64)
+            code = _DTYPE_TO_CODE[arr.dtype]
+            name_bytes = name.encode("utf-8")
+            put(struct.pack(f"<H{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes), name_bytes,
+                            code, arr.ndim, *arr.shape))
+            put(arr.astype(_DTYPE_CODES[code], copy=False))
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint container; returns (header dict, name -> ndarray)."""
+    """Read a checkpoint container; returns (header dict, name -> ndarray).
+
+    Each tensor is read straight into its own array and the CRC is updated as
+    the bytes arrive, so no copy of the file is held. A file whose CRC does
+    not match is a checksum mismatch, whatever else is wrong with its bytes.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 10 or blob[:4] != NNCK_MAGIC:
-        raise FormatError("not a checkpoint container (bad magic)", offset=0, path=path)
-    (version,) = struct.unpack("<H", blob[4:6])
-    if version != NNCK_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4, path=path)
-    body, crc_raw = blob[6:-4], blob[-4:]
-    (crc_stored,) = struct.unpack("<I", crc_raw)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise FormatError("checkpoint checksum mismatch", offset=len(blob) - 4, path=path)
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if size < 10 or head[:4] != NNCK_MAGIC:
+            raise FormatError("not a checkpoint container (bad magic)", offset=0, path=path)
+        (version,) = struct.unpack("<H", head[4:6])
+        if version != NNCK_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}", offset=4, path=path)
+        end = size - 4  # the CRC trailer
+        crc = 0
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(body):
-            raise FormatError(f"truncated checkpoint ({what})", 6 + pos, path=path)
-        out = body[pos : pos + n]
-        pos += n
-        return out
+        def fill(buf, what):
+            """Read ``len(buf)`` body bytes into the writable buffer ``buf``."""
+            nonlocal crc
+            pos = fh.tell()
+            view = memoryview(buf).cast("B")
+            if pos + len(view) > end or fh.readinto(view) != len(view):
+                raise FormatError(f"truncated checkpoint ({what})", pos, path=path)
+            crc = zlib.crc32(view, crc)
+            return buf
 
-    (header_len,) = struct.unpack("<I", take(4, "header length"))
-    header = json.loads(take(header_len, "header").decode("utf-8"))
-    (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        code, ndim = struct.unpack("<BB", take(2, "tensor dtype/ndim"))
-        if code not in _DTYPE_CODES:
-            raise FormatError(f"unknown tensor dtype code {code}", 6 + pos, name, path)
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape")) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        payload = take(count * _DTYPE_CODES[code].itemsize, "tensor payload")
-        tensors[name] = np.frombuffer(payload, dtype=_DTYPE_CODES[code]).reshape(shape).copy()
+        def crc_matches():
+            nonlocal crc
+            while (left := end - fh.tell()) > 0:
+                chunk = fh.read(min(left, 1 << 20))
+                if not chunk:
+                    return False
+                crc = zlib.crc32(chunk, crc)
+            return fh.read(4) == struct.pack("<I", crc)
+
+        def take(n, what):
+            return fill(bytearray(n), what)
+
+        def read_body():
+            (header_len,) = struct.unpack("<I", take(4, "header length"))
+            header = json.loads(take(header_len, "header").decode("utf-8"))
+            (n_tensors,) = struct.unpack("<I", take(4, "tensor count"))
+            tensors = {}
+            for _ in range(n_tensors):
+                (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
+                name = take(name_len, "tensor name").decode("utf-8")
+                code, ndim = struct.unpack("<BB", take(2, "tensor dtype/ndim"))
+                if code not in _DTYPE_CODES:
+                    raise FormatError(f"unknown tensor dtype code {code}", fh.tell(), name, path)
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
+                tensors[name] = fill(np.empty(math.prod(shape), _DTYPE_CODES[code]),
+                                     "tensor payload").reshape(shape)
+            return header, tensors
+
+        try:
+            header, tensors = read_body()
+        except (FormatError, ValueError) as exc:  # ValueError: a bad JSON or UTF-8 header
+            error = exc
+        else:
+            error = None
+        if not crc_matches():
+            raise FormatError("checkpoint checksum mismatch", offset=end, path=path)
+        if error is not None:
+            raise error
     return header, tensors
 
 

@@ -17,6 +17,24 @@ statistics with the Gram, each precision gets one Cholesky factorization, and
 the M-step statistics are two GEMMs per block, summed in block order. The pass
 after the last M-step computes only the objective. Extraction runs the same
 kernel on a block of one utterance.
+
+The arrays live in each EM step, beside the caller's inputs (N frames of D
+dims, C components, rank R, B = ``TV_BLOCK_UTTS``); every one is float64
+unless named otherwise, and no step changes a bit of the results:
+
+- UBM E-step: the (N, C) posterior and the (N,) log-likelihoods, plus one
+  block's (``E_STEP_ROWS``, C) temporaries. The frames may be float32, as the
+  pipeline passes them; only the block in hand is cast.
+- UBM M-step: the posterior and one (N, D) working copy of the frames, which
+  gives the first moment and is then squared in place for the second.
+- T-matrix E-step: T (C*D, R), whitened in place when an M-step will replace
+  it, the (C, R, R) Gram, and the sums acc_a (C, R, R) and acc_k (R, C*D);
+  per block, the stacked statistics (B, C) and (B, C*D) and the (B, R, R)
+  precisions, each overwritten by its E[w w'] once factored. The block's
+  sums are added in column chunks (``_column_chunks``), so no whole (C, R, R)
+  product is built.
+- T-matrix M-step: the whitened T and the Gram are freed first; the step
+  holds acc_a, acc_k and the new T.
 """
 
 import logging
@@ -35,6 +53,7 @@ EMPTY_COMPONENT_OCCUPANCY = 1e-8
 RIDGE = 1e-8
 E_STEP_ROWS = 2048  # frames per E-step block
 TV_BLOCK_UTTS = 64  # utterances per T-matrix E-step block
+ACC_CHUNK_COLS = 1024  # columns per chunk of a block's M-step statistics
 
 
 @dataclass
@@ -90,7 +109,7 @@ def _e_step(ubm: UBM, frames):
     ll = np.empty(n)
     for start in range(0, n, E_STEP_ROWS):
         rows = slice(start, start + E_STEP_ROWS)
-        log_post, ll[rows] = ubm.log_posteriors(frames[rows])
+        log_post, ll[rows] = ubm.log_posteriors(frames[rows].astype(np.float64, copy=False))
         np.exp(log_post, out=post[rows])
     return post, ll
 
@@ -100,9 +119,11 @@ def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
 
     The recorded objective has n_iters+1 entries: the total log-likelihood
     before each M-step and once more after the last. Empty components are
-    re-seeded by splitting the highest-occupancy component.
+    re-seeded by splitting the highest-occupancy component. ``frames`` may be
+    float32: the arithmetic is float64 throughout, as on a float64 copy, but
+    only E-step blocks and the M-step's working copy are ever cast.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     n, dim = frames.shape
     if n < 2 * n_components:
         raise InvalidArgumentError(
@@ -110,11 +131,11 @@ def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
         )
     rng = derive_rng(seed, "ubm-init")
     pick = rng.choice(n, size=n_components, replace=False)
-    global_var = frames.var(axis=0)
+    global_var = frames.var(axis=0, dtype=np.float64)
     floor = VAR_FLOOR_FRACTION * global_var + 1e-12
     ubm = UBM(
         weights=np.full(n_components, 1.0 / n_components),
-        means=frames[pick].copy(),
+        means=frames[pick].astype(np.float64),
         variances=np.tile(np.maximum(global_var, floor), (n_components, 1)),
     )
     for it in range(n_iters):
@@ -137,9 +158,10 @@ def train_ubm(frames: np.ndarray, n_components, n_iters=10, seed=0) -> UBM:
             post[:, c] = half
             post[:, donor] = half
         weights = occ / occ.sum()
-        means = (post.T @ frames) / occ[:, None]
-        second = (post.T @ (frames**2)) / occ[:, None]
-        del post  # the next E-step allocates a fresh one
+        work = frames.astype(np.float64)  # squared in place for the second moment
+        means = (post.T @ work) / occ[:, None]
+        second = (post.T @ np.square(work, out=work)) / occ[:, None]
+        del post, work  # the next E-step allocates a fresh posterior
         variances = np.maximum(second - means**2, floor)
         ubm.weights, ubm.means, ubm.variances = weights, means, variances
     _, ll = _e_step(ubm, frames)
@@ -177,13 +199,33 @@ class TMatrix:
     objective: list = field(default_factory=list)
 
 
-def _whitened_gram(ubm: UBM, tmat: np.ndarray):
-    """(t3, inv_std, gram): T_c scaled by Sigma_c^-1/2 and gram_c = t3_c' t3_c."""
+def _whitened_gram(ubm: UBM, tmat: np.ndarray, in_place=False):
+    """(t3, inv_std, gram): T_c scaled by Sigma_c^-1/2 and gram_c = t3_c' t3_c.
+
+    ``in_place`` whitens ``tmat`` itself, for a T that an M-step replaces.
+    """
     c, d = ubm.n_components, ubm.dim
     inv_std = 1.0 / np.sqrt(ubm.variances)  # (C, D)
-    t3 = tmat.reshape(c, d, -1) * inv_std[:, :, None]
+    t3 = tmat.reshape(c, d, -1)
+    t3 = np.multiply(t3, inv_std[:, :, None], out=t3 if in_place else None)
     gram = np.matmul(t3.transpose(0, 2, 1), t3)
     return t3, inv_std, gram
+
+
+def _column_chunks(m):
+    """Slices of ``m`` columns for a block's M-step sums, each ``ACC_CHUNK_COLS``
+    wide except the last, which takes the rest (up to twice that).
+
+    A chunk's product keeps the bits of the whole product's columns only where
+    both take the same GEMM kernel path. OpenBLAS's SkylakeX kernel takes a
+    small-matrix path for a narrow chunk where the whole takes the blocked
+    one, and the two round the columns past the last multiple of 16 apart
+    (measured at R = 50). So a column count that is no multiple of 16 stays
+    one chunk. tests/test_ivector.py checks the bits under two BLAS kernels.
+    """
+    n = max(1, m // ACC_CHUNK_COLS) if m % 16 == 0 else 1
+    edges = [i * ACC_CHUNK_COLS for i in range(n)] + [m]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _posteriors(whitened, block, what, acc=None):
@@ -192,7 +234,9 @@ def _posteriors(whitened, block, what, acc=None):
     Returns b = T' S^-1 F (B, R), the means w = L^-1 b (B, R) and log det L
     (B,), where L = I + sum_c N_c gram_c; one Cholesky factor of each L gives
     both. With ``acc = (acc_a, acc_k)`` it also adds the block's M-step
-    statistics, sum_u N_u E[w w'] (C, R, R) and sum_u w F' (R, C*D).
+    statistics, sum_u N_u E[w w'] (C, R, R) and sum_u w F' (R, C*D): each
+    E[w w'] overwrites its factored precision, and the sums are added in
+    column chunks, so no (C, R, R) product is allocated.
     """
     t3, inv_std, gram = whitened
     c, d, r = t3.shape
@@ -203,7 +247,6 @@ def _posteriors(whitened, block, what, acc=None):
     b = fw @ t3.reshape(c * d, r)
     w = np.empty_like(b)
     logdet = np.empty(len(block))
-    eww = None if acc is None else np.empty_like(precision)
     for i, p in enumerate(precision):
         try:
             factor = scipy.linalg.cho_factor(p, check_finite=False)
@@ -211,13 +254,16 @@ def _posteriors(whitened, block, what, acc=None):
             raise NumericError(f"{what}: posterior precision is not PD: {exc}") from exc
         w[i] = scipy.linalg.cho_solve(factor, b[i], check_finite=False)
         logdet[i] = 2.0 * np.log(np.diag(factor[0])).sum()
-        if acc is not None:
-            eww[i] = scipy.linalg.cho_solve(factor, np.eye(r), check_finite=False)
-            eww[i] += np.outer(w[i], w[i])
+        if acc is not None:  # E[w w'], in the factored precision's place
+            p[:] = scipy.linalg.cho_solve(factor, np.eye(r), check_finite=False)
+            p += np.outer(w[i], w[i])
     if acc is not None:
         acc_a, acc_k = acc
-        acc_a += (n.T @ eww.reshape(len(block), -1)).reshape(c, r, r)
-        acc_k += w.T @ fw
+        sums = ((acc_a.reshape(c, -1), n.T, precision.reshape(len(block), -1)),
+                (acc_k, w.T, fw))
+        for total, left, right in sums:
+            for cols in _column_chunks(right.shape[1]):
+                total[:, cols] += left @ right[:, cols]
     return b, w, logdet
 
 
@@ -259,23 +305,26 @@ def train_tmatrix(ubm: UBM, stats_list, rank, n_iters=10, seed=0) -> TMatrix:
         raise InvalidArgumentError(f"rank {rank} exceeds supervector dim {c * d}")
     rng = derive_rng(seed, "tmatrix-init")
     tmat = rng.normal(0.0, 1.0, (c * d, rank)) * np.sqrt(ubm.variances.reshape(-1, 1))
-    result = TMatrix(t=tmat, n_components=c, dim=d)
+    objective = []
     for it in range(n_iters + 1):
-        whitened = _whitened_gram(ubm, result.t)
-        # the pass after the last M-step only scores the final T
-        acc = (np.zeros((c, rank, rank)), np.zeros((rank, c * d))) if it < n_iters else None
+        # the pass after the last M-step only scores the final T, which stays as it is;
+        # every earlier T is whitened in place, as its M-step replaces it
+        last = it == n_iters
+        whitened = _whitened_gram(ubm, tmat, in_place=not last)
+        acc = None if last else (np.zeros((c, rank, rank)), np.zeros((rank, c * d)))
         obj = 0.0
         for start in range(0, len(stats_list), TV_BLOCK_UTTS):
             b, w, logdet = _posteriors(
                 whitened, stats_list[start : start + TV_BLOCK_UTTS], "t-matrix E-step", acc
             )
             obj += 0.5 * (float(np.sum(b * w)) - float(logdet.sum()))
-        result.objective.append(obj)
-        if acc is None:
+        objective.append(obj)
+        if last:
             break
-        result.t = _m_step(ubm, *acc)
-        del whitened, acc  # freed before the next E-step allocates its own
-    return result
+        del whitened, tmat  # the whitened T and the Gram go before the M-step allocates
+        tmat = _m_step(ubm, *acc)
+        del acc  # freed before the next E-step allocates its own
+    return TMatrix(t=tmat, n_components=c, dim=d, objective=objective)
 
 
 def whiten(ubm: UBM, tmatrix: TMatrix):

@@ -40,10 +40,12 @@ class NetworkGraph:
     front-end (e.g. (-4, 4) for a +-4 splice).
     ``aux`` optionally concatenates a per-frame auxiliary input of width
     ``aux["dim"]`` to the activations entering layer ``aux["layer"]``.
+    Without ``init`` no seeded init is drawn: the weights are read-only
+    placeholders that ``from_checkpoint`` replaces.
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32,
-                 input_context=(0, 0), aux=None):
+                 input_context=(0, 0), aux=None, init=True):
         self.specs = list(specs)
         self.input_shape = tuple(input_shape)
         self.seed = seed
@@ -68,7 +70,7 @@ class NetworkGraph:
                         "aux input can only be concatenated to a vector activation"
                     )
                 in_shape = ("vec", in_shape[1] + self.aux["dim"])
-            rng = derive_rng(seed, "init", i, spec.kind)
+            rng = derive_rng(seed, "init", i, spec.kind) if init else None
             shape = layer.build(in_shape, rng, self.dtype)
             self.layers.append(layer)
             self.shape_record.append((in_shape, shape))
@@ -177,7 +179,8 @@ class NetworkGraph:
             graph = cls([LayerSpec.from_dict(d) for d in stored["layer_specs"]],
                         tuple(stored["input_shape"]), seed=stored["seed"],
                         dtype=np.dtype(stored["dtype"]),
-                        input_context=tuple(stored["input_context"]), aux=stored["aux"])
+                        input_context=tuple(stored["input_context"]), aux=stored["aux"],
+                        init=False)
         except KeyError as exc:
             raise DataError(f"{path}: network checkpoint lacks {exc}") from None
         for i, layer in enumerate(graph.layers):
@@ -190,7 +193,7 @@ class NetworkGraph:
                         f"{path}: checkpoint tensor {key} has shape {tensors[key].shape}, "
                         f"expected {layer.params[name].shape}"
                     )
-                layer.params[name] = tensors[key].astype(graph.dtype)
+                layer.params[name] = tensors[key].astype(graph.dtype, copy=False)
         return graph, stored
 
 

@@ -16,9 +16,13 @@ from ..frontend import edge_index
 LENGTHNORM_EPS = 1e-12
 
 
-def _glorot(rng, fan_in, fan_out, shape):
+def _glorot(rng, fan_in, fan_out, shape, dtype):
+    """Glorot-uniform weights; with no ``rng``, a read-only placeholder of no
+    memory, for a graph whose parameters come from a checkpoint."""
+    if rng is None:
+        return np.broadcast_to(np.zeros((), dtype), shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
+    return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
 def _fold_time_padding(dxp, left, right):
@@ -44,7 +48,8 @@ class Layer:
         self.params = {}
 
     def build(self, in_shape, rng, dtype):
-        """Validate/record shapes and initialize parameters. Returns out_shape."""
+        """Validate/record shapes and initialize parameters (placeholders when
+        ``rng`` is None). Returns out_shape."""
         raise NotImplementedError
 
     def forward(self, x, cache):
@@ -80,7 +85,7 @@ class Affine(Layer):
             raise self._bad("output dim must be >= 1")
         self.d_in = d_in
         self.params = {
-            "W": _glorot(rng, d_in, d_out, (d_in, d_out)).astype(dtype),
+            "W": _glorot(rng, d_in, d_out, (d_in, d_out), dtype),
             "b": np.zeros(d_out, dtype=dtype),
         }
         return ("vec", d_out)
@@ -135,7 +140,7 @@ class Conv2D(Layer):
         self.pad = (-t_lo, kt - 1 + t_lo)
         fan = kt * kf
         self.params = {
-            "W": _glorot(rng, fan * c_in, fan * c_out, (kt * kf * c_in, c_out)).astype(dtype),
+            "W": _glorot(rng, fan * c_in, fan * c_out, (kt * kf * c_in, c_out), dtype),
             "b": np.zeros(c_out, dtype=dtype),
         }
         return ("map", self.f_out, c_out)
@@ -270,7 +275,7 @@ class TimeDelay(Layer):
         self.d_in = d_in
         self.d_cat = d_in * len(offsets)
         self.params = {
-            "W": _glorot(rng, self.d_cat, d_out, (self.d_cat, d_out)).astype(dtype),
+            "W": _glorot(rng, self.d_cat, d_out, (self.d_cat, d_out), dtype),
             "b": np.zeros(d_out, dtype=dtype),
         }
         return ("vec", d_out)

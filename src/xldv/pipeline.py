@@ -406,18 +406,29 @@ def stage_train_ctdnn(ctx: Context):
 def _ubm_sample(ctx: Context):
     """The training utterances' MFCC frames, subsampled to ``ivector.ubm_frames``.
 
-    Returned as float64; the float32 rows, their concatenation and its
-    subsample are freed on return, so UBM training holds only that copy.
+    The sampled float32 rows, in sample order, are gathered from each
+    utterance's rows into one array; the whole pass is never concatenated.
     """
     cfg = ctx.config
     train_ids = [r.utterance_id for r in _load_manifest(ctx).utterances("train")]
-    frames = np.concatenate(
-        [feat.data for feat in archive.archive_stream(ctx.path(MFCC), train_ids)])
+    rows = [feat.data for feat in archive.archive_stream(ctx.path(MFCC), train_ids)]
+    n = sum(len(data) for data in rows)
     budget = cfg["ivector.ubm_frames"]
-    if frames.shape[0] > budget:
+    if n > budget:
         rng = corpus.derive_rng(cfg["ivector.seed"], "ubm-subsample")
-        frames = frames[rng.choice(frames.shape[0], budget, replace=False)]
-    return frames.astype(np.float64)
+        pick = rng.choice(n, budget, replace=False)
+    else:
+        pick = np.arange(n)
+    slot = np.full(n, -1)  # each frame's row in the sample, or -1
+    slot[pick] = np.arange(len(pick))
+    frames = np.empty((len(pick), rows[0].shape[1]), np.float32)
+    start = 0
+    for data in rows:
+        where = slot[start : start + len(data)]
+        start += len(data)
+        kept = where >= 0
+        frames[where[kept]] = data[kept]
+    return frames
 
 
 def stage_train_ubm(ctx: Context):

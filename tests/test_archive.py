@@ -1,9 +1,11 @@
 """Feature archive and checkpoint container round trips and fault handling."""
 
 import dataclasses
+import json
 import pickle
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -123,6 +125,22 @@ class TestFeatureArchive:
         with pytest.raises(FormatError):
             list(archive_stream(bad))
 
+    @pytest.mark.parametrize("flip, error", [
+        (-5, "record checksum mismatch"),  # the second record's last payload byte
+        (-1, "record checksum mismatch"),  # its stored CRC
+    ], ids=["payload", "trailer"])
+    def test_bad_crc_names_the_record_and_its_offset(self, tmp_path, flip, error):
+        path = tmp_path / "c.farc"
+        feats = random_feats(2, np.random.default_rng(3))
+        archive_write(feats, path)
+        blob = bytearray(path.read_bytes())
+        second = 6 + 2 + len("utt0") + 8 + 4 * feats[0].data.size + 4
+        blob[flip] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            list(archive_stream(path))
+        assert str(err.value) == f"{path}: {error} (record 'utt1') at byte offset {second}"
+
     def test_streaming_read_one_at_a_time(self, tmp_path):
         feats = random_feats(5, np.random.default_rng(4))
         path = tmp_path / "s.farc"
@@ -181,6 +199,62 @@ class TestCheckpointContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: checkpoint checksum mismatch"):
             load_checkpoint(path)
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        path = tmp_path / "m.nnck"
+        w, b = np.arange(6.0).reshape(2, 3), np.array([1.5, -2.0], np.float32)
+        save_checkpoint(path, {"kind": "demo"}, {"w": w, "b": b})
+        header = b'{"kind":"demo"}'
+        body = (struct.pack("<I", len(header)) + header + struct.pack("<I", 2)
+                + struct.pack("<H", 1) + b"w" + struct.pack("<BB2I", 1, 2, 2, 3) + w.tobytes()
+                + struct.pack("<H", 1) + b"b" + struct.pack("<BBI", 0, 1, 2) + b.tobytes())
+        assert path.read_bytes() == (b"NNCK" + struct.pack("<H", 1) + body
+                                     + struct.pack("<I", zlib.crc32(body)))
+
+    @pytest.mark.parametrize("cut", [4, 30], ids=["trailer", "payload"])
+    def test_truncated_file_is_a_checksum_mismatch(self, tmp_path, cut):
+        path = tmp_path / "m.nnck"
+        save_checkpoint(path, {"kind": "demo"}, {"w": np.ones((2, 2))})
+        path.write_bytes(path.read_bytes()[:-cut])
+        size = path.stat().st_size
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: checkpoint checksum "
+                                              f"mismatch at byte offset {size - 4}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)], ids=["exact", "short-payload"])
+    def test_payload_shorter_than_its_shape_is_truncated(self, tmp_path, dims):
+        # a good CRC over a body whose one tensor may claim more bytes than it holds
+        header = json.dumps({"kind": "demo"}).encode()
+        body = (struct.pack("<I", len(header)) + header + struct.pack("<I", 1)
+                + struct.pack("<H", 1) + b"w" + struct.pack("<BB2I", 1, 2, *dims)
+                + np.ones(4).tobytes())
+        path = tmp_path / "m.nnck"
+        path.write_bytes(b"NNCK" + struct.pack("<H", 1) + body
+                         + struct.pack("<I", zlib.crc32(body)))
+        if dims == (2, 2):
+            assert load_checkpoint(path)[1]["w"].tobytes() == np.ones(4).tobytes()
+            return
+        payload = 6 + len(body) - 32
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: truncated checkpoint "
+                                              rf"\(tensor payload\) at byte offset {payload}$"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_each_tensor(self, tmp_path):
+        path = tmp_path / "big.nnck"
+        w = np.random.default_rng(1).normal(size=(512, 1024))
+        save_checkpoint(path, {"kind": "demo"}, {"w": w})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, tensors = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tensors["w"].tobytes() == w.tobytes()
+        assert tensors["w"].flags.writeable
+        # the tensor's own array plus a small constant; reading the file whole
+        # and slicing it held about four copies
+        assert peak <= w.nbytes + 64 * 1024
 
     def test_deterministic_bytes(self, tmp_path):
         tensors = {"w": np.arange(6.0).reshape(2, 3)}

@@ -1,11 +1,13 @@
 """Graph assembly, shape algebra, SGD semantics, and trainer behavior."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xldv import archive
+from xldv.nn import graph as graph_module
 from xldv.ctdnn import CTDNNConfig, build_phone_blind
 from xldv.errors import DataError, InvalidArgumentError, NumericError, StateError
 from xldv.nn import LayerSpec, NetworkGraph, TrainState, sgd_step, softmax_xent, train
@@ -57,6 +59,31 @@ class TestGraphBuild:
         assert header["variant"] == "phone-blind"
         x = np.random.default_rng(0).normal(size=(1, 6, 40, 9))
         np.testing.assert_array_equal(g.forward(x), g2.forward(x))
+
+    def test_checkpoint_load_holds_the_stored_parameters_and_draws_no_init(
+            self, tmp_path, monkeypatch):
+        g = NetworkGraph([LayerSpec("affine", dim=1024), LayerSpec("affine", dim=8)],
+                         ("vec", 1024), seed=3)
+        path = tmp_path / "g.nnck"
+        g.save(path, extra_header={"kind": "ctdnn", "variant": "phone-blind"})
+        stored = sum(arr.nbytes for _, _, arr in g.parameters())
+
+        def no_init(*args):
+            raise AssertionError("from_checkpoint drew a seeded init")
+
+        monkeypatch.setattr(graph_module, "derive_rng", no_init)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g2, _ = NetworkGraph.from_checkpoint(path, {"kind": "ctdnn",
+                                                        "variant": "phone-blind"})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        for (_, _, a), (_, _, b) in zip(g.parameters(), g2.parameters()):
+            assert b.dtype == np.float32 and b.tobytes() == a.tobytes()
+        # a float64 init drawn and thrown away, and an astype copy, held 3x more
+        assert peak <= stored + 64 * 1024
 
     @pytest.mark.parametrize("kind, drop, error", [
         ("phone-classifier", None, "checkpoint kind is 'phone-classifier', not 'ctdnn'"),

@@ -1,10 +1,14 @@
 """UBM EM, Baum-Welch statistics, T-matrix EM, and i-vector extraction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import xldv
 from xldv import ivector
 from xldv.errors import InvalidArgumentError, NumericError
 from xldv.frontend import FeatureMatrix
@@ -161,15 +165,20 @@ class TestBlockedEStep:
         n, dim, c = 25_000, 60, 64
         rng = np.random.default_rng(24)
         frames = rng.normal(size=(n, dim)) * rng.uniform(0.5, 2.0, dim)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            train_ubm(frames, c, n_iters=2, seed=25)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # a whole-matrix E-step peaks at about 7x the (N, C) posterior
-        assert peak <= 3 * n * c * 8
+        for dtype in (np.float64, np.float32):
+            frames = frames.astype(dtype)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train_ubm(frames, c, n_iters=2, seed=25)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # the (N, C) posterior and the M-step's one float64 working copy of
+            # the (N, D) frames, D < C; a whole-matrix E-step peaks at about 7x
+            # the posterior, and a float64 copy of float32 frames beside
+            # frames**2 at about 3x
+            assert peak <= 2 * n * c * 8, dtype
 
 
 def synthetic_stats_from_model(ubm, t_true, n_utts, frames_per_utt, seed):
@@ -305,15 +314,79 @@ class TestTrainTmatrix:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the Gram, acc_a, the two block buffers and the block's acc_a product
+        # the Gram, acc_a and the block's precision buffer, which takes E[ww'],
         # are one (C, R, R) array each here (B = C); the block's stacked
-        # statistics are two
-        assert peak <= 11 * c * r * r * 8
+        # statistics are about two. A separate E[ww'] buffer and a whole
+        # (C, R, R) product for acc_a would add two more
+        assert peak <= 8 * c * r * r * 8
 
     def test_needs_enough_utterances(self):
         ubm = self._ubm()
         with pytest.raises(InvalidArgumentError):
             train_tmatrix(ubm, [], rank=2)
+
+
+# Runs in a fresh process per BLAS kernel: a chunked product keeps the whole
+# product's bits only where both take the same kernel path (see
+# ivector._column_chunks).
+CHUNKED_BITS = """
+import sys
+import numpy as np
+import scipy.linalg
+from xldv import ivector
+from xldv.ivector import SuffStats, UBM
+
+rng = np.random.default_rng(0)
+bad = []
+# (C, D, R) and last-block sizes of the default, mid, perfbench and tiny configs,
+# and a rank whose R * R is no multiple of 16
+for c, d, r, sizes in ((64, 60, 100, (64, 44, 36, 32, 16, 1)), (4, 60, 8, (24,)),
+                       (64, 60, 50, (7, 10))):
+    ubm = UBM(weights=np.full(c, 1.0 / c), means=np.zeros((c, d)),
+              variances=rng.uniform(0.5, 2.0, (c, d)))
+    whitened = ivector._whitened_gram(ubm, rng.normal(size=(c * d, r)))
+    t3, inv_std, gram = whitened
+    for size in sizes:
+        block = [SuffStats(n=rng.uniform(1.0, 20.0, c), f=rng.normal(size=(c, d)),
+                           n_frames=20) for _ in range(size)]
+        acc = (rng.normal(size=(c, r, r)), rng.normal(size=(r, c * d)))
+        want_a, want_k = acc[0].copy(), acc[1].copy()
+        _, w, _ = ivector._posteriors(whitened, block, "test", acc)
+        # the whole-matrix products, with E[ww'] in a buffer of its own
+        n = np.array([s.n for s in block])
+        fw = np.array([(s.f * inv_std).reshape(-1) for s in block])
+        precision = (n @ gram.reshape(c, r * r)).reshape(-1, r, r)
+        precision.reshape(-1, r * r)[:, :: r + 1] += 1.0
+        eww = np.empty_like(precision)
+        for i, p in enumerate(precision):
+            factor = scipy.linalg.cho_factor(p, check_finite=False)
+            eww[i] = scipy.linalg.cho_solve(factor, np.eye(r), check_finite=False)
+            eww[i] += np.outer(w[i], w[i])
+        want_a += (n.T @ eww.reshape(size, -1)).reshape(c, r, r)
+        want_k += w.T @ fw
+        if acc[0].tobytes() != want_a.tobytes() or acc[1].tobytes() != want_k.tobytes():
+            bad.append((c, r, size))
+# the UBM's float64 moments of float32 frames, at the cold-train shape
+frames = (rng.normal(size=(25_000, 60)) * rng.uniform(0.5, 2.0, 60)).astype(np.float32)
+single = ivector.train_ubm(frames, 64, n_iters=1, seed=1)
+double = ivector.train_ubm(frames.astype(np.float64), 64, n_iters=1, seed=1)
+if any(getattr(single, k).tobytes() != getattr(double, k).tobytes()
+       for k in ("weights", "means", "variances")):
+    bad.append("ubm")
+sys.stdout.write(repr(bad))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["default-kernel", "haswell"])
+def test_chunked_statistics_keep_the_whole_products_bits(coretype):
+    src = os.path.dirname(os.path.dirname(xldv.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = subprocess.run([sys.executable, "-c", CHUNKED_BITS], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout == "[]"
 
 
 class TestExtractIvector:
