@@ -101,8 +101,9 @@ def _logsumexp(a):
 def _e_step(ubm: UBM, frames):
     """(N, C) posteriors and (N,) per-frame log-likelihoods of ``frames``.
 
-    Computed ``E_STEP_ROWS`` rows at a time into preallocated arrays; every
-    row is bitwise what ``np.exp(ubm.log_posteriors(frames)[0])`` gives.
+    Computed ``E_STEP_ROWS`` rows at a time into preallocated arrays, each
+    block cast to float64; every row is bitwise what
+    ``np.exp(ubm.log_posteriors(frames.astype(np.float64))[0])`` gives.
     """
     n = frames.shape[0]
     post = np.empty((n, ubm.n_components))
