@@ -61,8 +61,7 @@ class NetworkGraph:
         self.shape_record = []
         shape = self.input_shape
         for i, spec in enumerate(self.specs):
-            cls = LAYER_CLASSES[spec.kind]
-            layer = cls(spec.hyper, name=f"{i}:{spec.kind}")
+            layer = LAYER_CLASSES[spec.kind](spec, i)
             in_shape = shape
             if self.aux is not None and self.aux["layer"] == i:
                 if in_shape[0] != "vec":

@@ -16,13 +16,16 @@ from ..frontend import edge_index
 LENGTHNORM_EPS = 1e-12
 
 
-def _glorot(rng, fan_in, fan_out, shape, dtype):
-    """Glorot-uniform weights; with no ``rng``, a read-only placeholder of no
-    memory, for a graph whose parameters come from a checkpoint."""
+def _dense_params(rng, d_in, d_out, fan_out, dtype):
+    """W, Glorot-uniform over fans (d_in, fan_out), and a zero b; with no
+    ``rng``, W is a read-only placeholder of no memory, for a graph whose
+    parameters come from a checkpoint."""
     if rng is None:
-        return np.broadcast_to(np.zeros((), dtype), shape)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape).astype(dtype)
+        w = np.broadcast_to(np.zeros((), dtype), (d_in, d_out))
+    else:
+        limit = np.sqrt(6.0 / (d_in + fan_out))
+        w = rng.uniform(-limit, limit, (d_in, d_out)).astype(dtype)
+    return {"W": w, "b": np.zeros(d_out, dtype=dtype)}
 
 
 def _fold_time_padding(dxp, left, right):
@@ -38,13 +41,13 @@ def _fold_time_padding(dxp, left, right):
 
 class Layer:
     """Base: subclasses define hyperparams, params, shapes, ``forward``,
-    ``input_grad`` and, when they have params, ``param_grads``."""
+    ``input_grad`` and, when they have params, ``param_grads``. A layer is
+    built from its ``LayerSpec`` and its index in the graph."""
 
-    kind = None
-
-    def __init__(self, hyper, name):
-        self.hyper = dict(hyper)
-        self.name = name
+    def __init__(self, spec, index):
+        self.kind = spec.kind
+        self.hyper = dict(spec.hyper)
+        self.name = f"{index}:{spec.kind}"
         self.params = {}
 
     def build(self, in_shape, rng, dtype):
@@ -70,54 +73,73 @@ class Layer:
         return InvalidArgumentError(f"layer {self.name} ({self.kind}): {msg}")
 
 
-class Affine(Layer):
-    """y = x W + b on the last axis; map inputs are flattened to (B,T,F*C)."""
+class Dense(Layer):
+    """y = G W + b: the weighted product, its parameter gradients and the
+    time-delay input gradient.
 
-    kind = "affine"
+    G concatenates, for each output frame t, the input frames t+offset over
+    the sorted offsets (edge replication); map inputs are flattened to
+    (B, T, F*C) first. ``timedelay`` names its offsets. ``affine`` is the
+    case of the one offset 0: G is the input itself, and its gradient needs
+    no padded buffer. Subclasses replace ``gather`` and ``input_grad``.
+    """
 
     def build(self, in_shape, rng, dtype):
-        if in_shape[0] == "map":
-            d_in = in_shape[1] * in_shape[2]
-        else:
-            d_in = in_shape[1]
+        d_in = in_shape[1] * in_shape[2] if in_shape[0] == "map" else in_shape[1]
+        self.offsets = [0] if self.kind == "affine" else sorted(self.hyper["offsets"])
+        if not self.offsets:
+            raise self._bad("offsets must be non-empty")
         d_out = self.hyper["dim"]
         if d_out < 1:
             raise self._bad("output dim must be >= 1")
         self.d_in = d_in
-        self.params = {
-            "W": _glorot(rng, d_in, d_out, (d_in, d_out), dtype),
-            "b": np.zeros(d_out, dtype=dtype),
-        }
+        self.d_cat = d_in * len(self.offsets)
+        self.params = _dense_params(rng, self.d_cat, d_out, d_out, dtype)
         return ("vec", d_out)
 
-    def forward(self, x, cache):
-        cache["in_shape"] = x.shape
+    def gather(self, x):
         if x.ndim == 4:
             x = x.reshape(x.shape[0], x.shape[1], -1)
         if x.shape[-1] != self.d_in:
             raise self._bad(f"expected input dim {self.d_in}, got {x.shape[-1]}")
-        cache["x"] = x
-        return x @ self.params["W"] + self.params["b"]
+        if self.offsets == [0]:
+            return x
+        t = x.shape[1]
+        return x.take(edge_index(t, np.arange(t), self.offsets), axis=1).reshape(
+            x.shape[0], t, self.d_cat
+        )
+
+    def forward(self, x, cache):
+        cache["in_shape"] = x.shape
+        g = cache["g"] = self.gather(x)
+        return g @ self.params["W"] + self.params["b"]
 
     def param_grads(self, dy, cache):
-        x = cache["x"]
-        x2 = x.reshape(-1, x.shape[-1])
+        g = cache["g"]
         dy2 = dy.reshape(-1, dy.shape[-1])
-        return {"W": x2.T @ dy2, "b": dy2.sum(axis=0)}
+        return {"W": g.reshape(-1, g.shape[-1]).T @ dy2, "b": dy2.sum(axis=0)}
 
     def input_grad(self, dy, cache):
-        return (dy @ self.params["W"].T).reshape(cache["in_shape"])
+        dg = dy @ self.params["W"].T
+        if self.offsets != [0]:
+            t = dy.shape[1]
+            left = max(0, -self.offsets[0])
+            right = max(0, self.offsets[-1])
+            ext = np.zeros((dy.shape[0], t + left + right, self.d_in), dtype=dy.dtype)
+            for k, o in enumerate(self.offsets):
+                ext[:, o + left : o + left + t] += dg[:, :, k * self.d_in : (k + 1) * self.d_in]
+            dg = _fold_time_padding(ext, left, right)
+        return dg.reshape(cache["in_shape"])
 
 
-class Conv2D(Layer):
+class Conv2D(Dense):
     """2-D convolution along (time, freq): time is replicate-padded to keep T.
 
     ``t_lo`` gives the first time-tap offset, so output frame t reads input
     frames t+t_lo .. t+t_lo+kt-1. The frequency axis is valid (no padding)
-    with an optional stride.
+    with an optional stride. G holds each output cell's (kt, kf, c_in)
+    patch; the input gradient scatters the patch gradients back (col2im).
     """
-
-    kind = "conv2d"
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "map":
@@ -138,43 +160,25 @@ class Conv2D(Layer):
         self.f_in = f_in
         self.f_out = (f_in - kf) // sf + 1
         self.pad = (-t_lo, kt - 1 + t_lo)
-        fan = kt * kf
-        self.params = {
-            "W": _glorot(rng, fan * c_in, fan * c_out, (kt * kf * c_in, c_out), dtype),
-            "b": np.zeros(c_out, dtype=dtype),
-        }
+        self.params = _dense_params(rng, kt * kf * c_in, c_out, kt * kf * c_out, dtype)
         return ("map", self.f_out, c_out)
 
-    def _patches(self, xp, t_out):
-        b = xp.shape[0]
+    def gather(self, x):
+        if x.ndim != 4 or x.shape[2] != self.f_in or x.shape[3] != self.c_in:
+            raise self._bad(f"expected (B,T,{self.f_in},{self.c_in}), got {x.shape}")
+        b, t = x.shape[:2]
+        xp = x.take(edge_index(t, self.t_lo, np.arange(t + self.kt - 1)), axis=1)
         sb, st, sf, sc = xp.strides
         view = np.lib.stride_tricks.as_strided(
             xp,
-            shape=(b, t_out, self.f_out, self.kt, self.kf, self.c_in),
+            shape=(b, t, self.f_out, self.kt, self.kf, self.c_in),
             strides=(sb, st, self.sf * sf, st, sf, sc),
             writeable=False,
         )
-        return np.ascontiguousarray(view).reshape(b, t_out, self.f_out, -1)
-
-    def forward(self, x, cache):
-        if x.ndim != 4 or x.shape[2] != self.f_in or x.shape[3] != self.c_in:
-            raise self._bad(f"expected (B,T,{self.f_in},{self.c_in}), got {x.shape}")
-        t = x.shape[1]
-        xp = x.take(edge_index(t, self.t_lo, np.arange(t + self.kt - 1)), axis=1)
-        patches = self._patches(xp, t)
-        cache["patches"] = patches
-        cache["t"] = t
-        return patches @ self.params["W"] + self.params["b"]
-
-    def param_grads(self, dy, cache):
-        patches = cache["patches"]
-        p2 = patches.reshape(-1, patches.shape[-1])
-        dy2 = dy.reshape(-1, self.c_out)
-        return {"W": p2.T @ dy2, "b": dy2.sum(axis=0)}
+        return np.ascontiguousarray(view).reshape(b, t, self.f_out, -1)
 
     def input_grad(self, dy, cache):
-        t = cache["t"]
-        b = dy.shape[0]
+        b, t = cache["in_shape"][:2]
         dpatch = (dy.reshape(-1, self.c_out) @ self.params["W"].T).reshape(
             b, t, self.f_out, self.kt, self.kf, self.c_in
         )
@@ -205,8 +209,6 @@ class MaxPool(Layer):
     patterns through integer masks, so both are exact (signed zeros
     included) without a per-element branch.
     """
-
-    kind = "maxpool"
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "map":
@@ -258,55 +260,6 @@ class MaxPool(Layer):
         return dx
 
 
-class TimeDelay(Layer):
-    """Concat frames at t+offset for each offset (edge replication), then affine."""
-
-    kind = "timedelay"
-
-    def build(self, in_shape, rng, dtype):
-        if in_shape[0] != "vec":
-            raise self._bad("timedelay needs a vector input")
-        offsets = sorted(self.hyper["offsets"])
-        if not offsets:
-            raise self._bad("offsets must be non-empty")
-        d_in = in_shape[1]
-        d_out = self.hyper["dim"]
-        self.offsets = offsets
-        self.d_in = d_in
-        self.d_cat = d_in * len(offsets)
-        self.params = {
-            "W": _glorot(rng, self.d_cat, d_out, (self.d_cat, d_out), dtype),
-            "b": np.zeros(d_out, dtype=dtype),
-        }
-        return ("vec", d_out)
-
-    def forward(self, x, cache):
-        if x.shape[-1] != self.d_in:
-            raise self._bad(f"expected input dim {self.d_in}, got {x.shape[-1]}")
-        t = x.shape[1]
-        gathered = x.take(edge_index(t, np.arange(t), self.offsets), axis=1).reshape(
-            x.shape[0], t, self.d_cat
-        )
-        cache["g"] = gathered
-        cache["t"] = t
-        return gathered @ self.params["W"] + self.params["b"]
-
-    def param_grads(self, dy, cache):
-        g2 = cache["g"].reshape(-1, self.d_cat)
-        dy2 = dy.reshape(-1, dy.shape[-1])
-        return {"W": g2.T @ dy2, "b": dy2.sum(axis=0)}
-
-    def input_grad(self, dy, cache):
-        t = cache["t"]
-        dg = dy @ self.params["W"].T
-        left = max(0, -self.offsets[0])
-        right = max(0, self.offsets[-1])
-        ext = np.zeros((dy.shape[0], t + left + right, self.d_in), dtype=dy.dtype)
-        for k, o in enumerate(self.offsets):
-            ext[:, o + left : o + left + t] += dg[:, :, k * self.d_in : (k + 1) * self.d_in]
-        return _fold_time_padding(ext, left, right)
-
-
 class PNorm(Layer):
     """y_j = sqrt(sum of x_i^2 over group j); dim must divide by the group size.
 
@@ -315,8 +268,6 @@ class PNorm(Layer):
     ``(xg * xg).sum(axis=-1)``; from 8 on, numpy's pairwise summation adds
     in another order and so rounds differently.
     """
-
-    kind = "pnorm"
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "vec":
@@ -345,16 +296,14 @@ class PNorm(Layer):
 
     def input_grad(self, dy, cache):
         xg, y = cache["xg"], cache["y"]
-        safe = np.where(y > 0, y, 1.0)
-        dxg = (dy / safe)[..., None] * xg
-        dxg = np.where(y[..., None] > 0, dxg, 0.0)
+        live = y > 0
+        dxg = (dy / np.where(live, y, 1.0))[..., None] * xg
+        dxg[~live] = 0.0  # dead groups (y = 0 or NaN) pass no gradient
         return dxg.reshape(*dy.shape[:-1], self.d_in)
 
 
 class LengthNorm(Layer):
     """Scale each frame vector to unit L2 norm; exact Jacobian backward."""
-
-    kind = "lengthnorm"
 
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "vec":
@@ -381,8 +330,6 @@ class LengthNorm(Layer):
 class SoftmaxXent(Layer):
     """Marker head layer: forward is identity on logits, loss applied outside."""
 
-    kind = "softmax-xent"
-
     def build(self, in_shape, rng, dtype):
         if in_shape[0] != "vec":
             raise self._bad("softmax head needs a vector input")
@@ -396,6 +343,11 @@ class SoftmaxXent(Layer):
 
 
 LAYER_CLASSES = {
-    cls.kind: cls
-    for cls in (Affine, Conv2D, MaxPool, TimeDelay, PNorm, LengthNorm, SoftmaxXent)
+    "affine": Dense,
+    "timedelay": Dense,
+    "conv2d": Conv2D,
+    "maxpool": MaxPool,
+    "pnorm": PNorm,
+    "lengthnorm": LengthNorm,
+    "softmax-xent": SoftmaxXent,
 }

@@ -89,7 +89,8 @@ def train(graph, data, state: TrainState) -> TrainResult:
     lr = state.learning_rate
     best_val = float("inf")
     fails = 0
-    val_loss, val_acc = _evaluate(graph, data.val_batches)
+    if state.max_epochs < 1:  # otherwise each epoch's evaluation sets these
+        val_loss, val_acc = _evaluate(graph, data.val_batches)
     for epoch in range(state.max_epochs):
         t0 = time.perf_counter()
         train_loss = 0.0

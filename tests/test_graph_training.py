@@ -8,6 +8,7 @@ import pytest
 
 from xldv import archive
 from xldv.nn import graph as graph_module
+from xldv.nn import training as training_module
 from xldv.ctdnn import CTDNNConfig, build_phone_blind
 from xldv.errors import DataError, InvalidArgumentError, NumericError, StateError
 from xldv.nn import LayerSpec, NetworkGraph, TrainState, sgd_step, softmax_xent, train
@@ -259,6 +260,23 @@ class TestTrainer:
         state = TrainState(learning_rate=0.5, max_epochs=1, batches_per_epoch=1)
         with pytest.raises(NumericError, match="0:affine"):
             train(g, _ToyData(), state)
+
+    @pytest.mark.parametrize("max_epochs", [0, 1, 4, 50])
+    def test_validation_runs_once_per_epoch_run(self, monkeypatch, max_epochs):
+        # each epoch's pass sets the result; only a run of no epoch needs a
+        # pass of its own (at 50 the stalled schedule stops after 4 epochs)
+        calls = []
+        evaluate = training_module._evaluate
+
+        def counted(graph, batches):
+            calls.append(graph)
+            return evaluate(graph, batches)
+
+        monkeypatch.setattr(training_module, "_evaluate", counted)
+        state = TrainState(learning_rate=1e-9, max_epochs=max_epochs, batches_per_epoch=2)
+        result = train(self._graph(), _ToyData(), state)
+        assert len(calls) == max(result.epochs_run, 1)
+        assert np.isfinite(result.val_loss)
 
     def test_lr_must_be_positive(self):
         with pytest.raises(InvalidArgumentError):

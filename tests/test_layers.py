@@ -53,6 +53,34 @@ class TestAffine:
         with pytest.raises(InvalidArgumentError, match="affine"):
             g.forward(np.zeros((1, 2, 7)))
 
+    @pytest.mark.parametrize("in_shape", [("map", 3, 64), ("vec", 128)])
+    @pytest.mark.parametrize("b, t", [(16, 24), (1, 257)])
+    def test_same_bits_as_zero_offset_timedelay_and_the_plain_product(self, in_shape, b, t):
+        affine, timedelay = (
+            NetworkGraph([LayerSpec(kind, dim=40, **hyper)], in_shape, seed=3).layers[0]
+            for kind, hyper in (("affine", {}), ("timedelay", {"offsets": [0]}))
+        )
+        timedelay.params = {k: v.copy() for k, v in affine.params.items()}
+        w, bias = affine.params["W"], affine.params["b"]
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal((b, t, *in_shape[1:])).astype(np.float32)
+        dy = rng.standard_normal((b, t, 40)).astype(np.float32)
+        x3 = x.reshape(b, t, -1)
+        dy2 = dy.reshape(-1, 40)
+        ref = (
+            x3 @ w + bias,
+            x3.reshape(-1, x3.shape[-1]).T @ dy2,
+            dy2.sum(axis=0),
+            (dy @ w.T).reshape(x.shape),
+        )
+        for layer in (affine, timedelay):
+            cache = {}
+            y = layer.forward(x, cache)
+            dx, grads = layer.backward(dy, cache)
+            got = (y, grads["W"], grads["b"], dx)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+            assert dx.shape == x.shape
+
 
 class TestConv2D:
     def test_identity_kernel(self):
@@ -275,6 +303,28 @@ class TestPNorm:
         y = layer.forward(x, {})
         assert y.dtype == np.float32
         assert y.tobytes() == y_ref.tobytes()
+
+    @pytest.mark.parametrize("group", [2, 3])
+    def test_backward_bits_equal_the_two_where_expression(self, group):
+        rng = np.random.default_rng(20 + group)
+        x = rng.normal(size=(4, 6, 5 * group)).astype(np.float32)
+        xg = x.reshape(4, 6, 5, group)
+        xg[0, :, 1] = 0.0  # dead groups of +0.0, of -0.0 and of both
+        xg[1, :, 2] = -0.0
+        xg[2, :, 3, 0] = -0.0
+        xg[2, :, 3, 1:] = 0.0
+        xg[3, :, 4, 0] = -0.0  # a live group holding a -0.0
+        layer = build([LayerSpec("pnorm", group=group)], ("vec", 5 * group)).layers[0]
+        cache = {}
+        y = layer.forward(x, cache)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        safe = np.where(y > 0, y, 1.0)
+        ref = np.where(y[..., None] > 0, (dy / safe)[..., None] * xg, 0.0)
+        dx = layer.input_grad(dy, cache)
+        assert dx.dtype == np.float32
+        assert dx.tobytes() == ref.reshape(x.shape).tobytes()
+        dead = dx.reshape(xg.shape)[[0, 1, 2], :, [1, 2, 3]]
+        assert not np.any(dead) and not np.any(np.signbit(dead))
 
 
 class TestLengthNorm:
